@@ -14,8 +14,7 @@ Conventions pinned here:
 
 * The correlation matrix is computed once up front; the phase-1 mean-|rho|
   criterion for a pair is taken against the full starting metric set minus
-  that pair (set ``mean_against_remaining=True`` to use the shrinking
-  survivor set instead).
+  that pair, not against the shrinking survivor set.
 * Both phase thresholds compare with ``>=``.
 * Phase-1 pair order: descending |rho|, ties by smallest column-index pair.
   Phase-1 keep-tie: smaller original column index wins. Phase-2 max-VIF
@@ -89,7 +88,7 @@ def _drop_constant_columns(d: Dataset) -> tuple[Dataset, list[TraceStep]]:
     return d.project(keep), steps
 
 
-def spearman_phase(d: Dataset, sp_t: float = 0.7, *, mean_against_remaining: bool = False):
+def spearman_phase(d: Dataset, sp_t: float = 0.7):
     """Pairwise Spearman elimination; returns (kept subset, trace).
 
     Constant columns are removed first. The correlation matrix is computed
@@ -108,10 +107,7 @@ def spearman_phase(d: Dataset, sp_t: float = 0.7, *, mean_against_remaining: boo
     ]
 
     def mean_abs_corr(member: int, i: int, j: int) -> float:
-        if mean_against_remaining:
-            others = [k for k in alive if k not in (i, j)]
-        else:
-            others = [k for k in range(p) if k not in (i, j)]
+        others = [k for k in range(p) if k not in (i, j)]
         if not others:
             return 0.0
         return float(np.mean(corr[member, others]))

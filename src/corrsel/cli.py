@@ -29,6 +29,20 @@ EXIT_DATA = 3
 EXIT_COMPUTE = 4
 
 
+def _param(field: str):
+    """argparse ``type=`` for an AutoSpearmanParams field; a bad value exits 2."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            AutoSpearmanParams(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrsel",
@@ -40,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("dataset")
     p_select.add_argument("--outcome", required=True, help="name of the outcome column")
     p_select.add_argument("--selector", required=True, help="technique abbreviation")
-    p_select.add_argument("--sp-t", type=float, default=0.7)
-    p_select.add_argument("--vif-t", type=float, default=5.0)
+    p_select.add_argument("--sp-t", type=_param("sp_t"), default=0.7)
+    p_select.add_argument("--vif-t", type=_param("vif_t"), default=5.0)
     p_select.add_argument("--bins", type=int, default=10)
     p_select.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_select.add_argument("--json", action="store_true", dest="as_json")

@@ -176,11 +176,13 @@ class SyntheticSpec:
 def load_csv(path, outcome_column: str) -> Dataset:
     """Read a UTF-8 comma-delimited file with a header row into a Dataset.
 
+    A leading byte-order mark (as spreadsheet programs write it) is skipped.
+
     The outcome column is removed from the metrics and mapped to booleans;
     accepted encodings are {0, 1} and {clean, defective} (case-insensitive).
     Column order is preserved from the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

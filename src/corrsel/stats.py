@@ -9,8 +9,9 @@ Conventions that matter downstream:
   correlation with anything is defined as 0 rather than NaN.
 * Columns with bitwise-identical (or exactly reversed) rank vectors
   correlate at exactly +/-1.0, so threshold comparisons at 1.0 behave.
-* VIF under (numerically) perfect linear dependence is reported as
-  ``math.inf``, which orders above every finite score.
+* VIF is read off the diagonal of the inverse correlation matrix; under
+  (numerically) perfect linear dependence it is reported as ``math.inf``,
+  which orders above every finite score.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ PERFECT_FIT_R2 = 1.0 - 1e-10
 
 #: Distinguished VIF value for perfect linear dependence.
 UNBOUNDED = math.inf
+
+#: The closed-form VIF hands a subset to the regression path when any score
+#: reaches this; it sits far below 1/(1 - PERFECT_FIT_R2) = 1e10, so only
+#: the regressions ever decide ``UNBOUNDED``.
+CLOSED_FORM_VIF_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -76,16 +82,16 @@ def rank_with_ties(values) -> np.ndarray:
 
 def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     n = rx.size
-    if np.array_equal(rx, ry):
-        return 1.0
-    if np.array_equal(rx, (n + 1) - ry):
-        return -1.0
     cx = rx - rx.mean()
     cy = ry - ry.mean()
     sx = math.sqrt(float(cx @ cx))
     sy = math.sqrt(float(cy @ cy))
-    if sx == 0.0 or sy == 0.0:
+    if sx == 0.0 or sy == 0.0:  # checked first: two constants share a rank vector
         return 0.0
+    if np.array_equal(rx, ry):
+        return 1.0
+    if np.array_equal(rx, (n + 1) - ry):
+        return -1.0
     r = float(cx @ cy) / (sx * sy)
     return max(-1.0, min(1.0, r))
 
@@ -99,31 +105,51 @@ def spearman(x, y) -> float:
     return _rank_correlation(rank_with_ties(x), rank_with_ties(y))
 
 
+def _rank_columns(x: np.ndarray) -> np.ndarray:
+    """:func:`rank_with_ties` applied to every column of ``x`` at once."""
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    sx = np.take_along_axis(x, order, axis=0)
+    pos = np.arange(n)[:, None]
+    starts = np.ones(x.shape, dtype=bool)  # a tie group starts at this sorted row
+    starts[1:] = sx[1:] != sx[:-1]
+    ends = np.ones(x.shape, dtype=bool)  # a tie group ends at this sorted row
+    ends[:-1] = starts[1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[::-1], axis=0)[::-1]
+    # 0-based positions first..last average to 1-based rank (first + last)/2 + 1;
+    # both forms are exact half-integers, so ranks match rank_with_ties bit for bit
+    ranks = np.empty(x.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
+    return ranks
+
+
 def spearman_matrix(d: Dataset) -> CorrelationMatrix:
     """Pairwise Spearman over all metric columns; symmetric, unit diagonal."""
     p = d.n_metrics
     n = d.n_modules
-    ranks = np.column_stack([rank_with_ties(d.rows[:, j]) for j in range(p)])
+    ranks = _rank_columns(d.rows)
     centered = ranks - ranks.mean(axis=0)
     norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
     constant = norms == 0.0
     safe = np.where(constant, 1.0, norms)
     z = centered / safe
-    c = z.T @ z
+    c = np.clip(z.T @ z, -1.0, 1.0)
+    lower = np.tril_indices(p, -1)
+    c[lower] = c.T[lower]
     # exact +/-1 for identical or reversed rank vectors, 0 for constants
-    keys = [ranks[:, j].tobytes() for j in range(p)]
-    anti = [((n + 1) - ranks[:, j]).tobytes() for j in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            if constant[i] or constant[j]:
-                c[i, j] = 0.0
-            elif keys[i] == keys[j]:
-                c[i, j] = 1.0
-            elif keys[i] == anti[j]:
-                c[i, j] = -1.0
-            else:
-                c[i, j] = max(-1.0, min(1.0, c[i, j]))
-            c[j, i] = c[i, j]
+    varying = np.flatnonzero(~constant).tolist()
+    groups: dict[bytes, list[int]] = {}
+    for j in varying:
+        groups.setdefault(ranks[:, j].tobytes(), []).append(j)
+    for members in groups.values():
+        c[np.ix_(members, members)] = 1.0
+    for j in varying:
+        mirrored = groups.get(((n + 1) - ranks[:, j]).tobytes())
+        if mirrored:
+            c[j, mirrored] = -1.0
+    c[constant, :] = 0.0
+    c[:, constant] = 0.0
     np.fill_diagonal(c, 1.0)
     return CorrelationMatrix(d.metric_names, c)
 
@@ -151,16 +177,13 @@ def ols_r_squared(target, predictors) -> float:
     return max(0.0, min(1.0, 1.0 - ssr / sst))
 
 
-def vif_scores(d: Dataset, subset) -> VifReport:
-    """Variance inflation factor 1/(1-R2) for each metric in ``subset``.
+def _vif_lstsq(d: Dataset, subset) -> VifReport:
+    """VIF from one least-squares auxiliary regression per metric.
 
-    R2 comes from regressing the metric on the other subset metrics;
-    a single-metric subset scores exactly 1. Perfect dependence maps to
-    ``UNBOUNDED`` (math.inf).
+    The reference path: :func:`vif_scores` falls back to it whenever the
+    closed form cannot be trusted, so it alone decides ``UNBOUNDED``.
     """
     subset = list(subset)
-    if not subset:
-        raise TooFewValues("vif_scores needs a nonempty subset")
     cols = d.columns(subset)
     scores: dict[str, float] = {}
     for i, name in enumerate(subset):
@@ -174,6 +197,50 @@ def vif_scores(d: Dataset, subset) -> VifReport:
         else:
             scores[name] = max(1.0, 1.0 / (1.0 - r2))
     return VifReport(scores)
+
+
+def _vif_closed_form(cols: np.ndarray) -> np.ndarray | None:
+    """diag(R^-1) of the columns' correlation matrix R, via Cholesky.
+
+    Returns None when the regression path must decide instead: a constant
+    column, an R that is not numerically positive definite, or an inflation
+    at or above ``CLOSED_FORM_VIF_LIMIT``.
+    """
+    if np.any(np.all(cols == cols[0], axis=0)):
+        return None
+    centered = cols - cols.mean(axis=0)
+    z = centered / np.sqrt(np.einsum("ij,ij->j", centered, centered))
+    try:
+        chol = np.linalg.cholesky(z.T @ z)
+    except np.linalg.LinAlgError:
+        return None
+    # R^-1 = L^-T L^-1, so its diagonal is the column sums of squares of L^-1
+    inv_chol = np.linalg.solve(chol, np.eye(cols.shape[1]))
+    diag = np.einsum("ij,ij->j", inv_chol, inv_chol)
+    if not np.all(np.isfinite(diag)) or diag.max() >= CLOSED_FORM_VIF_LIMIT:
+        return None
+    return diag
+
+
+def vif_scores(d: Dataset, subset) -> VifReport:
+    """Variance inflation factor 1/(1-R2) for each metric in ``subset``.
+
+    R2 comes from regressing the metric on the other subset metrics, and
+    1/(1-R2) is the metric's diagonal entry of the inverse correlation
+    matrix of the subset (Belsley, Kuh & Welsch 1980), which is how it is
+    computed. A single-metric subset scores exactly 1. Near or at perfect
+    dependence the per-metric regressions of :func:`_vif_lstsq` score the
+    whole subset, and perfect dependence maps to ``UNBOUNDED`` (math.inf).
+    """
+    subset = list(subset)
+    if not subset:
+        raise TooFewValues("vif_scores needs a nonempty subset")
+    if len(subset) == 1:
+        return VifReport({subset[0]: 1.0})
+    diag = _vif_closed_form(d.columns(subset))
+    if diag is None:
+        return _vif_lstsq(d, subset)
+    return VifReport({name: max(1.0, float(v)) for name, v in zip(subset, diag)})
 
 
 def discretize_equal_frequency(values, bins: int) -> DiscreteColumn:

@@ -116,14 +116,6 @@ def test_spearman_phase_rank_transform_invariant():
     assert [s.removed for s in trace.steps] == [s.removed for s in trace2.steps]
 
 
-def test_spearman_phase_mean_against_remaining_flag_runs():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(80)
-    d = _dataset({"a": a, "b": a + rng.normal(0, 0.01, 80), "c": rng.standard_normal(80)})
-    subset, _ = spearman_phase(d, 0.7, mean_against_remaining=True)
-    assert len(subset) == 2
-
-
 # -- VIF phase -----------------------------------------------------------------------
 
 def test_vif_phase_exact_sum_fixture():

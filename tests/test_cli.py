@@ -178,3 +178,18 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["select"])  # missing required arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--sp-t", "2"), ("--sp-t", "0"), ("--sp-t", "nan"), ("--sp-t", "x"),
+     ("--vif-t", "1"), ("--vif-t", "0.5")],
+)
+def test_select_out_of_range_threshold_exit_2(clone_csv, capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["select", str(clone_csv), "--outcome", "bug", "--selector", "AutoSpearman",
+              option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("corrsel select: error: argument " + option)

@@ -38,6 +38,14 @@ def test_load_csv_basic(tmp_path):
     assert d.outcome.tolist() == [False, True, False]
 
 
+def test_load_csv_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes("a,b,bug\r\n1,2,0\r\n3,4,1\r\n".encode("utf-8-sig"))
+    d = load_csv(path, "bug")
+    assert d.metric_names == ("a", "b")
+    assert d.column("a").tolist() == [1.0, 3.0]
+
+
 def test_load_csv_outcome_words_any_case(tmp_path):
     path = _write(tmp_path, "loc,bug\n1,Clean\n2,DEFECTIVE\n")
     d = load_csv(path, "bug")

@@ -1,0 +1,228 @@
+"""Property tests of the vectorised correlation kernels against their oracles.
+
+``vif_scores`` reads VIFs off diag(R^-1) and is checked against
+``_vif_lstsq``, the one-regression-per-metric path it falls back to.
+``spearman_matrix`` ranks all columns at once and is checked bit for bit
+against the pair-by-pair construction it replaced and against ``spearman``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corrsel.stats as stats
+from corrsel.autospearman import AutoSpearmanParams, auto_spearman
+from corrsel.data import Dataset
+from corrsel.stats import (
+    _vif_closed_form,
+    _vif_lstsq,
+    rank_with_ties,
+    spearman,
+    spearman_matrix,
+    vif_scores,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _dataset(x: np.ndarray) -> Dataset:
+    names = tuple(f"m{i}" for i in range(x.shape[1]))
+    return Dataset(names, x, np.arange(x.shape[0]) % 2 == 0)
+
+
+# -- VIF: closed form vs per-metric regressions ------------------------------------------
+
+@st.composite
+def designs(draw):
+    kind = draw(
+        st.sampled_from(["independent", "near_collinear", "dependent", "constant", "p_near_n"])
+    )
+    n = draw(st.integers(4, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "p_near_n":
+        p = draw(st.integers(max(2, n - 2), n + 1))
+    else:
+        p = draw(st.integers(2, min(10, n - 2)))
+    x = rng.standard_normal((n, p)) @ (rng.standard_normal((p, p)) + 2 * np.eye(p))
+    if kind == "near_collinear":
+        sd = draw(st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-7]))
+        x[:, -1] = x[:, :-1] @ rng.standard_normal(p - 1) + sd * rng.standard_normal(n)
+    elif kind == "dependent":
+        x[:, -1] = x[:, :-1] @ rng.integers(-3, 4, p - 1)
+    elif kind == "constant":
+        x[:, draw(st.integers(0, p - 1))] = draw(st.sampled_from([0.0, 0.1, 7.0]))
+    return x
+
+
+@PROPERTY
+@given(designs())
+def test_vif_closed_form_matches_regressions(x):
+    d = _dataset(x)
+    names = list(d.metric_names)
+    fast = vif_scores(d, names).scores
+    slow = _vif_lstsq(d, names).scores
+    assert {m for m in names if math.isinf(fast[m])} == {m for m in names if math.isinf(slow[m])}
+    for m in names:
+        if math.isfinite(slow[m]):
+            assert fast[m] >= 1.0
+            assert fast[m] == pytest.approx(slow[m], rel=1e-6)
+
+
+def test_vif_well_conditioned_design_needs_no_regression(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((300, 40)) @ (rng.standard_normal((40, 40)) + 3 * np.eye(40))
+    d = _dataset(x)
+    oracle = _vif_lstsq(d, list(d.metric_names)).scores
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed-form VIF ran a regression")
+
+    monkeypatch.setattr(stats, "ols_r_squared", forbidden)
+    assert _vif_closed_form(x) is not None
+    fast = vif_scores(d, list(d.metric_names)).scores
+    for m, v in oracle.items():
+        assert fast[m] == pytest.approx(v, rel=1e-9)
+
+
+def test_vif_regression_path_decides_dependence():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((50, 4))
+    x[:, 3] = x[:, 0] - 2 * x[:, 1]
+    assert _vif_closed_form(x) is None
+    report = vif_scores(_dataset(x), ["m0", "m1", "m2", "m3"])
+    assert [m for m, v in report.scores.items() if math.isinf(v)] == ["m0", "m1", "m3"]
+
+
+def test_vif_constant_column_scores_one():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 3))
+    x[:, 1] = 2.5
+    assert _vif_closed_form(x) is None
+    assert vif_scores(_dataset(x), ["m0", "m1", "m2"]).scores["m1"] == 1.0
+
+
+# -- Spearman matrix: bit-equal to the pairwise construction -----------------------------
+
+def _spearman_matrix_pairwise(d: Dataset) -> np.ndarray:
+    """The pair-by-pair construction ``spearman_matrix`` must reproduce exactly."""
+    p, n = d.n_metrics, d.n_modules
+    ranks = np.column_stack([rank_with_ties(d.rows[:, j]) for j in range(p)])
+    centered = ranks - ranks.mean(axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
+    constant = norms == 0.0
+    z = centered / np.where(constant, 1.0, norms)
+    c = z.T @ z
+    keys = [ranks[:, j].tobytes() for j in range(p)]
+    anti = [((n + 1) - ranks[:, j]).tobytes() for j in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            if constant[i] or constant[j]:
+                c[i, j] = 0.0
+            elif keys[i] == keys[j]:
+                c[i, j] = 1.0
+            elif keys[i] == anti[j]:
+                c[i, j] = -1.0
+            else:
+                c[i, j] = max(-1.0, min(1.0, c[i, j]))
+            c[j, i] = c[i, j]
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+@st.composite
+def rank_designs(draw):
+    """Columns with heavy ties, constants, duplicates and reversals."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 3, 5, 1000]))
+    x = rng.integers(0, levels, (n, p)) / 8.0
+    for j in range(1, p):
+        src = x[:, int(rng.integers(0, j))]
+        roll = rng.random()
+        if roll < 0.15:
+            x[:, j] = 3.0
+        elif roll < 0.3:
+            x[:, j] = 2 * src + 1
+        elif roll < 0.45:
+            x[:, j] = -src
+        elif roll < 0.55:
+            x[:, j] = np.exp(-src)
+    return x
+
+
+@PROPERTY
+@given(rank_designs())
+def test_spearman_matrix_is_bit_equal_to_pairwise(x):
+    d = _dataset(x)
+    got = spearman_matrix(d).values
+    assert got.tobytes() == _spearman_matrix_pairwise(d).tobytes()
+    n, p = x.shape
+    ranks = [rank_with_ties(x[:, j]) for j in range(p)]
+    for i in range(p):
+        for j in range(p):
+            if i == j:
+                continue
+            rho = spearman(x[:, i], x[:, j])
+            if np.ptp(x[:, i]) == 0 or np.ptp(x[:, j]) == 0:
+                assert got[i, j] == rho == 0.0
+            elif np.array_equal(ranks[i], ranks[j]):
+                assert got[i, j] == rho == 1.0
+            elif np.array_equal(ranks[i], (n + 1) - ranks[j]):
+                assert got[i, j] == rho == -1.0
+            else:
+                assert got[i, j] == pytest.approx(rho, abs=1e-12)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(2, 8))
+def test_spearman_matrix_invariant_under_monotone_maps(seed, n, p):
+    rng = np.random.default_rng(seed)
+    # a grid of 1e-3 keeps every map below strictly monotone in floating point
+    x = rng.integers(-5000, 5000, (n, p)) / 1000.0
+    base = spearman_matrix(_dataset(x)).values
+    increasing = [np.exp, np.arctan, lambda v: v**3, lambda v: 4.0 * v - 7.0]
+    warped = np.column_stack([increasing[j % 4](x[:, j]) for j in range(p)])
+    assert spearman_matrix(_dataset(warped)).values.tobytes() == base.tobytes()
+    flipped = x.copy()
+    flipped[:, 0] = -np.exp(x[:, 0])
+    got = spearman_matrix(_dataset(flipped)).values
+    sign = np.ones(p)
+    sign[0] = -1.0
+    expected = base * np.outer(sign, sign)
+    np.fill_diagonal(expected, 1.0)
+    assert np.array_equal(got, expected)
+
+
+def test_rank_columns_match_rank_with_ties():
+    rng = np.random.default_rng(6)
+    x = rng.integers(0, 4, (50, 6)).astype(float)
+    x[:, 5] = rng.standard_normal(50)
+    got = stats._rank_columns(x)
+    for j in range(x.shape[1]):
+        assert got[:, j].tobytes() == rank_with_ties(x[:, j]).tobytes()
+
+
+# -- AutoSpearman postcondition on wide data ---------------------------------------------
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(5, 25), st.sampled_from([0.5, 0.7, 0.9]))
+def test_auto_spearman_postcondition_when_metrics_outnumber_rows(seed, n, sp_t):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(n + 1, 2 * n + 1))
+    latent = rng.standard_normal((n, max(1, p // 4)))
+    x = latent @ rng.standard_normal((latent.shape[1], p)) + 0.5 * rng.standard_normal((n, p))
+    d = _dataset(x)
+    params = AutoSpearmanParams(sp_t=sp_t)
+    kept, trace = auto_spearman(d, params)
+    assert kept
+    assert sorted(kept + trace.removed_metrics()) == sorted(d.metric_names)
+    corr = np.abs(spearman_matrix(d.project(kept)).values)
+    assert np.all(corr[np.triu_indices(len(kept), k=1)] < sp_t)
+    scores = vif_scores(d, kept).scores.values()
+    assert all(math.isfinite(v) and v < params.vif_t for v in scores)

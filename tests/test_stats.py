@@ -357,3 +357,8 @@ def test_aic_direct():
 
 def test_aic_useless_parameter_costs_two():
     assert aic(-5.0, 4) - aic(-5.0, 3) == 2.0
+
+
+def test_spearman_two_constants_is_zero():
+    assert spearman([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]) == 0.0
+    assert spearman([4.0], [4.0]) == 0.0
