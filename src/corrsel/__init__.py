@@ -39,7 +39,7 @@ from .data import (
     summarize,
     write_csv,
 )
-from .evaluation import ConfusionMatrix, PerformanceTriple, auc, confusion_at, f_measure, mcc
+from .evaluation import ConfusionMatrix, auc, confusion_at, f_measure, mcc
 from .harness import (
     ConsistencyResult,
     CorrelationFlags,

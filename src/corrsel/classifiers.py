@@ -4,7 +4,7 @@ wrapper selectors consume.
 
 Both fitters are deterministic: the logistic fit has no randomness and the
 forest derives one generator stream per tree from (seed, tree index), so
-results are independent of evaluation order.
+each tree depends only on its own stream, never on how trees are batched.
 """
 
 from __future__ import annotations
@@ -41,23 +41,30 @@ class ImportanceScores:
     scores: dict[str, float]
 
 
-class _TreeNode:
-    """Axis-aligned binary split; feature == -1 marks a leaf."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "vote", "decrease")
-
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.vote = False
-        self.decrease = 0.0
+#: Working-set budget of one forest batch, in (bag row, metric) cells. Trees
+#: are grown max(1, _BATCH_CELLS // (n * p)) at a time and scored in blocks
+#: of max(1, _BATCH_CELLS // ntree) rows, so temporaries scale with it, not
+#: with ntree.
+_BATCH_CELLS = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
-    trees: tuple[_TreeNode, ...]
+    """Trees stored as flat parallel arrays indexed by node id.
+
+    ``trees[t]`` is the root node of tree t. An internal node sends a row to
+    ``left`` when its value of metric ``feature`` is below ``threshold`` and
+    to ``right`` otherwise, and records the weighted Gini ``decrease`` of its
+    split. A leaf has ``feature == -1`` and predicts ``vote``.
+    """
+
+    trees: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    vote: np.ndarray
+    decrease: np.ndarray
     ntree: int
     mtry: int
     seed: int
@@ -162,66 +169,142 @@ def predict_logistic(m: LogisticModel, row) -> float:
     return min(1.0 - _PROB_EPS, max(_PROB_EPS, p))
 
 
-def _gini_counts(pos: float, total: float) -> float:
-    if total == 0:
-        return 0.0
-    p = pos / total
-    return 2.0 * p * (1.0 - p)
+def _best_cuts(seq, xb, yb, starts, sizes, pos, feats):
+    """Lowest weighted-Gini cut of each node over its candidate metrics.
+
+    Node k owns positions ``starts[k]:starts[k] + sizes[k]`` of every row of
+    ``seq`` (bag rows sorted by metric f within each node, in row f), holds
+    ``pos[k]`` defective rows and tries the metrics ``feats[k]`` in order.
+    Ties go to the earlier candidate, then to the earlier cut. Returns, per
+    node: the weighted child Gini (inf when no candidate has a cut), the
+    metric, the midpoint threshold, and the left child's size and defects.
+    """
+    k_count = feats.shape[0]
+    node = np.repeat(np.arange(k_count), sizes)
+    first = np.cumsum(sizes) - sizes
+    at = np.arange(node.size) + np.repeat(starts - first, sizes)
+    f = feats.T[:, node]
+    rows = seq[f, at]
+    v = xb[rows, f]
+    cum = np.cumsum(yb[rows], axis=1, dtype=np.int32)
+    before = cum[:, first] - yb[rows[:, first]]
+    s, i = np.nonzero((v[:, :-1] != v[:, 1:]) & (node[:-1] == node[1:]))
+    k = node[i]
+    left_n = i - first[k] + 1
+    left_pos = cum[s, i] - before[s, k]
+    right_n = sizes[k] - left_n
+    right_pos = pos[k] - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    child = left_n * 2.0 * pl * (1.0 - pl) + right_n * 2.0 * pr * (1.0 - pr)
+
+    score = np.full(k_count, np.inf)
+    np.minimum.at(score, k, child)
+    win = np.flatnonzero(child == score[k])
+    pick = np.full(k_count, child.size)
+    np.minimum.at(pick, k[win], win)  # candidates run slot by slot, cut by cut
+    has = np.flatnonzero(pick < child.size)
+    c = pick[has]
+    lo = v[s[c], i[c]]
+    hi = v[s[c], i[c] + 1]
+    mid = (lo + hi) / 2.0
+    feature = np.full(k_count, -1, np.int32)
+    threshold = np.zeros(k_count)
+    n_left = np.zeros(k_count, np.int64)
+    pos_left = np.zeros(k_count, np.int64)
+    feature[has] = feats[has, s[c]]
+    # the midpoint of two adjacent floats can round onto the lower one
+    threshold[has] = np.where((lo < mid) & (mid <= hi), mid, hi)
+    n_left[has] = left_n[c]
+    pos_left[has] = left_pos[c]
+    return score, feature, threshold, n_left, pos_left
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray):
-    """Lowest weighted-Gini (feature, threshold, decrease) or None."""
-    n = y.size
-    total_pos = int(y.sum())
-    parent = n * _gini_counts(total_pos, n)
-    best = None  # (weighted_child_gini, feature, threshold, decrease)
-    for f in features:
-        v = x[:, int(f)]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = y[order]
-        cut = np.flatnonzero(sv[:-1] != sv[1:])  # split after position i
-        if cut.size == 0:
-            continue
-        left_n = cut + 1
-        left_pos = np.cumsum(sy)[cut]
-        right_n = n - left_n
-        right_pos = total_pos - left_pos
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        child = left_n * 2.0 * pl * (1.0 - pl) + right_n * 2.0 * pr * (1.0 - pr)
-        i = int(np.argmin(child))
-        score = float(child[i])
-        if best is None or score < best[0]:
-            thr = (sv[cut[i]] + sv[cut[i] + 1]) / 2.0
-            best = (score, int(f), float(thr), parent - score)
-    return None if best is None else best[1:]
+def _grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
+    """Grow one tree per generator to purity, every node of a depth at once.
 
+    Each tree's bag is the first draw from its generator. At each depth the
+    tree draws, in one call, a random metric order for each of its open
+    nodes; a node tries the first ``mtry`` metrics and, when none of them
+    has a cut, the rest in index order. Returns the batch's node arrays
+    (feature, threshold, left, right, vote, decrease), numbered from
+    ``base``; nodes base..base+T-1 are the roots.
+    """
+    n, p = x.shape
+    t_count = len(rngs)
+    bag = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    xb = x[bag]
+    yb = y[bag]
+    # seq[f]: each tree's bag positions, stably sorted by metric f; a
+    # level's stable partition keeps every node's rows sorted
+    local = np.argsort(xb.reshape(t_count, n, p), axis=1, kind="stable").astype(np.int32)
+    local += (np.arange(t_count, dtype=np.int32) * n)[:, None, None]
+    seq = local.transpose(2, 0, 1).reshape(p, t_count * n)
+    status = np.zeros(t_count * n, np.int8)
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, mtry: int, rng) -> _TreeNode:
-    p = x.shape[1]
-    root = _TreeNode()
-    stack = [(root, x, y)]
-    while stack:
-        node, nx, ny = stack.pop()
-        n = ny.size
-        pos = int(ny.sum())
-        node.vote = pos * 2 > n
-        if pos == 0 or pos == n or n == 1:
-            continue
-        features = rng.choice(p, size=mtry, replace=False)
-        split = _best_split(nx, ny, features)
-        if split is None and mtry < p:
-            split = _best_split(nx, ny, np.setdiff1d(np.arange(p), features))
-        if split is None:
-            continue
-        node.feature, node.threshold, node.decrease = split
-        left_mask = nx[:, node.feature] < node.threshold
-        node.left = _TreeNode()
-        node.right = _TreeNode()
-        stack.append((node.right, nx[~left_mask], ny[~left_mask]))
-        stack.append((node.left, nx[left_mask], ny[left_mask]))
-    return root
+    cap = t_count * (2 * n - 1)
+    feature = np.full(cap, -1, np.int32)
+    threshold = np.zeros(cap)
+    left = np.full(cap, -1, np.int32)
+    right = np.full(cap, -1, np.int32)
+    vote = np.zeros(cap, bool)
+    decrease = np.zeros(cap)
+
+    ids = np.arange(t_count)
+    tree = np.arange(t_count)
+    size = np.full(t_count, n)
+    pos = yb.reshape(t_count, n).sum(axis=1)
+    next_id = t_count
+    while ids.size:
+        vote[ids] = pos * 2 > size
+        open_ = (pos > 0) & (pos < size) & (size > 1)
+        if not open_.all():
+            seq = seq[:, np.repeat(open_, size)]
+            ids, tree, size, pos = ids[open_], tree[open_], size[open_], pos[open_]
+            if not ids.size:
+                break
+        starts = np.cumsum(size) - size
+
+        counts = np.bincount(tree, minlength=t_count)
+        u = np.empty((ids.size, p))
+        u[np.argsort(tree, kind="stable")] = np.concatenate(
+            [rngs[t].random((c, p)) for t, c in enumerate(counts) if c]
+        )
+        order = u.argsort(axis=1)
+        cuts = _best_cuts(seq, xb, yb, starts, size, pos, order[:, :mtry])
+        miss = np.flatnonzero(cuts[0] == np.inf)
+        if miss.size and mtry < p:
+            rest = np.sort(order[miss, mtry:], axis=1)
+            for out, alt in zip(cuts, _best_cuts(seq, xb, yb, starts[miss], size[miss], pos[miss], rest)):
+                out[miss] = alt
+        score, feat, thr, left_n, left_pos = cuts
+
+        split = np.flatnonzero(score < np.inf)
+        j_count = split.size
+        sid = ids[split]
+        q = pos[split] / size[split]
+        feature[sid] = feat[split]
+        threshold[sid] = thr[split]
+        decrease[sid] = size[split] * (2.0 * q * (1.0 - q)) - score[split]
+        left[sid] = base + next_id + np.arange(j_count)
+        right[sid] = base + next_id + j_count + np.arange(j_count)
+
+        # move split nodes' rows to their children, all left children first;
+        # rows of nodes that stay leaves drop out
+        node = np.repeat(np.arange(ids.size), size)
+        chosen = seq[np.maximum(feat, 0)[node], np.arange(node.size)]
+        goes = np.where(np.arange(node.size) - starts[node] < left_n[node], 1, 2).astype(np.int8)
+        goes[score[node] == np.inf] = 0
+        status[chosen] = goes
+        st = status[seq]
+        seq = np.concatenate([seq[st == 1].reshape(p, -1), seq[st == 2].reshape(p, -1)], axis=1)
+
+        ids = next_id + np.arange(2 * j_count)
+        next_id += 2 * j_count
+        tree = np.concatenate([tree[split], tree[split]])
+        size = np.concatenate([left_n[split], size[split] - left_n[split]])
+        pos = np.concatenate([left_pos[split], pos[split] - left_pos[split]])
+    return tuple(a[:next_id].copy() for a in (feature, threshold, left, right, vote, decrease))
 
 
 def fit_random_forest(
@@ -234,22 +317,45 @@ def fit_random_forest(
     if not d.has_both_classes():
         raise DegenerateOutcome("random forest needs both outcome classes")
     x = d.columns(subset)
-    y = d.outcome.astype(np.int64)
+    y = d.outcome.astype(np.int8)
     n, p = x.shape
     mtry = max(1, int(math.isqrt(p)))
     streams = np.random.SeedSequence(seed).spawn(ntree)
-    trees = []
-    for t in range(ntree):
-        rng = np.random.default_rng(streams[t])
-        bag = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(x[bag], y[bag], mtry, rng))
-    return ForestModel(tuple(trees), ntree, mtry, seed, subset)
+    per_batch = max(1, _BATCH_CELLS // (n * p))
+    batches, roots, base = [], [], 0
+    for lo in range(0, ntree, per_batch):
+        rngs = [np.random.default_rng(s) for s in streams[lo:lo + per_batch]]
+        batches.append(_grow_batch(x, y, rngs, mtry, base))
+        roots.append(base + np.arange(len(rngs), dtype=np.int32))
+        base += batches[-1][0].size
+    arrays = [np.concatenate(column) for column in zip(*batches)]
+    return ForestModel(np.concatenate(roots), *arrays, ntree, mtry, seed, subset)
 
 
-def _tree_vote(node: _TreeNode, row: np.ndarray) -> bool:
-    while node.feature >= 0:
-        node = node.left if row[node.feature] < node.threshold else node.right
-    return node.vote
+def _forest_votes(m: ForestModel, x: np.ndarray) -> np.ndarray:
+    """Fraction of trees voting defective for each row of ``x``.
+
+    Every (tree, row) pair of a block of rows descends one level per step.
+    """
+    r_count = x.shape[0]
+    out = np.empty(r_count)
+    step = max(1, _BATCH_CELLS // m.ntree)
+    for lo in range(0, r_count, step):
+        block = x[lo:lo + step]
+        r = block.shape[0]
+        node = np.repeat(m.trees, r)  # pair t * r + i: tree t, row i
+        live = np.arange(node.size)
+        while True:
+            at = node[live]
+            f = m.feature[at]
+            inner = f >= 0
+            if not inner.any():
+                break
+            live, at, f = live[inner], at[inner], f[inner]
+            go_left = block[live % r, f] < m.threshold[at]
+            node[live] = np.where(go_left, m.left[at], m.right[at])
+        out[lo:lo + r] = np.count_nonzero(m.vote[node].reshape(m.ntree, r), axis=0) / m.ntree
+    return out
 
 
 def predict_forest(m: ForestModel, row) -> float:
@@ -259,8 +365,7 @@ def predict_forest(m: ForestModel, row) -> float:
         raise DimensionMismatch(
             f"row of length {row.size}, model has {len(m.metric_names)} metrics"
         )
-    votes = sum(1 for tree in m.trees if _tree_vote(tree, row))
-    return votes / m.ntree
+    return float(_forest_votes(m, row[None, :])[0])
 
 
 def score_rows(model, d: Dataset) -> np.ndarray:
@@ -270,19 +375,8 @@ def score_rows(model, d: Dataset) -> np.ndarray:
         eta = model.intercept + x @ model.coefficients
         return np.clip(_sigmoid(eta), _PROB_EPS, 1.0 - _PROB_EPS)
     if isinstance(model, ForestModel):
-        return np.array([predict_forest(model, row) for row in x])
+        return _forest_votes(model, x)
     raise DimensionMismatch(f"unsupported model type {type(model).__name__}")
-
-
-def _accumulate_decrease(root: _TreeNode, acc: np.ndarray) -> None:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.feature < 0:
-            continue
-        acc[node.feature] += node.decrease
-        stack.append(node.left)
-        stack.append(node.right)
 
 
 def importance(model, d: Dataset) -> ImportanceScores:
@@ -300,9 +394,10 @@ def importance(model, d: Dataset) -> ImportanceScores:
             scores[name] = abs(float(coef)) * sd
         return ImportanceScores(scores)
     if isinstance(model, ForestModel):
-        acc = np.zeros(len(model.metric_names))
-        for tree in model.trees:
-            _accumulate_decrease(tree, acc)
+        inner = model.feature >= 0
+        acc = np.bincount(
+            model.feature[inner], weights=model.decrease[inner], minlength=len(model.metric_names)
+        )
         total = acc.sum()
         if total > 0:
             acc = acc / total

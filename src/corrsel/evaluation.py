@@ -26,13 +26,6 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class PerformanceTriple:
-    auc: float
-    f_measure: float
-    mcc: float
-
-
 def auc(scores, labels) -> float:
     """Mann-Whitney estimate: P(random positive ranked above random negative).
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autospearman import MetricSubset
+from .autospearman import AutoSpearmanParams, MetricSubset
 from .classifiers import fit_logistic, fit_random_forest, score_rows
 from .data import Dataset, BootstrapSplit, SyntheticSpec, bootstrap_sample, generate_synthetic, load_csv
 from .errors import ComputationError, ConfigError, CorrselError, EmptyTestSet, SingleClass
@@ -37,6 +37,8 @@ from .stats import spearman_matrix, vif_scores
 SCHEMA_VERSION = 1
 
 _MEASURES = ("AUC", "F", "MCC")
+
+_CLASSIFIERS = ("logistic", "forest")
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class ExperimentConfig:
     sp_t: float = 0.7
     vif_t: float = 5.0
     bins: int = 10
-    classifiers: tuple[str, ...] = ("logistic", "forest")
+    classifiers: tuple[str, ...] = _CLASSIFIERS
     output: str | None = None
     output_csv: str | None = None
     selector_config: SelectorConfig | None = None
@@ -254,7 +256,7 @@ def performance_deltas(
     d: Dataset,
     selectors,
     B: int,
-    classifiers=("logistic", "forest"),
+    classifiers=_CLASSIFIERS,
     base_seed: int = DEFAULT_SEED,
     config: SelectorConfig = SelectorConfig(),
     grid: SubsetCollection | None = None,
@@ -325,8 +327,21 @@ def _quartiles(values: list[float]) -> dict:
     }
 
 
+def _number(obj: dict, key: str, default, kind):
+    """``obj[key]`` (or ``default``) as a JSON integer (``kind`` int) or number."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        wanted = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+    return kind(value)
+
+
 def load_config(obj: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON object."""
+    """Build an ExperimentConfig from a parsed JSON object.
+
+    Every field is checked here, before any work runs; a bad value raises
+    ConfigError (an unknown selector name, UnsupportedSelector).
+    """
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     known = {
@@ -336,6 +351,9 @@ def load_config(obj: dict) -> ExperimentConfig:
     unknown = set(obj) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    for key in ("outcome_column", "output", "output_csv"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise ConfigError(f"{key} must be a string, got {obj[key]!r}")
     dataset = obj.get("dataset")
     path, synthetic = None, None
     if isinstance(dataset, str):
@@ -343,11 +361,11 @@ def load_config(obj: dict) -> ExperimentConfig:
     elif isinstance(dataset, dict):
         try:
             synthetic = SyntheticSpec(
-                base_metric_count=int(dataset["base_metric_count"]),
-                module_count=int(dataset["module_count"]),
+                base_metric_count=_number(dataset, "base_metric_count", None, int),
+                module_count=_number(dataset, "module_count", None, int),
                 signal_coefficients=tuple(dataset["signal_coefficients"]),
                 clone_groups=tuple(tuple(g) for g in dataset.get("clone_groups", [])),
-                seed=int(dataset.get("seed", 0)),
+                seed=_number(dataset, "seed", 0, int),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic dataset spec: {exc}") from exc
@@ -356,12 +374,29 @@ def load_config(obj: dict) -> ExperimentConfig:
     if path is not None and not obj.get("outcome_column"):
         raise ConfigError("outcome_column is required with a dataset path")
 
+    names = obj.get("selectors", ["AutoSpearman"])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"selectors must be a list of selector names, got {names!r}")
+    selectors = tuple(parse_selector(n) for n in names)
+    classifiers = obj.get("classifiers", list(_CLASSIFIERS))
+    if not isinstance(classifiers, list) or not all(c in _CLASSIFIERS for c in classifiers):
+        raise ConfigError(
+            f"classifiers must be a list drawn from {list(_CLASSIFIERS)}, got {classifiers!r}"
+        )
+    bootstrap_count = _number(obj, "bootstrap_count", 30, int)
+    if bootstrap_count < 1:
+        raise ConfigError("bootstrap_count must be >= 1")
+    sp_t = _number(obj, "sp_t", 0.7, float)
+    vif_t = _number(obj, "vif_t", 5.0, float)
     try:
-        selectors = tuple(parse_selector(s) for s in obj.get("selectors", ["AutoSpearman"]))
-    except CorrselError:
-        raise
+        AutoSpearmanParams(sp_t, vif_t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
     sc = None
     if "selector_config" in obj:
+        if not isinstance(obj["selector_config"], dict):
+            raise ConfigError("selector_config must be a JSON object")
         raw = dict(obj["selector_config"])
         # bins/sp_t/vif_t/base_seed live at the top level of the config
         allowed = {
@@ -371,27 +406,29 @@ def load_config(obj: dict) -> ExperimentConfig:
         bad = set(raw) - allowed
         if bad:
             raise ConfigError(f"selector_config fields not allowed here: {sorted(bad)}")
-        if raw.get("rfe_sizes") is not None:
-            raw["rfe_sizes"] = tuple(raw["rfe_sizes"])
         try:
+            if raw.get("rfe_sizes") is not None:
+                raw["rfe_sizes"] = tuple(raw["rfe_sizes"])
             sc = SelectorConfig(**raw)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad selector_config: {exc}") from exc
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         dataset_path=path,
         outcome_column=obj.get("outcome_column"),
         synthetic=synthetic,
         selectors=selectors,
-        bootstrap_count=int(obj.get("bootstrap_count", 30)),
-        base_seed=int(obj.get("base_seed", DEFAULT_SEED)),
-        sp_t=float(obj.get("sp_t", 0.7)),
-        vif_t=float(obj.get("vif_t", 5.0)),
-        bins=int(obj.get("bins", 10)),
-        classifiers=tuple(obj.get("classifiers", ["logistic", "forest"])),
+        bootstrap_count=bootstrap_count,
+        base_seed=_number(obj, "base_seed", DEFAULT_SEED, int),
+        sp_t=sp_t,
+        vif_t=vif_t,
+        bins=_number(obj, "bins", 10, int),
+        classifiers=tuple(classifiers),
         output=obj.get("output"),
         output_csv=obj.get("output_csv"),
         selector_config=sc,
     )
+    cfg.resolved_selector_config()  # checks bins
+    return cfg
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

@@ -174,6 +174,55 @@ def test_experiment_bad_config_exit_3(tmp_path):
     assert main(["experiment", str(tmp_path / "missing.json")]) == 3
 
 
+_GOOD_CONFIG = {
+    "dataset": {
+        "base_metric_count": 3,
+        "module_count": 60,
+        "signal_coefficients": [1.0, 0, 0],
+        "seed": 2,
+    },
+    "selectors": ["AutoSpearman"],
+    "bootstrap_count": 1,
+    "classifiers": ["logistic"],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sp_t", 2),
+        ("sp_t", "x"),
+        ("vif_t", 1),
+        ("bootstrap_count", "x"),
+        ("bootstrap_count", 0),
+        ("bootstrap_count", 2.5),
+        ("bootstrap_count", True),
+        ("base_seed", [1]),
+        ("bins", 1),
+        ("selectors", "AutoSpearman"),
+        ("selectors", [5]),
+        ("classifiers", ["svm"]),
+        ("classifiers", "forest"),
+        ("selector_config", [1]),
+        ("selector_config", {"rfe_sizes": 3}),
+        ("output", 5),
+        ("dataset", {"base_metric_count": 3, "module_count": 60.5, "signal_coefficients": [1, 0, 0]}),
+    ],
+)
+def test_experiment_malformed_config_exit_3_before_any_work(tmp_path, capsys, monkeypatch, field, value):
+    def never(cfg):
+        raise AssertionError("a malformed config reached run_experiment")
+
+    monkeypatch.setattr("corrsel.cli.run_experiment", never)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_GOOD_CONFIG, field: value}), encoding="utf-8")
+    assert main(["experiment", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["select"])  # missing required arguments

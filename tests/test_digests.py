@@ -67,9 +67,25 @@ _VIF_ACTIVE = {
     "selector_config": {"ranking_rule": "top_k", "ranking_top_k": 5},
 }
 
+_RFE_FOREST = {
+    # forest importance ranks metrics for RFE-RF, so its order is pinned too
+    "dataset": {
+        "base_metric_count": 4,
+        "module_count": 120,
+        "signal_coefficients": [1.0, 0.6, 0, 0],
+        "clone_groups": [[0, 1, 0.3]],
+        "seed": 31,
+    },
+    "selectors": ["RFE-RF", "AutoSpearman"],
+    "bootstrap_count": 2,
+    "base_seed": 13,
+    "classifiers": ["forest"],
+    "selector_config": {"rfe_resamples": 2, "rfe_ntree": 20},
+}
+
 GOLDEN = {
     "planted": (
-        _PLANTED, "9ebd903d1ea3ce1c76fc702f876d2e760455dc77be1fa7475dc37b2193481d87"
+        _PLANTED, "43c985ff1af81c88f19015d31d1689e09d2ee7be9a4ad0262bd0ba44c65d5e4c"
     ),
     "correlated-logistic": (
         _CORRELATED_LOGISTIC,
@@ -77,6 +93,9 @@ GOLDEN = {
     ),
     "vif-active": (
         _VIF_ACTIVE, "3ef80ba912782a318e7c355ecc7991f2db884cbc9bb65ce3ea0842ec34acf1d8"
+    ),
+    "rfe-forest": (
+        _RFE_FOREST, "3c1aadf2a64e8d373a939e1f048501878e9eeb502750e72c7725d367254b0cdf"
     ),
 }
 

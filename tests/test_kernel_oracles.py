@@ -1,22 +1,27 @@
-"""Property tests of the vectorised correlation kernels against their oracles.
+"""Property tests of the vectorised kernels against their oracles.
 
 ``vif_scores`` reads VIFs off diag(R^-1) and is checked against
 ``_vif_lstsq``, the one-regression-per-metric path it falls back to.
 ``spearman_matrix`` ranks all columns at once and is checked bit for bit
 against the pair-by-pair construction it replaced and against ``spearman``.
+The level-wise random forest is checked against the depth-first grower it
+replaced, kept here as the reference.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrsel.classifiers as classifiers
 import corrsel.stats as stats
 from corrsel.autospearman import AutoSpearmanParams, auto_spearman
+from corrsel.classifiers import fit_random_forest, importance, predict_forest, score_rows
 from corrsel.data import Dataset
 from corrsel.stats import (
     _vif_closed_form,
@@ -226,3 +231,226 @@ def test_auto_spearman_postcondition_when_metrics_outnumber_rows(seed, n, sp_t):
     assert np.all(corr[np.triu_indices(len(kept), k=1)] < sp_t)
     scores = vif_scores(d, kept).scores.values()
     assert all(math.isfinite(v) and v < params.vif_t for v in scores)
+
+
+# -- random forest: level-wise growth vs the depth-first reference ------------------------
+
+class _TreeNode:
+    """Axis-aligned binary split; feature == -1 marks a leaf."""
+
+    __slots__ = ("feature", "threshold", "left", "right", "vote", "decrease")
+
+    def __init__(self):
+        self.feature = -1
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.vote = False
+        self.decrease = 0.0
+
+
+def _gini_counts(pos: float, total: float) -> float:
+    if total == 0:
+        return 0.0
+    p = pos / total
+    return 2.0 * p * (1.0 - p)
+
+
+def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray):
+    """Lowest weighted-Gini (feature, threshold, decrease) or None."""
+    n = y.size
+    total_pos = int(y.sum())
+    parent = n * _gini_counts(total_pos, n)
+    best = None  # (weighted_child_gini, feature, threshold, decrease)
+    for f in features:
+        v = x[:, int(f)]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        sy = y[order]
+        cut = np.flatnonzero(sv[:-1] != sv[1:])  # split after position i
+        if cut.size == 0:
+            continue
+        left_n = cut + 1
+        left_pos = np.cumsum(sy)[cut]
+        right_n = n - left_n
+        right_pos = total_pos - left_pos
+        pl = left_pos / left_n
+        pr = right_pos / right_n
+        child = left_n * 2.0 * pl * (1.0 - pl) + right_n * 2.0 * pr * (1.0 - pr)
+        i = int(np.argmin(child))
+        score = float(child[i])
+        if best is None or score < best[0]:
+            thr = (sv[cut[i]] + sv[cut[i] + 1]) / 2.0
+            best = (score, int(f), float(thr), parent - score)
+    return None if best is None else best[1:]
+
+
+def _grow_tree(x: np.ndarray, y: np.ndarray, mtry: int, rng) -> _TreeNode:
+    p = x.shape[1]
+    root = _TreeNode()
+    stack = [(root, x, y)]
+    while stack:
+        node, nx, ny = stack.pop()
+        n = ny.size
+        pos = int(ny.sum())
+        node.vote = pos * 2 > n
+        if pos == 0 or pos == n or n == 1:
+            continue
+        features = rng.choice(p, size=mtry, replace=False)
+        split = _best_split(nx, ny, features)
+        if split is None and mtry < p:
+            split = _best_split(nx, ny, np.setdiff1d(np.arange(p), features))
+        if split is None:
+            continue
+        node.feature, node.threshold, node.decrease = split
+        left_mask = nx[:, node.feature] < node.threshold
+        node.left = _TreeNode()
+        node.right = _TreeNode()
+        stack.append((node.right, nx[~left_mask], ny[~left_mask]))
+        stack.append((node.left, nx[left_mask], ny[left_mask]))
+    return root
+
+
+def _tree_vote(node: _TreeNode, row: np.ndarray) -> bool:
+    while node.feature >= 0:
+        node = node.left if row[node.feature] < node.threshold else node.right
+    return node.vote
+
+
+def _accumulate_decrease(root: _TreeNode, acc: np.ndarray) -> None:
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.feature < 0:
+            continue
+        acc[node.feature] += node.decrease
+        stack.append(node.left)
+        stack.append(node.right)
+
+
+def _bags(n: int, ntree: int, seed: int) -> list[np.ndarray]:
+    """Each tree's bag: the first draw from its own stream."""
+    streams = np.random.SeedSequence(seed).spawn(ntree)
+    return [np.random.default_rng(s).integers(0, n, size=n) for s in streams]
+
+
+def _reference_forest(x: np.ndarray, y: np.ndarray, ntree: int, seed: int) -> list[_TreeNode]:
+    mtry = max(1, int(math.isqrt(x.shape[1])))
+    streams = np.random.SeedSequence(seed).spawn(ntree)
+    trees = []
+    for t in range(ntree):
+        rng = np.random.default_rng(streams[t])
+        bag = rng.integers(0, x.shape[0], size=x.shape[0])
+        trees.append(_grow_tree(x[bag], y[bag], mtry, rng))
+    return trees
+
+
+@st.composite
+def forest_cases(draw, p=None):
+    """Small labelled designs on a 1/4 grid: ties, constant columns, and
+    midpoints that never round onto a data value."""
+    n = draw(st.integers(2, 40))
+    p = p if p is not None else draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 3, 8, 1000]))
+    x = rng.integers(0, levels, (n, p)) / 4.0
+    y = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    y[0], y[-1] = True, False
+    names = tuple(f"m{i}" for i in range(p))
+    d = Dataset(names, x, y)
+    ntree = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # from one tree per batch to the whole forest in one
+    cells = draw(st.sampled_from([1, n * p * 3, classifiers._BATCH_CELLS]))
+    with mock.patch.object(classifiers, "_BATCH_CELLS", cells):
+        model = fit_random_forest(d, names, ntree=ntree, seed=seed)
+    return d, model
+
+
+def _routed(d: Dataset, m):
+    """(node, bag rows reaching it) for every node, routed by the thresholds."""
+    x = d.rows
+    for root, bag in zip(m.trees, _bags(d.n_modules, m.ntree, m.seed)):
+        stack = [(int(root), bag)]
+        while stack:
+            node, rows = stack.pop()
+            yield node, rows
+            f = m.feature[node]
+            if f >= 0:
+                goes_left = x[rows, f] < m.threshold[node]
+                stack.append((int(m.left[node]), rows[goes_left]))
+                stack.append((int(m.right[node]), rows[~goes_left]))
+
+
+@PROPERTY
+@given(forest_cases(p=1))
+def test_forest_with_one_metric_matches_reference_bit_for_bit(case):
+    d, m = case
+    y = d.outcome.astype(np.int64)
+    trees = _reference_forest(d.rows, y, m.ntree, m.seed)
+    probe = np.concatenate([d.rows[:, 0], d.rows[:, 0] + 0.125, [-1.0, 1e3]])
+    want = np.array([sum(_tree_vote(t, np.array([v])) for t in trees) / m.ntree for v in probe])
+    got = score_rows(m, Dataset(("m0",), probe[:, None], np.zeros(probe.size, bool)))
+    assert got.tobytes() == want.tobytes()
+    acc = np.zeros(1)
+    for tree in trees:
+        _accumulate_decrease(tree, acc)
+    if acc.sum() > 0:
+        acc = acc / acc.sum()
+    assert importance(m, d).scores == {"m0": float(acc[0])}
+
+
+@PROPERTY
+@given(forest_cases())
+def test_forest_split_is_reference_best_split_on_its_metric(case):
+    d, m = case
+    y = d.outcome.astype(np.int64)
+    for node, rows in _routed(d, m):
+        f = int(m.feature[node])
+        if f < 0:
+            continue
+        want = _best_split(d.rows[rows], y[rows], np.array([f]))
+        assert want == (f, float(m.threshold[node]), float(m.decrease[node]))
+
+
+@PROPERTY
+@given(forest_cases())
+def test_forest_leaves_are_pure_or_hold_identical_rows(case):
+    d, m = case
+    y = d.outcome
+    for node, rows in _routed(d, m):
+        if m.feature[node] >= 0:
+            continue
+        assert rows.size > 0
+        assert m.vote[node] == (2 * np.count_nonzero(y[rows]) > rows.size)
+        pure = y[rows].all() or not y[rows].any()
+        assert pure or np.all(d.rows[rows] == d.rows[rows[0]])
+
+
+@PROPERTY
+@given(forest_cases())
+def test_forest_batched_scores_equal_per_row_walk(case):
+    d, m = case
+    probe = np.concatenate([d.rows, d.rows + 0.125, -d.rows])
+
+    def walk(row):
+        votes = 0
+        for node in m.trees:
+            while m.feature[node] >= 0:
+                f = m.feature[node]
+                node = m.left[node] if row[f] < m.threshold[node] else m.right[node]
+            votes += int(m.vote[node])
+        return votes / m.ntree
+
+    want = np.array([walk(row) for row in probe])
+    got = score_rows(m, Dataset(d.metric_names, probe, np.zeros(probe.shape[0], bool)))
+    assert got.tobytes() == want.tobytes()
+    assert [predict_forest(m, row) for row in probe[:5]] == want[:5].tolist()
+
+
+def test_forest_splits_adjacent_floats():
+    # (a + b) / 2 rounds onto a here; the split must still separate a from b
+    a, b = 1.0, float(np.nextafter(1.0, 2.0))
+    d = Dataset(("m0",), np.array([[a], [b], [a], [b]]), np.array([False, True, False, True]))
+    m = fit_random_forest(d, ["m0"], ntree=3, seed=0)
+    assert score_rows(m, d).tolist() == [0.0, 1.0, 0.0, 1.0]
