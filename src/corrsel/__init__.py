@@ -22,6 +22,7 @@ from .classifiers import (
     ImportanceScores,
     LogisticModel,
     fit_logistic,
+    fit_logistic_batch,
     fit_random_forest,
     importance,
     predict_forest,

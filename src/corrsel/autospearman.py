@@ -75,7 +75,7 @@ class EliminationTrace:
         return out
 
 
-def _drop_constant_columns(d: Dataset) -> tuple[Dataset, list[TraceStep]]:
+def _drop_constant_columns(d: Dataset) -> tuple[list[str], list[TraceStep]]:
     keep, steps = [], []
     for name in d.metric_names:
         col = d.column(name)
@@ -83,9 +83,7 @@ def _drop_constant_columns(d: Dataset) -> tuple[Dataset, list[TraceStep]]:
             steps.append(TraceStep("spearman", name, None, 0.0))
         else:
             keep.append(name)
-    if len(keep) == d.n_metrics:
-        return d, steps
-    return d.project(keep), steps
+    return keep, steps
 
 
 def spearman_phase(d: Dataset, sp_t: float = 0.7):
@@ -96,9 +94,11 @@ def spearman_phase(d: Dataset, sp_t: float = 0.7):
     is resolved by keeping the member whose mean |rho| against the other
     metrics (excluding the pair itself) is smaller.
     """
-    filtered, steps = _drop_constant_columns(d)
-    names = filtered.metric_names
+    names, steps = _drop_constant_columns(d)
+    if not names:
+        return [], EliminationTrace(tuple(steps))
     p = len(names)
+    filtered = d if p == d.n_metrics else d.project(names)
     corr = np.abs(spearman_matrix(filtered).values)
 
     alive = list(range(p))

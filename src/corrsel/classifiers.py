@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, sigmoid
 from .errors import DegenerateOutcome, DimensionMismatch
 
 #: Coefficients hitting this magnitude during IRLS indicate separation; they
@@ -40,6 +40,10 @@ class LogisticModel:
 class ImportanceScores:
     scores: dict[str, float]
 
+
+#: Working-set budget of one batched logistic fit, in design cells: models
+#: are fit max(1, _IRLS_CELLS // (n * k)) at a time for an n x k design.
+_IRLS_CELLS = 50_000
 
 #: Working-set budget of one forest batch, in (bag row, metric) cells. Trees
 #: are grown max(1, _BATCH_CELLS // (n * p)) at a time and scored in blocks
@@ -71,18 +75,124 @@ class ForestModel:
     metric_names: tuple[str, ...]
 
 
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _log_likelihoods(design: np.ndarray, y: np.ndarray, beta: np.ndarray):
+    """Log-likelihood and linear predictor of stacked models (design m x n x k)."""
+    eta = (design @ beta[:, :, None])[:, :, 0]
+    return np.sum(y * eta - np.logaddexp(0.0, eta), axis=1), eta
 
 
-def _log_likelihood(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = design @ beta
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve each ``hess[i] @ delta[i] = grad[i]``; a model whose Hessian is
+    singular or whose step is not finite is solved again alone, with a ridge."""
+    try:
+        delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        redo = np.flatnonzero(~np.isfinite(delta).all(axis=1))
+    except np.linalg.LinAlgError:
+        delta, redo = np.empty_like(grad), range(len(hess))
+    for i in redo:
+        try:
+            delta[i] = np.linalg.solve(hess[i], grad[i])
+        except np.linalg.LinAlgError:
+            delta[i] = np.nan
+        if not np.all(np.isfinite(delta[i])):
+            delta[i] = np.linalg.solve(hess[i] + _RIDGE * np.eye(hess.shape[-1]), grad[i])
+    return delta
+
+
+def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float):
+    """IRLS on stacked designs (m, n, k) with outcomes y (m, n).
+
+    Each model halves its own Newton step until the log-likelihood does not
+    fall and stops on its own; stopped models leave the stack.
+    """
+    m = design.shape[0]
+    beta = np.zeros((m, design.shape[2]))
+    ll, eta = _log_likelihoods(design, y, beta)
+    traces = [[v] for v in ll.tolist()]
+    iterations = np.zeros(m, np.int64)
+    converged = np.zeros(m, bool)
+    capped = np.zeros(m, bool)
+    live = np.arange(m)  # the models still iterating; design and y hold only theirs
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        iterations[live] += 1
+        mu = sigmoid(eta[live])
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        design_t = design.transpose(0, 2, 1)
+        grad = (design_t @ (y - mu)[:, :, None])[:, :, 0]
+        delta = _newton_steps(design_t @ (design * w[:, :, None]), grad)
+
+        start, start_ll = beta[live], ll[live]
+        step = np.ones(live.size)
+        todo = np.arange(live.size)
+        while todo.size:
+            whole = todo.size == live.size
+            c = np.clip(start[todo] + step[todo, None] * delta[todo], -COEF_CAP, COEF_CAP)
+            c_ll, c_eta = _log_likelihoods(
+                design if whole else design[todo], y if whole else y[todo], c
+            )
+            ok = c_ll >= start_ll[todo]
+            moved = live[todo[ok]]
+            beta[moved], ll[moved], eta[moved] = c[ok], c_ll[ok], c_eta[ok]
+            todo = todo[~ok]
+            step[todo] /= 2.0
+            todo = todo[step[todo] >= 2.0**-30]
+        accepted = step >= 2.0**-30
+
+        moved = live[accepted]
+        capped[moved[np.any(np.abs(beta[moved]) >= COEF_CAP, axis=1)]] = True
+        small = accepted & (np.max(np.abs(beta[live] - start), axis=1) < tol)
+        converged[live[small]] = True
+        for i in moved.tolist():
+            traces[i].append(float(ll[i]))
+        keep = accepted & ~small
+        if not keep.all():
+            live, design, y = live[keep], design[keep], y[keep]
+    models = []
+    for i, subset in enumerate(subsets):
+        coef = beta[i, 1:].copy()
+        coef.flags.writeable = False
+        models.append(LogisticModel(
+            subset, float(beta[i, 0]), coef, float(ll[i]),
+            bool(converged[i] and not capped[i]), int(iterations[i]), tuple(traces[i]),
+        ))
+    return models
+
+
+def fit_logistic_batch(fits, max_iter: int = 25, tol: float = 1e-8) -> list[LogisticModel]:
+    """:func:`fit_logistic` of every (dataset, subset) pair, fit together.
+
+    All pairs need the same row count and subset width. Designs are stacked
+    max(1, _IRLS_CELLS // (n * k)) at a time, and each model's arithmetic is
+    a lone fit's, so no model depends on what it was stacked with.
+    """
+    fits = [(d, tuple(subset)) for d, subset in fits]
+    if not fits:
+        return []
+    n, k = fits[0][0].n_modules, len(fits[0][1]) + 1
+    for d, subset in fits:
+        if not d.has_both_classes():
+            raise DegenerateOutcome("logistic fit needs both outcome classes")
+        if (d.n_modules, len(subset) + 1) != (n, k):
+            raise DimensionMismatch("batched logistic fits need designs of one shape")
+    per_chunk = max(1, _IRLS_CELLS // (n * k))
+    models = []
+    for lo in range(0, len(fits), per_chunk):
+        chunk = fits[lo:lo + per_chunk]
+        # BLAS rounds differently per memory layout, so each design keeps a
+        # lone fit's: np.column_stack([ones, d.columns(subset)]) is
+        # Fortran-ordered from two metrics on
+        if k >= 3:
+            design = np.ones((len(chunk), k, n)).transpose(0, 2, 1)
+        else:
+            design = np.ones((len(chunk), n, k))
+        for i, (d, subset) in enumerate(chunk):
+            if subset:
+                design[i, :, 1:] = d.columns(subset)
+        y = np.array([d.outcome for d, _ in chunk], dtype=np.float64)
+        models += _irls(design, y, [subset for _, subset in chunk], max_iter, tol)
+    return models
 
 
 def fit_logistic(
@@ -96,65 +206,7 @@ def fit_logistic(
     and reporting converged=False, which keeps the log-likelihood finite
     for AIC-based search. An empty subset fits the intercept alone.
     """
-    y = d.outcome.astype(np.float64)
-    if not d.has_both_classes():
-        raise DegenerateOutcome("logistic fit needs both outcome classes")
-    subset = tuple(subset)
-    x = d.columns(subset) if subset else np.empty((d.n_modules, 0))
-    design = np.column_stack([np.ones(d.n_modules), x])
-    k = design.shape[1]
-
-    beta = np.zeros(k)
-    ll = _log_likelihood(design, y, beta)
-    trace = [ll]
-    converged = False
-    capped = False
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        mu = _sigmoid(design @ beta)
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        grad = design.T @ (y - mu)
-        hess = design.T @ (design * w[:, None])
-        try:
-            delta = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.solve(hess + _RIDGE * np.eye(k), grad)
-        if not np.all(np.isfinite(delta)):
-            delta = np.linalg.solve(hess + _RIDGE * np.eye(k), grad)
-
-        step = 1.0
-        accepted = None
-        while step >= 2.0**-30:
-            cand = np.clip(beta + step * delta, -COEF_CAP, COEF_CAP)
-            cand_ll = _log_likelihood(design, y, cand)
-            if cand_ll >= ll:
-                accepted = (cand, cand_ll)
-                break
-            step /= 2.0
-        if accepted is None:
-            break
-        cand, cand_ll = accepted
-        if np.any(np.abs(cand) >= COEF_CAP):
-            capped = True
-        change = float(np.max(np.abs(cand - beta)))
-        beta, ll = cand, cand_ll
-        trace.append(ll)
-        if change < tol:
-            converged = True
-            break
-
-    coef = beta[1:].copy()
-    coef.flags.writeable = False
-    return LogisticModel(
-        metric_names=subset,
-        intercept=float(beta[0]),
-        coefficients=coef,
-        log_likelihood=ll,
-        converged=converged and not capped,
-        iterations_used=iterations,
-        ll_trace=tuple(trace),
-    )
+    return fit_logistic_batch([(d, subset)], max_iter, tol)[0]
 
 
 def predict_logistic(m: LogisticModel, row) -> float:
@@ -164,8 +216,7 @@ def predict_logistic(m: LogisticModel, row) -> float:
         raise DimensionMismatch(
             f"row of length {row.size}, model has {len(m.metric_names)} metrics"
         )
-    eta = m.intercept + float(m.coefficients @ row)
-    p = 1.0 / (1.0 + math.exp(-eta)) if eta >= 0 else math.exp(eta) / (1.0 + math.exp(eta))
+    p = float(sigmoid(np.array([m.intercept + float(m.coefficients @ row)]))[0])
     return min(1.0 - _PROB_EPS, max(_PROB_EPS, p))
 
 
@@ -373,7 +424,7 @@ def score_rows(model, d: Dataset) -> np.ndarray:
     x = d.columns(model.metric_names)
     if isinstance(model, LogisticModel):
         eta = model.intercept + x @ model.coefficients
-        return np.clip(_sigmoid(eta), _PROB_EPS, 1.0 - _PROB_EPS)
+        return np.clip(sigmoid(eta), _PROB_EPS, 1.0 - _PROB_EPS)
     if isinstance(model, ForestModel):
         return _forest_votes(model, x)
     raise DimensionMismatch(f"unsupported model type {type(model).__name__}")

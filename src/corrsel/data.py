@@ -173,6 +173,12 @@ class SyntheticSpec:
         object.__setattr__(self, "clone_groups", groups)
 
 
+def sigmoid(eta: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-eta)): with e = exp(-|eta|), 1 / (1 + e) or e / (1 + e)."""
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
+
+
 def load_csv(path, outcome_column: str) -> Dataset:
     """Read a UTF-8 comma-delimited file with a header row into a Dataset.
 
@@ -288,11 +294,5 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             cols.append(base[:, src] + noise)
             clones_of[src] += 1
             names.append(f"m{src + 1}_clone{clones_of[src]}")
-    logits = base @ np.asarray(spec.signal_coefficients)
-    probs = np.empty(n)
-    pos = logits >= 0
-    probs[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-    expl = np.exp(logits[~pos])
-    probs[~pos] = expl / (1.0 + expl)
-    outcome = rng.random(n) < probs
+    outcome = rng.random(n) < sigmoid(base @ np.asarray(spec.signal_coefficients))
     return Dataset(tuple(names), np.column_stack(cols), outcome)

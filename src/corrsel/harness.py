@@ -9,8 +9,7 @@ selected-metrics models against all-metrics models on the same split.
 Everything is seeded: the per-sample split seed is derived from
 (base_seed, sample index) and each grid cell from (base_seed, sample index,
 selector index), so a report re-runs bit-for-bit from its echoed
-configuration. Grid cells are independent; CORRSEL_THREADS (0 = auto) can
-fan them out across a thread pool without changing any result.
+configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,17 +128,6 @@ class ExperimentReport:
         return json.dumps(self.payload, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CORRSEL_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
-
-
 def _split_with_retry(d: Dataset, seed: int) -> tuple[BootstrapSplit, int]:
     while True:
         try:
@@ -171,28 +158,15 @@ def run_selection_grid(
         splits.append(split)
         split_seeds.append(used)
 
-    def run_cell(cell: tuple[int, int]):
-        i, j = cell
-        sel = selectors[i]
-        try:
-            return cell, select(sel, splits[j].train, config, derive_seed(base_seed, j, i)), None
-        except CorrselError as exc:
-            return cell, None, f"{type(exc).__name__}: {exc}"
-
-    cells = [(i, j) for i in range(len(selectors)) for j in range(B)]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-
     subsets: dict[tuple[SelectorId, int], MetricSubset | None] = {}
     failures: dict[tuple[SelectorId, int], str] = {}
-    for (i, j), subset, err in sorted(results, key=lambda r: r[0]):
-        subsets[(selectors[i], j)] = subset
-        if err is not None:
-            failures[(selectors[i], j)] = err
+    for i, sel in enumerate(selectors):
+        for j in range(B):
+            try:
+                subsets[(sel, j)] = select(sel, splits[j].train, config, derive_seed(base_seed, j, i))
+            except CorrselError as exc:
+                subsets[(sel, j)] = None
+                failures[(sel, j)] = f"{type(exc).__name__}: {exc}"
     return SubsetCollection(subsets, failures, B, dataset_id, tuple(split_seeds))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autospearman import AutoSpearmanParams, MetricSubset, auto_spearman
-from .classifiers import fit_logistic, fit_random_forest, importance, score_rows
+from .classifiers import fit_logistic, fit_logistic_batch, fit_random_forest, importance, score_rows
 from .data import Dataset, bootstrap_sample
 from .errors import (
     ConfigError,
@@ -30,6 +30,7 @@ from .errors import (
 from .evaluation import auc
 from .seeding import DEFAULT_SEED, RESEED_OFFSET, derive_seed
 from .stats import (
+    DiscreteColumn,
     aic,
     chi_squared,
     discretize_equal_frequency,
@@ -100,13 +101,15 @@ def _in_column_order(train: Dataset, names) -> MetricSubset:
 
 # -- ranking filters ---------------------------------------------------------
 
-def _discrete_scores(train: Dataset, config: SelectorConfig, scorer) -> dict[str, float]:
+def _discretized(train: Dataset, config: SelectorConfig) -> list[DiscreteColumn]:
+    """Every metric of ``train`` binned at ``config.bins`` (at most one bin per row)."""
     bins = max(2, min(config.bins, train.n_modules))
-    out = {}
-    for name in train.metric_names:
-        labels = discretize_equal_frequency(train.column(name), bins)
-        out[name] = scorer(labels, train.outcome)
-    return out
+    return [discretize_equal_frequency(train.column(name), bins) for name in train.metric_names]
+
+
+def _discrete_scores(train: Dataset, config: SelectorConfig, scorer) -> dict[str, float]:
+    columns = _discretized(train, config)
+    return {name: scorer(col, train.outcome) for name, col in zip(train.metric_names, columns)}
 
 
 def _apply_cutoff(train: Dataset, scores: dict[str, float], config: SelectorConfig) -> MetricSubset:
@@ -203,7 +206,8 @@ def select_consistency(train: Dataset, config: SelectorConfig = SelectorConfig()
     p = train.n_metrics
     names = train.metric_names
     bins = config.bins
-    target = inconsistency_rate(train, names, bins) + 1e-9
+    labels = np.column_stack([c.labels for c in _discretized(train, config)])  # once per call
+    target = inconsistency_rate(train, names, bins, labels) + 1e-9
 
     n = train.n_modules
     pos = int(np.count_nonzero(train.outcome))
@@ -213,7 +217,7 @@ def select_consistency(train: Dataset, config: SelectorConfig = SelectorConfig()
 
     def rate(members: tuple[int, ...]) -> float:
         if members not in cache:
-            cache[members] = inconsistency_rate(train, [names[i] for i in members], bins)
+            cache[members] = inconsistency_rate(train, [names[i] for i in members], bins, labels)
         return cache[members]
 
     _best_first(p, lambda m: -rate(m), config.stall_limit)
@@ -266,24 +270,32 @@ def select_rfe(
     if not sizes:
         raise ConfigError("rfe_sizes contains no size in 1..p")
 
-    splits = []
+    splits = []  # (resample index, split) of the resamples whose training side has both classes
     for r in range(config.rfe_resamples):
         split_seed = derive_seed(seed, 2, r)
         while True:
             try:
-                splits.append(bootstrap_sample(train, split_seed))
+                split = bootstrap_sample(train, split_seed)
                 break
             except EmptyTestSet:
                 split_seed = (split_seed + RESEED_OFFSET) % (1 << 64)
+        if split.train.has_both_classes():
+            splits.append((r, split))
 
     def mean_auc(size: int) -> float:
         subset = path[size]
+        if backend == "LR":
+            models = fit_logistic_batch([(split.train, subset) for _, split in splits])
+        else:
+            models = [
+                _fit_backend(backend, split.train, subset, derive_seed(seed, 3, size, r), config)
+                for r, split in splits
+            ]
         vals = []
-        for r, split in enumerate(splits):
+        for model, (_, split) in zip(models, splits):
             try:
-                model = _fit_backend(backend, split.train, subset, derive_seed(seed, 3, size, r), config)
                 vals.append(auc(score_rows(model, split.test), split.test.outcome))
-            except (DegenerateOutcome, SingleClass):
+            except SingleClass:
                 continue
         return float(np.mean(vals)) if vals else 0.5
 
@@ -313,29 +325,25 @@ def select_stepwise(
 
     cache: dict[frozenset, float] = {}
 
-    def aic_of(subset: list[str]) -> float:
-        key = frozenset(subset)
-        if key not in cache:
-            model = fit_logistic(train, _in_column_order(train, subset))
-            cache[key] = aic(model.log_likelihood, len(subset) + 1)
-        return cache[key]
+    def fit_aics(subsets: list[list[str]]) -> list[float]:
+        """AIC of each subset; the uncached ones (all of one size) are fit in one batch."""
+        todo = {frozenset(s): s for s in subsets if frozenset(s) not in cache}
+        models = fit_logistic_batch([(train, _in_column_order(train, s)) for s in todo.values()])
+        for key, model in zip(todo, models):
+            cache[key] = aic(model.log_likelihood, len(key) + 1)
+        return [cache[frozenset(s)] for s in subsets]
 
     current = names.copy() if direction == "BWD" else []
-    current_aic = aic_of(current)
+    [current_aic] = fit_aics([current])
     for _ in range(max_steps):
-        best_move = None  # (aic, new_subset)
+        moves = []  # additions first, then removals, so AIC ties go as they always have
         if direction in ("FWD", "BOTH"):
-            for m in names:
-                if m in current:
-                    continue
-                cand = current + [m]
-                a = aic_of(cand)
-                if best_move is None or a < best_move[0]:
-                    best_move = (a, cand)
+            moves.append([current + [m] for m in names if m not in current])
         if direction in ("BWD", "BOTH"):
-            for m in current:
-                cand = [x for x in current if x != m]
-                a = aic_of(cand)
+            moves.append([[x for x in current if x != m] for m in current])
+        best_move = None  # (aic, new_subset)
+        for cands in moves:
+            for a, cand in zip(fit_aics(cands), cands):
                 if best_move is None or a < best_move[0]:
                     best_move = (a, cand)
         if best_move is None or best_move[0] >= current_aic:

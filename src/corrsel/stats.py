@@ -307,27 +307,36 @@ def chi_squared(metric_labels: DiscreteColumn, outcome) -> float:
     return float(terms.sum())
 
 
-def inconsistency_rate(d: Dataset, subset, bins: int = 10) -> float:
-    """Fraction of rows outside the majority outcome of their discretized pattern."""
+def inconsistency_rate(d: Dataset, subset, bins: int = 10, labels=None) -> float:
+    """Fraction of rows outside the majority outcome of their discretized pattern.
+
+    ``labels`` may hold every metric's labels, in column order, binned at
+    max(2, min(bins, rows)), so a caller scoring many subsets bins once.
+    Patterns are folded into one integer key and counted exactly.
+    """
     subset = list(subset)
     if not subset:
         raise TooFewValues("inconsistency_rate needs a nonempty subset")
-    if d.n_modules < 2:
-        return 0.0
-    eff_bins = max(2, min(bins, d.n_modules))
-    label_matrix = np.column_stack(
-        [discretize_equal_frequency(d.column(name), eff_bins).labels for name in subset]
-    )
-    y = d.outcome
     n = d.n_modules
-    _, inverse = np.unique(label_matrix, axis=0, return_inverse=True)
-    mismatched = 0
-    for g in range(inverse.max() + 1):
-        in_group = inverse == g
-        count = int(np.count_nonzero(in_group))
-        pos = int(np.count_nonzero(y[in_group]))
-        mismatched += count - max(pos, count - pos)
-    return mismatched / n
+    if n < 2:
+        return 0.0
+    if labels is None:
+        eff_bins = max(2, min(bins, n))
+        columns = [discretize_equal_frequency(d.column(name), eff_bins).labels for name in subset]
+    else:
+        columns = [labels[:, d.metric_names.index(name)] for name in subset]
+    key = np.zeros(n, np.int64)
+    span = 1  # key < span; re-compressed to at most one value per row
+    for col in columns:
+        radix = int(col.max()) + 1
+        key = key * radix + col
+        span *= radix
+        if span > n:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+    count = np.bincount(key, minlength=span)
+    pos = np.bincount(key[d.outcome], minlength=span)
+    return int(np.minimum(pos, count - pos).sum()) / n
 
 
 def aic(log_likelihood: float, parameter_count: int) -> float:

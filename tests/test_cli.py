@@ -62,6 +62,20 @@ def test_select_other_selector(clone_csv, capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_select_autospearman_all_constant_metrics(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("a,b,bug\n1,5,0\n1,5,1\n1,5,0\n1,5,1\n", encoding="utf-8")
+    code = main(["select", str(path), "--outcome", "bug", "--selector", "AutoSpearman", "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["selected"] == []
+    assert doc["trace"] == [
+        {"phase": "spearman", "removed": "a", "kept": None, "statistic": 0.0},
+        {"phase": "spearman", "removed": "b", "kept": None, "statistic": 0.0},
+    ]
+    assert main(["select", str(path), "--outcome", "bug", "--selector", "IG"]) == 0
+
+
 def test_unknown_selector_exit_2(clone_csv, capsys):
     code = main(["select", str(clone_csv), "--outcome", "bug", "--selector", "magic"])
     assert code == 2

@@ -83,6 +83,23 @@ _RFE_FOREST = {
     "selector_config": {"rfe_resamples": 2, "rfe_ntree": 20},
 }
 
+_LOGISTIC_WRAPPERS = {
+    # 16 metrics, every logistic-fitting selector and CON; four RFE resamples
+    # put several models in each batched fit
+    "dataset": {
+        "base_metric_count": 8,
+        "module_count": 180,
+        "signal_coefficients": [1.0, 0.8, 0.6, 0.4, 0, 0, 0, 0],
+        "clone_groups": [[k, 1, 0.5] for k in range(8)],
+        "seed": 17,
+    },
+    "selectors": ["Step-FWD", "Step-BWD", "Step-BOTH", "CON", "RFE-LR"],
+    "bootstrap_count": 2,
+    "base_seed": 59,
+    "classifiers": ["logistic"],
+    "selector_config": {"rfe_resamples": 4},
+}
+
 GOLDEN = {
     "planted": (
         _PLANTED, "43c985ff1af81c88f19015d31d1689e09d2ee7be9a4ad0262bd0ba44c65d5e4c"
@@ -96,6 +113,10 @@ GOLDEN = {
     ),
     "rfe-forest": (
         _RFE_FOREST, "3c1aadf2a64e8d373a939e1f048501878e9eeb502750e72c7725d367254b0cdf"
+    ),
+    "logistic-wrappers": (
+        _LOGISTIC_WRAPPERS,
+        "8efc4bc18ba0f21b6fd865a34d7d76e05a586594699520d3d15f3a73b27ce123",
     ),
 }
 

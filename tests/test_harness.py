@@ -138,15 +138,6 @@ def test_grid_b_one():
     assert len(g.for_selector(SelectorId.AUTOSPEARMAN)) == 1
 
 
-def test_grid_threads_env_equivalent(monkeypatch):
-    d = _clone_fixture(7)
-    sels = [SelectorId.AUTOSPEARMAN, SelectorId.IG]
-    sequential = run_selection_grid(d, sels, B=4, base_seed=3)
-    monkeypatch.setenv("CORRSEL_THREADS", "4")
-    threaded = run_selection_grid(d, sels, B=4, base_seed=3)
-    assert sequential.subsets == threaded.subsets
-
-
 def test_grid_rejects_bad_b():
     with pytest.raises(ConfigError):
         run_selection_grid(_clone_fixture(8), [SelectorId.IG], B=0)

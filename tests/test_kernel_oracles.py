@@ -5,7 +5,10 @@
 ``spearman_matrix`` ranks all columns at once and is checked bit for bit
 against the pair-by-pair construction it replaced and against ``spearman``.
 The level-wise random forest is checked against the depth-first grower it
-replaced, kept here as the reference.
+replaced, kept here as the reference. The batched IRLS behind
+``fit_logistic`` is checked bit for bit against the one-model IRLS loop it
+replaced, and ``inconsistency_rate``'s folded-key count against the
+``np.unique(axis=0)`` grouping it replaced.
 """
 
 from __future__ import annotations
@@ -21,11 +24,22 @@ from hypothesis import strategies as st
 import corrsel.classifiers as classifiers
 import corrsel.stats as stats
 from corrsel.autospearman import AutoSpearmanParams, auto_spearman
-from corrsel.classifiers import fit_random_forest, importance, predict_forest, score_rows
-from corrsel.data import Dataset
+from corrsel.classifiers import (
+    COEF_CAP,
+    fit_logistic,
+    fit_logistic_batch,
+    fit_random_forest,
+    importance,
+    predict_forest,
+    score_rows,
+)
+from corrsel.data import Dataset, bootstrap_sample, sigmoid
+from corrsel.errors import DimensionMismatch
 from corrsel.stats import (
     _vif_closed_form,
     _vif_lstsq,
+    discretize_equal_frequency,
+    inconsistency_rate,
     rank_with_ties,
     spearman,
     spearman_matrix,
@@ -454,3 +468,246 @@ def test_forest_splits_adjacent_floats():
     d = Dataset(("m0",), np.array([[a], [b], [a], [b]]), np.array([False, True, False, True]))
     m = fit_random_forest(d, ["m0"], ntree=3, seed=0)
     assert score_rows(m, d).tolist() == [0.0, 1.0, 0.0, 1.0]
+
+
+# -- logistic regression: batched IRLS vs the one-model loop ------------------------------
+
+def _sigmoid_two_branch(eta: np.ndarray) -> np.ndarray:
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_log_likelihood(design, y, beta) -> float:
+    eta = design @ beta
+    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+
+
+def _reference_fit_logistic(d: Dataset, subset, max_iter: int = 25, tol: float = 1e-8):
+    """The one-model IRLS loop; returns the fields of a LogisticModel."""
+    y = d.outcome.astype(np.float64)
+    subset = tuple(subset)
+    x = d.columns(subset) if subset else np.empty((d.n_modules, 0))
+    design = np.column_stack([np.ones(d.n_modules), x])
+    k = design.shape[1]
+    beta = np.zeros(k)
+    ll = _reference_log_likelihood(design, y, beta)
+    trace = [ll]
+    converged = capped = False
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        mu = _sigmoid_two_branch(design @ beta)
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        grad = design.T @ (y - mu)
+        hess = design.T @ (design * w[:, None])
+        try:
+            delta = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.solve(hess + 1e-8 * np.eye(k), grad)
+        if not np.all(np.isfinite(delta)):
+            delta = np.linalg.solve(hess + 1e-8 * np.eye(k), grad)
+        step = 1.0
+        accepted = None
+        while step >= 2.0**-30:
+            cand = np.clip(beta + step * delta, -COEF_CAP, COEF_CAP)
+            cand_ll = _reference_log_likelihood(design, y, cand)
+            if cand_ll >= ll:
+                accepted = (cand, cand_ll)
+                break
+            step /= 2.0
+        if accepted is None:
+            break
+        cand, cand_ll = accepted
+        if np.any(np.abs(cand) >= COEF_CAP):
+            capped = True
+        change = float(np.max(np.abs(cand - beta)))
+        beta, ll = cand, cand_ll
+        trace.append(ll)
+        if change < tol:
+            converged = True
+            break
+    return (float(beta[0]), beta[1:].tobytes(), ll, tuple(trace), iterations, converged and not capped)
+
+
+def _fields(m):
+    return (m.intercept, m.coefficients.tobytes(), m.log_likelihood, m.ll_trace,
+            m.iterations_used, m.converged)
+
+
+@st.composite
+def logistic_batches(draw):
+    """A dataset and several subsets of one width, some of them hard to fit."""
+    kind = draw(st.sampled_from(["random", "separated", "collinear", "constant", "tiny"]))
+    n = draw(st.integers(6, 12) if kind == "tiny" else st.integers(12, 120))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p))
+    y = rng.random(n) < sigmoid(1.5 * x[:, 0])
+    if kind == "separated":
+        y = x[:, 0] > 0
+    elif kind == "collinear" and p > 1:
+        x[:, 1] = x[:, 0]
+    elif kind == "constant":
+        x[:, -1] = 2.0
+    if y.all() or not y.any():
+        y[0] = not y[0]
+    d = _dataset(x)
+    d = Dataset(d.metric_names, d.rows, y)
+    width = draw(st.integers(0, p))
+    subsets = draw(
+        st.lists(st.permutations(range(p)).map(lambda order: sorted(order[:width])), min_size=1, max_size=6)
+    )
+    names = [[d.metric_names[j] for j in s] for s in subsets]
+    return d, names
+
+
+@PROPERTY
+@given(logistic_batches(), st.sampled_from(["one", "few", "default"]), st.sampled_from([25, 3]))
+def test_batched_irls_matches_one_model_loop(case, budget, max_iter):
+    d, subsets = case
+    cells = d.n_modules * (len(subsets[0]) + 1)
+    budgets = {"one": cells, "few": 3 * cells, "default": classifiers._IRLS_CELLS}
+    with mock.patch.object(classifiers, "_IRLS_CELLS", budgets[budget]):
+        models = fit_logistic_batch([(d, s) for s in subsets], max_iter=max_iter)
+    for s, m in zip(subsets, models):
+        assert m.metric_names == tuple(s)
+        assert _fields(m) == _reference_fit_logistic(d, s, max_iter=max_iter)
+
+
+def test_batched_irls_resamples_of_one_dataset():
+    # RFE-LR fits one subset on several bootstrap samples in one batch
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((80, 5))
+    d = Dataset(tuple(f"m{i}" for i in range(5)), x, rng.random(80) < sigmoid(x[:, 0] - x[:, 1]))
+    trains = [bootstrap_sample(d, seed).train for seed in range(7)]
+    for cells in (80 * 4, 80 * 4 * 3, 10**9):
+        with mock.patch.object(classifiers, "_IRLS_CELLS", cells):
+            models = fit_logistic_batch([(t, ["m0", "m1", "m3"]) for t in trains])
+        for t, m in zip(trains, models):
+            assert _fields(m) == _reference_fit_logistic(t, ["m0", "m1", "m3"])
+
+
+def test_batched_irls_separation_caps_and_hits_max_iter():
+    x = np.linspace(-2.0, 2.0, 40)[:, None]
+    d = Dataset(("a",), x, x[:, 0] > 0.05)
+    capped, short = fit_logistic_batch([(d, ["a"]), (d, ["a"])], max_iter=25)[0], fit_logistic(d, ["a"], max_iter=2)
+    assert max(abs(capped.intercept), abs(float(capped.coefficients[0]))) == COEF_CAP
+    assert not capped.converged
+    assert short.iterations_used == 2 and not short.converged
+    assert _fields(capped) == _reference_fit_logistic(d, ["a"])
+    assert _fields(short) == _reference_fit_logistic(d, ["a"], max_iter=2)
+
+
+def test_batched_irls_collinear_columns_take_the_ridge(monkeypatch):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((60, 3))
+    x[:, 2] = x[:, 0]
+    d = Dataset(("a", "b", "c"), x, rng.random(60) < sigmoid(x[:, 1]))
+    solve = np.linalg.solve
+    lone = []
+
+    def spy(a, b):
+        if a.ndim == 2:
+            lone.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    models = fit_logistic_batch([(d, ["a", "b", "c"]), (d, ["a", "b", "c"]), (d, ["a", "b", "c"])])
+    monkeypatch.undo()
+    assert lone  # a singular batch falls back to per-model solves
+    for m in models:
+        assert np.isfinite(m.log_likelihood)
+        assert _fields(m) == _reference_fit_logistic(d, ["a", "b", "c"])
+
+
+def test_newton_step_non_finite_takes_the_ridge():
+    # a tiny but nonzero pivot: the plain solve overflows without raising
+    hess = np.array([[[1e-308, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]])
+    grad = np.array([[1e10, 1.0], [1.0, -1.0]])
+    delta = classifiers._newton_steps(hess, grad)
+    assert delta[0].tolist() == np.linalg.solve(hess[0] + 1e-8 * np.eye(2), grad[0]).tolist()
+    assert delta[1].tolist() == np.linalg.solve(hess[1], grad[1]).tolist()
+
+
+def test_batched_irls_empty_subset_and_shapes():
+    d = _dataset(np.arange(24.0).reshape(12, 2))
+    assert fit_logistic_batch([]) == []
+    [m] = fit_logistic_batch([(d, [])])
+    assert _fields(m) == _reference_fit_logistic(d, [])
+    with pytest.raises(DimensionMismatch):
+        fit_logistic_batch([(d, ["m0"]), (d, [])])
+
+
+def test_sigmoid_matches_two_branch_form():
+    rng = np.random.default_rng(2)
+    eta = np.concatenate([
+        rng.standard_normal(500) * 40,
+        [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 750.0, -750.0, np.inf, -np.inf],
+    ])
+    assert sigmoid(eta).tobytes() == _sigmoid_two_branch(eta).tobytes()
+    assert sigmoid(eta.reshape(51, 10)).tobytes() == _sigmoid_two_branch(eta).tobytes()
+
+
+# -- inconsistency rate: folded integer keys vs np.unique(axis=0) ------------------------
+
+def _reference_inconsistency_rate(d: Dataset, subset, bins: int) -> float:
+    if d.n_modules < 2:
+        return 0.0
+    eff_bins = max(2, min(bins, d.n_modules))
+    labels = np.column_stack(
+        [discretize_equal_frequency(d.column(name), eff_bins).labels for name in subset]
+    )
+    _, inverse = np.unique(labels, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    mismatched = 0
+    for g in range(inverse.max() + 1):
+        in_group = inverse == g
+        count = int(np.count_nonzero(in_group))
+        pos = int(np.count_nonzero(d.outcome[in_group]))
+        mismatched += count - max(pos, count - pos)
+    return mismatched / d.n_modules
+
+
+@st.composite
+def pattern_cases(draw):
+    n = draw(st.integers(1, 60))
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, draw(st.integers(1, 6)), size=(n, p)).astype(float)  # many ties
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, p - 1))] = 3.5  # a constant column
+    if p > 1 and draw(st.booleans()):
+        x[:, 1] = x[:, 0]
+    y = rng.random(n) < 0.4
+    bins = draw(st.sampled_from([2, 3, 10, n, n + 5]))
+    d = Dataset(tuple(f"m{i}" for i in range(p)), x, y)
+    subset = draw(st.permutations(d.metric_names).map(lambda names: list(names[: max(1, len(names) - 1)])))
+    return d, subset, max(2, bins)
+
+
+@PROPERTY
+@given(pattern_cases())
+def test_inconsistency_rate_matches_unique_rows(case):
+    d, subset, bins = case
+    want = _reference_inconsistency_rate(d, subset, bins)
+    assert inconsistency_rate(d, subset, bins) == want
+    if d.n_modules >= 2:
+        eff_bins = max(2, min(bins, d.n_modules))
+        labels = np.column_stack(
+            [discretize_equal_frequency(d.column(m), eff_bins).labels for m in d.metric_names]
+        )
+        assert inconsistency_rate(d, subset, bins, labels) == want
+
+
+def test_inconsistency_rate_many_columns_recompress():
+    # 40 ten-bin columns span 10**40 patterns, far past an int64 key
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((300, 40))
+    d = Dataset(tuple(f"m{i}" for i in range(40)), x, rng.random(300) < 0.3)
+    for k in (1, 2, 3, 20, 40):
+        names = list(d.metric_names[:k])
+        assert inconsistency_rate(d, names, 10) == _reference_inconsistency_rate(d, names, 10)

@@ -259,6 +259,16 @@ def test_stepwise_aic_never_increases():
         assert aic_end <= aic_start
 
 
+def test_stepwise_aic_tie_goes_to_the_earlier_candidate():
+    # an exact copy of the signal ties it on AIC at every step; the move
+    # scanned first, the earlier column, must win
+    d = _signal_fixture(22, n=300, noise_metrics=1)
+    d = Dataset(d.metric_names + ("copy",), np.column_stack([d.rows, d.rows[:, 0]]), d.outcome)
+    for direction in ("FWD", "BOTH"):
+        subset = select_stepwise(d, direction)
+        assert "signal" in subset and "copy" not in subset
+
+
 def test_stepwise_bad_direction():
     d = _signal_fixture(21)
     with pytest.raises(UnsupportedSelector):
