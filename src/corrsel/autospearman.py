@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .stats import spearman_matrix, vif_scores
+from .stats import correlation_of, spearman_matrix, vif_from_correlation, vif_scores
 
 #: Selector outputs are plain ordered lists of metric names.
 MetricSubset = list[str]
@@ -137,19 +137,30 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = 5.0):
     Scores are recomputed after every removal; exactly one metric leaves
     per pass. Unbounded scores order above every finite score; VIF ties go
     against the metric with the largest original column index.
+
+    The correlation matrix of ``start`` is formed once; each pass scores the
+    survivors from its principal submatrix, and hands the pass to
+    :func:`vif_scores` whenever that closed form declines.
     """
     current = list(start)
+    position = {m: i for i, m in enumerate(d.metric_names)}
+    at = {m: k for k, m in enumerate(current)}
+    corr = correlation_of(d.columns(current)) if len(current) > 1 else None
     steps = []
     while current:
-        report = vif_scores(d, current)
-        offenders = [m for m in current if report.scores[m] >= vif_t]
+        scores = None
+        if corr is not None and len(current) > 1:
+            idx = [at[m] for m in current]
+            diag = vif_from_correlation(corr[np.ix_(idx, idx)])
+            if diag is not None:
+                scores = dict(zip(current, diag.tolist()))
+        if scores is None:
+            scores = vif_scores(d, current).scores
+        offenders = [m for m in current if scores[m] >= vif_t]
         if not offenders:
             break
-        worst = max(
-            offenders,
-            key=lambda m: (report.scores[m], d.metric_names.index(m)),
-        )
-        steps.append(TraceStep("vif", worst, None, report.scores[worst]))
+        worst = max(offenders, key=lambda m: (scores[m], position[m]))
+        steps.append(TraceStep("vif", worst, None, scores[worst]))
         current.remove(worst)
     return current, EliminationTrace(tuple(steps))
 

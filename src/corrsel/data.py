@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     EmptyTestSet,
     InvalidOutcomeValue,
     InvalidSpec,
+    MalformedCsv,
     MissingColumn,
     NonNumericCell,
 )
@@ -179,6 +181,110 @@ def sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
+def _read_header(reader, path, outcome_column: str):
+    """Stripped header names, the outcome's position, and the metric names."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDataset(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    if outcome_column not in header:
+        raise MissingColumn(outcome_column)
+    out_idx = header.index(outcome_column)
+    metric_names = tuple(h for i, h in enumerate(header) if i != out_idx)
+    if not metric_names:
+        raise EmptyDataset(f"{path}: no metric columns besides {outcome_column!r}")
+    return header, out_idx, metric_names
+
+
+def _outcome_value(cell: str) -> float:
+    token = cell.strip().lower()
+    if token in _TRUE_TOKENS:
+        return 1.0
+    if token in _FALSE_TOKENS:
+        return 0.0
+    raise ValueError(f"outcome {cell!r}")
+
+
+def _short_lines(lines):
+    """``lines`` unchanged, failing on one the csv module would refuse as too long."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field size limit")
+        yield line
+
+
+def _parse_table(lines, width: int, out_idx: int):
+    """The body in one ``np.loadtxt`` call: (metric rows, outcome), or None.
+
+    Unquoted cells that ``float()`` reads (or, in the outcome column, the
+    four outcome tokens) parse to the same values here, so a table that
+    comes back whole and finite is what :func:`_parse_cells` would build.
+    Anything else (quotes, underscores, a bad or non-finite cell, a ragged
+    or missing body) returns None, and the per-cell loop decides.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                _short_lines(lines),
+                dtype=np.float64,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+                converters={out_idx: _outcome_value},
+            )
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != width:
+        return None
+    rows = np.delete(table, out_idx, axis=1)
+    if not np.isfinite(rows).all():
+        return None
+    return rows, table[:, out_idx] == 1.0
+
+
+def _parse_cells(fh, path, outcome_column: str) -> Dataset:
+    """Parse a CSV text stream cell by cell: csv module, ``float()`` per cell.
+
+    :func:`load_csv`'s error path, and the reference its one-call parse is
+    checked against: every load error comes from here.
+    """
+    reader = csv.reader(fh)
+    header, out_idx, metric_names = _read_header(reader, path, outcome_column)
+    data_rows: list[list[float]] = []
+    outcome: list[bool] = []
+    for row_no, cells in enumerate(reader, start=1):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise MalformedCsv(f"row {row_no}: {len(cells)} cells, expected {len(header)}")
+        raw_outcome = cells[out_idx].strip().lower()
+        if raw_outcome in _TRUE_TOKENS:
+            outcome.append(True)
+        elif raw_outcome in _FALSE_TOKENS:
+            outcome.append(False)
+        else:
+            raise InvalidOutcomeValue(row_no, cells[out_idx])
+        vals = []
+        for i, cell in enumerate(cells):
+            if i == out_idx:
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise NonNumericCell(row_no, header[i], cell) from None
+            if not math.isfinite(v):
+                raise NonNumericCell(row_no, header[i], cell)
+            vals.append(v)
+        data_rows.append(vals)
+
+    if not data_rows:
+        raise EmptyDataset(f"{path}: no data rows")
+    return Dataset(metric_names, np.array(data_rows, dtype=np.float64), np.array(outcome))
+
+
 def load_csv(path, outcome_column: str) -> Dataset:
     """Read a UTF-8 comma-delimited file with a header row into a Dataset.
 
@@ -187,51 +293,28 @@ def load_csv(path, outcome_column: str) -> Dataset:
     The outcome column is removed from the metrics and mapped to booleans;
     accepted encodings are {0, 1} and {clean, defective} (case-insensitive).
     Column order is preserved from the file.
+
+    The header is read with the csv module; the body is parsed in one
+    ``np.loadtxt`` call. When that call fails, when its table is not the
+    header's width or not finite, or when the header spans lines, the file
+    is read again by the per-cell loop, which accepts or rejects it and
+    names the row and column of the first bad cell. A file that is not
+    UTF-8, or that the csv module cannot split, raises :class:`MalformedCsv`.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if outcome_column not in header:
-            raise MissingColumn(outcome_column)
-        out_idx = header.index(outcome_column)
-        metric_names = tuple(h for i, h in enumerate(header) if i != out_idx)
-        if not metric_names:
-            raise EmptyDataset(f"{path}: no metric columns besides {outcome_column!r}")
-
-        data_rows: list[list[float]] = []
-        outcome: list[bool] = []
-        for row_no, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise NonNumericCell(row_no, "<row>", f"{len(cells)} cells, expected {len(header)}")
-            raw_outcome = cells[out_idx].strip().lower()
-            if raw_outcome in _TRUE_TOKENS:
-                outcome.append(True)
-            elif raw_outcome in _FALSE_TOKENS:
-                outcome.append(False)
-            else:
-                raise InvalidOutcomeValue(row_no, cells[out_idx])
-            vals = []
-            for i, cell in enumerate(cells):
-                if i == out_idx:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise NonNumericCell(row_no, header[i], cell) from None
-                if not math.isfinite(v):
-                    raise NonNumericCell(row_no, header[i], cell)
-                vals.append(v)
-            data_rows.append(vals)
-
-        if not data_rows:
-            raise EmptyDataset(f"{path}: no data rows")
-    return Dataset(metric_names, np.array(data_rows, dtype=np.float64), np.array(outcome))
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header, out_idx, metric_names = _read_header(reader, path, outcome_column)
+            if reader.line_num == 1:
+                table = _parse_table(fh, len(header), out_idx)
+                if table is not None:
+                    return Dataset(metric_names, *table)
+            fh.seek(0)
+            return _parse_cells(fh, path, outcome_column)
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: {exc}") from None
 
 
 def write_csv(d: Dataset, path, outcome_column: str) -> None:

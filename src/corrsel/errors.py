@@ -43,6 +43,10 @@ class InvalidOutcomeValue(DataError):
         self.value = value
 
 
+class MalformedCsv(DataError):
+    """Not UTF-8 text, a field over the csv module's size limit, or a row not of the header's width."""
+
+
 class EmptyDataset(DataError):
     pass
 

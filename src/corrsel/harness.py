@@ -41,13 +41,18 @@ _CLASSIFIERS = ("logistic", "forest")
 
 @dataclass(frozen=True)
 class SubsetCollection:
-    """Complete (selector x sample) grid of selected subsets."""
+    """Complete (selector x sample) grid of selected subsets.
+
+    ``splits`` holds the bootstrap split of each sample, drawn once, so the
+    later stages score and flag on the very rows the selectors saw.
+    """
 
     subsets: dict[tuple[SelectorId, int], MetricSubset | None]
     failures: dict[tuple[SelectorId, int], str]
     sample_count: int
     dataset_id: str
     split_seeds: tuple[int, ...]
+    splits: tuple[BootstrapSplit, ...]
 
     def for_selector(self, sel: SelectorId) -> list[MetricSubset]:
         return [
@@ -167,7 +172,7 @@ def run_selection_grid(
             except CorrselError as exc:
                 subsets[(sel, j)] = None
                 failures[(sel, j)] = f"{type(exc).__name__}: {exc}"
-    return SubsetCollection(subsets, failures, B, dataset_id, tuple(split_seeds))
+    return SubsetCollection(subsets, failures, B, dataset_id, tuple(split_seeds), tuple(splits))
 
 
 def _consistency(subsets: list[MetricSubset], scope) -> ConsistencyResult:
@@ -240,16 +245,16 @@ def performance_deltas(
     Both models of a pair are fit on the same bootstrap training sample and
     scored on the same test rows; training data is never re-balanced or
     re-sampled. Samples whose test set has one class are skipped for AUC
-    (recorded), but still counted for F and MCC.
+    (recorded), but still counted for F and MCC. The splits are the grid's;
+    ``B`` and ``config`` only build the grid when none is given.
     """
     selectors = list(selectors)
     if grid is None:
         grid = run_selection_grid(d, selectors, B, base_seed, config)
     deltas: list[PerformanceDelta] = []
     records: list[str] = []
-    for j in range(B):
-        split, _ = _split_with_retry(d, derive_seed(base_seed, j))
-        all_names = list(d.metric_names)
+    all_names = list(d.metric_names)
+    for j, split in enumerate(grid.splits):
         for clf in classifiers:
             try:
                 base_scores = _fit_and_score(clf, split.train, all_names, split.test, derive_seed(base_seed, j, 101))
@@ -496,8 +501,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             subset = grid.subsets.get((sel, j))
             if subset is None:
                 continue
-            split, _ = _split_with_retry(d, derive_seed(cfg.base_seed, j))
-            flags = correlation_flags(subset, split.train, cfg.sp_t, cfg.vif_t)
+            flags = correlation_flags(subset, grid.splits[j].train, cfg.sp_t, cfg.vif_t)
             flags_by_cell[(sel.value, j)] = flags
             counted += 1
             coll += flags.has_collinearity

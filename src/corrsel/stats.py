@@ -199,27 +199,41 @@ def _vif_lstsq(d: Dataset, subset) -> VifReport:
     return VifReport(scores)
 
 
-def _vif_closed_form(cols: np.ndarray) -> np.ndarray | None:
-    """diag(R^-1) of the columns' correlation matrix R, via Cholesky.
+def correlation_of(cols: np.ndarray) -> np.ndarray | None:
+    """Pearson correlation matrix R = z^T z of the columns, z centred and scaled.
 
-    Returns None when the regression path must decide instead: a constant
-    column, an R that is not numerically positive definite, or an inflation
-    at or above ``CLOSED_FORM_VIF_LIMIT``.
+    Returns None when a column is constant, where R is undefined.
     """
     if np.any(np.all(cols == cols[0], axis=0)):
         return None
     centered = cols - cols.mean(axis=0)
     z = centered / np.sqrt(np.einsum("ij,ij->j", centered, centered))
+    return z.T @ z
+
+
+def vif_from_correlation(corr: np.ndarray) -> np.ndarray | None:
+    """VIF scores max(1, diag(R^-1)) of a correlation matrix, via Cholesky.
+
+    Returns None when the regression path must decide instead: an R that is
+    not numerically positive definite, or an inflation at or above
+    ``CLOSED_FORM_VIF_LIMIT``.
+    """
     try:
-        chol = np.linalg.cholesky(z.T @ z)
+        chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
         return None
     # R^-1 = L^-T L^-1, so its diagonal is the column sums of squares of L^-1
-    inv_chol = np.linalg.solve(chol, np.eye(cols.shape[1]))
+    inv_chol = np.linalg.solve(chol, np.eye(corr.shape[0]))
     diag = np.einsum("ij,ij->j", inv_chol, inv_chol)
     if not np.all(np.isfinite(diag)) or diag.max() >= CLOSED_FORM_VIF_LIMIT:
         return None
-    return diag
+    return np.maximum(diag, 1.0)
+
+
+def _vif_closed_form(cols: np.ndarray) -> np.ndarray | None:
+    """VIF scores of the columns from their correlation matrix, or None."""
+    corr = correlation_of(cols)
+    return None if corr is None else vif_from_correlation(corr)
 
 
 def vif_scores(d: Dataset, subset) -> VifReport:
@@ -237,10 +251,10 @@ def vif_scores(d: Dataset, subset) -> VifReport:
         raise TooFewValues("vif_scores needs a nonempty subset")
     if len(subset) == 1:
         return VifReport({subset[0]: 1.0})
-    diag = _vif_closed_form(d.columns(subset))
-    if diag is None:
+    scores = _vif_closed_form(d.columns(subset))
+    if scores is None:
         return _vif_lstsq(d, subset)
-    return VifReport({name: max(1.0, float(v)) for name, v in zip(subset, diag)})
+    return VifReport(dict(zip(subset, scores.tolist())))
 
 
 def discretize_equal_frequency(values, bins: int) -> DiscreteColumn:

@@ -256,3 +256,88 @@ def test_select_out_of_range_threshold_exit_2(clone_csv, capsys, option, value):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("corrsel select: error: argument " + option)
+
+
+# -- malformed CSVs: one error line, exit 2/3/4, never a traceback -----------------------
+
+def _metrics_csv(rows=40, outcome=("0", "1"), quote_outcome=False, underscores=False, blank_lines=False):
+    """Integer metrics a, b (a clone of a) and c, plus the outcome column bug."""
+    rng = np.random.default_rng(7)
+    a = rng.integers(10, 100, rows)
+    c = rng.integers(10, 100, rows)
+    y = rng.random(rows) < 0.5
+    lines = ["a,b,c,bug"]
+    for i in range(rows):
+        cell_c = f"{str(c[i])[0]}_{str(c[i])[1:]}" if underscores else str(c[i])
+        label = outcome[int(y[i])]
+        if quote_outcome:
+            label = f'"{label}"'
+        lines.append(f"{a[i]},{a[i]},{cell_c},{label}")
+        if blank_lines:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+_MALFORMED_CSVS = [
+    ("nul byte", "a,b,bug\n1,5,0\n2,4\x00,1\n", "row 2, column 'b'"),
+    ("invalid utf-8", b"a,b,bug\n1,5,0\n2,\xff\xfe,1\n", "not UTF-8"),
+    ("duplicate header", "a,a,bug\n1,5,0\n2,4,1\n", "duplicate metric names"),
+    ("empty header name", "a,,bug\n1,5,0\n2,4,1\n", "empty metric name"),
+    ("header only", "a,b,bug\n", "no data rows"),
+    ("empty file", "", "file is empty"),
+    ("whitespace-only line", "a,b,bug\n1,5,0\n   \n2,4,1\n", "row 2: 1 cells, expected 3"),
+    ("short row", "a,b,bug\n1,5,0\n2,1\n", "row 2: 2 cells, expected 3"),
+    ("long row", "a,b,bug\n1,5,0,9\n", "row 1: 4 cells, expected 3"),
+    ("unterminated quote", 'a,b,bug\n1,5,0\n2,"4,1\n3,6,0\n', "row 2: 2 cells, expected 3"),
+    ("200k-char field", "a,b,bug\n1," + "x" * 200_000 + ",0\n", "field larger than field limit"),
+    ("200k-char numeric field", "a,b,bug\n1,5" + " " * 200_000 + ",0\n", "field larger than field limit"),
+    ("1e400", "a,b,bug\n1,5,0\n2,1e400,1\n", "row 2, column 'b': '1e400'"),
+    ("nan", "a,b,bug\nnan,5,0\n2,4,1\n", "row 1, column 'a': 'nan'"),
+    ("outcome 2", "a,b,bug\n1,5,0\n2,4,2\n", "row 2: outcome '2'"),
+    ("outcome 0.0", "a,b,bug\n1,5,0.0\n2,4,1\n", "row 1: outcome '0.0'"),
+    ("missing outcome column", "a,b,defects\n1,5,0\n", "column 'bug' not found"),
+    ("directory", None, "error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "content, message", [pytest.param(c, m, id=case) for case, c, m in _MALFORMED_CSVS]
+)
+@pytest.mark.parametrize("selector", ["AutoSpearman", "IG"])
+def test_select_malformed_csv_one_error_line(tmp_path, capsys, content, message, selector):
+    path = tmp_path / "data.csv"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    code = main(["select", str(path), "--outcome", "bug", "--selector", selector])
+    assert code in (2, 3, 4)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        {"quote_outcome": True},
+        {"underscores": True},
+        {"blank_lines": True},
+        {"outcome": ("clean", "Defective")},
+    ],
+    ids=["quoted 1", "1_0", "blank lines", "Defective"],
+)
+def test_select_accepts_csv_oddities_with_same_selection(tmp_path, capsys, variant):
+    plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+    plain.write_text(_metrics_csv(), encoding="utf-8")
+    odd.write_text(_metrics_csv(**variant), encoding="utf-8")
+    args = ["--outcome", "bug", "--selector", "AutoSpearman", "--json"]
+    assert main(["select", str(plain), *args]) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["selected"] == ["a", "c"]
+    assert main(["select", str(odd), *args]) == 0
+    assert capsys.readouterr().out == expected

@@ -17,6 +17,7 @@ from corrsel.errors import (
     EmptyTestSet,
     InvalidOutcomeValue,
     InvalidSpec,
+    MalformedCsv,
     MissingColumn,
     NonNumericCell,
 )
@@ -89,6 +90,34 @@ def test_load_csv_empty_file(tmp_path):
     path = _write(tmp_path, "loc,bug\n")
     with pytest.raises(EmptyDataset):
         load_csv(path, "bug")
+
+
+def test_load_csv_ragged_row_names_its_row(tmp_path):
+    path = _write(tmp_path, "loc,cc,bug\n1,2,0\n\n3,1\n")
+    with pytest.raises(MalformedCsv) as err:
+        load_csv(path, "bug")
+    assert str(err.value) == "row 3: 2 cells, expected 3"  # blank lines count as rows
+
+
+def test_load_csv_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("loc,bug\n1,0\n2,1\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(MalformedCsv, match="not UTF-8"):
+        load_csv(path, "bug")
+
+
+def test_load_csv_field_over_the_csv_limit(tmp_path):
+    # a padded number that float() would read is refused as the csv module refuses it
+    path = _write(tmp_path, "loc,bug\n1" + " " * 200_000 + ",0\n2,1\n")
+    with pytest.raises(MalformedCsv, match="field larger than field limit"):
+        load_csv(path, "bug")
+
+
+def test_load_csv_quoted_header_spanning_lines(tmp_path):
+    path = _write(tmp_path, 'loc,"cc\nnew",bug\r\n1,2,0\r\n3,4,1\r\n')
+    d = load_csv(path, "bug")
+    assert d.metric_names == ("loc", "cc\nnew")
+    assert d.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -151,7 +152,7 @@ def test_deltas_identity_selector_zero():
     d = _clone_fixture(9)
     grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], B=3, base_seed=21)
     full = {k: list(d.metric_names) for k in grid.subsets}
-    grid = type(grid)(full, {}, grid.sample_count, grid.dataset_id, grid.split_seeds)
+    grid = dataclasses.replace(grid, subsets=full, failures={})
     deltas, _ = performance_deltas(
         d, [SelectorId.AUTOSPEARMAN], 3, ("logistic",), base_seed=21, grid=grid
     )

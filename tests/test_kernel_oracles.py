@@ -8,7 +8,10 @@ The level-wise random forest is checked against the depth-first grower it
 replaced, kept here as the reference. The batched IRLS behind
 ``fit_logistic`` is checked bit for bit against the one-model IRLS loop it
 replaced, and ``inconsistency_rate``'s folded-key count against the
-``np.unique(axis=0)`` grouping it replaced.
+``np.unique(axis=0)`` grouping it replaced. ``vif_phase``, which forms the
+correlation matrix once, is checked against the phase that called
+``vif_scores`` on every pass, and ``load_csv``'s one-call parse against the
+per-cell loop that remains its error path.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrsel.autospearman as autospearman
 import corrsel.classifiers as classifiers
+import corrsel.data as data
 import corrsel.stats as stats
-from corrsel.autospearman import AutoSpearmanParams, auto_spearman
+from corrsel.autospearman import AutoSpearmanParams, auto_spearman, vif_phase
 from corrsel.classifiers import (
     COEF_CAP,
     fit_logistic,
@@ -33,8 +38,8 @@ from corrsel.classifiers import (
     predict_forest,
     score_rows,
 )
-from corrsel.data import Dataset, bootstrap_sample, sigmoid
-from corrsel.errors import DimensionMismatch
+from corrsel.data import Dataset, bootstrap_sample, load_csv, sigmoid
+from corrsel.errors import CorrselError, DimensionMismatch
 from corrsel.stats import (
     _vif_closed_form,
     _vif_lstsq,
@@ -123,6 +128,103 @@ def test_vif_constant_column_scores_one():
     x[:, 1] = 2.5
     assert _vif_closed_form(x) is None
     assert vif_scores(_dataset(x), ["m0", "m1", "m2"]).scores["m1"] == 1.0
+
+
+# -- VIF phase: one correlation matrix vs vif_scores on every pass -----------------------
+
+def _vif_phase_per_pass(d: Dataset, start, vif_t: float):
+    """The VIF phase as it was: ``vif_scores`` on the survivors, every pass."""
+    current = list(start)
+    steps = []
+    while current:
+        scores = vif_scores(d, current).scores
+        offenders = [m for m in current if scores[m] >= vif_t]
+        if not offenders:
+            break
+        worst = max(offenders, key=lambda m: (scores[m], d.metric_names.index(m)))
+        steps.append((worst, scores[worst]))
+        current.remove(worst)
+    return current, steps
+
+
+@st.composite
+def vif_phase_cases(draw):
+    kind = draw(st.sampled_from(["correlated", "constant", "dependent", "near_limit"]))
+    n = draw(st.integers(12, 80))
+    p = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p)) @ (rng.standard_normal((p, p)) + 1.5 * np.eye(p))
+    if kind == "constant":
+        x[:, draw(st.integers(0, p - 1))] = draw(st.sampled_from([0.0, 3.5]))
+    elif kind == "dependent" and p > 2:
+        x[:, -1] = x[:, :-1] @ rng.integers(-3, 4, p - 1)
+    elif kind == "near_limit" and p > 2:
+        # an auxiliary R2 near 1 - 1e-8: VIFs around CLOSED_FORM_VIF_LIMIT
+        sd = draw(st.sampled_from([3e-4, 1e-4, 3e-5, 1e-5]))
+        x[:, -1] = x[:, :-1] @ rng.standard_normal(p - 1)
+        x[:, -1] += sd * np.std(x[:, -1]) * rng.standard_normal(n)
+    names = [f"m{i}" for i in range(p)]
+    start = draw(st.permutations(names))[: draw(st.integers(1, p))]
+    return _dataset(x), list(start), draw(st.sampled_from([2.0, 5.0, 10.0]))
+
+
+@PROPERTY
+@given(vif_phase_cases())
+def test_vif_phase_matches_per_pass_vif_scores(case):
+    d, start, vif_t = case
+    kept, trace = vif_phase(d, start, vif_t)
+    want_kept, want_steps = _vif_phase_per_pass(d, start, vif_t)
+    assert kept == want_kept
+    assert [(s.phase, s.removed, s.kept) for s in trace.steps] == [
+        ("vif", m, None) for m, _ in want_steps
+    ]
+    for step, (_, want) in zip(trace.steps, want_steps):
+        if math.isinf(want):
+            assert math.isinf(step.statistic)
+        else:
+            assert step.statistic == pytest.approx(want, rel=1e-12)
+
+
+def test_vif_phase_well_conditioned_needs_no_vif_scores(monkeypatch):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((400, 30)) @ (rng.standard_normal((30, 30)) + 0.5 * np.eye(30))
+    d = _dataset(x)
+    want = _vif_phase_per_pass(d, d.metric_names, 5.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the VIF phase recomputed a pass from the data")
+
+    monkeypatch.setattr(autospearman, "vif_scores", forbidden)
+    kept, trace = vif_phase(d, list(d.metric_names), 5.0)
+    assert len(trace.steps) > 3
+    assert (kept, [s.removed for s in trace.steps]) == (want[0], [m for m, _ in want[1]])
+
+
+def test_vif_phase_declined_passes_go_to_vif_scores(monkeypatch):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((60, 5))
+    x[:, 4] = x[:, 0] + x[:, 1]  # exactly dependent: the first pass is unbounded
+    x[:, 3] = x[:, 2] + 0.3 * rng.standard_normal(60)
+    d = _dataset(x)
+    calls = []
+
+    def counted(data, subset):
+        calls.append(list(subset))
+        return vif_scores(data, subset)
+
+    monkeypatch.setattr(autospearman, "vif_scores", counted)
+    kept, trace = vif_phase(d, list(d.metric_names), 5.0)
+    assert calls == [list(d.metric_names)]
+    assert trace.steps[0].removed == "m4" and math.isinf(trace.steps[0].statistic)
+    assert kept == _vif_phase_per_pass(d, d.metric_names, 5.0)[0]
+
+    calls.clear()
+    x = x.copy()
+    x[:, 1] = 2.0  # a constant column: no correlation matrix, every pass recomputes
+    d = _dataset(x)
+    kept, trace = vif_phase(d, list(d.metric_names), 5.0)
+    assert len(calls) == len(trace.steps) + 1
+    assert kept == _vif_phase_per_pass(d, d.metric_names, 5.0)[0]
 
 
 # -- Spearman matrix: bit-equal to the pairwise construction -----------------------------
@@ -711,3 +813,124 @@ def test_inconsistency_rate_many_columns_recompress():
     for k in (1, 2, 3, 20, 40):
         names = list(d.metric_names[:k])
         assert inconsistency_rate(d, names, 10) == _reference_inconsistency_rate(d, names, 10)
+
+
+# -- load_csv: one np.loadtxt call vs the per-cell loop ----------------------------------
+
+_CLEAN_METRIC_FORMS = ("repr", "int", "exp", "padded")
+_OUTCOME_VOCABULARIES = (("0", "1"), ("clean", "defective"))
+#: cells float() or the outcome check reads but np.loadtxt does not: the per-cell loop must
+#: take these files and accept them
+_ODD_CELLS = {
+    "metric": ('"7"', '"-2.5"', "1_000", "٣", "\u20037"),
+    "outcome": ('"1"', '"clean"', '" 0"'),
+}
+_BAD_CELLS = {
+    "metric": ("nan", "inf", "-inf", "1e400", "", " ", "x", "0x10", "1,5"),
+    "outcome": ("2", "0.0", "yes", "", "1 1", "true"),
+}
+
+
+@st.composite
+def _metric_cell(draw) -> str:
+    value = draw(st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False))
+    form = draw(st.sampled_from(_CLEAN_METRIC_FORMS))
+    if form == "int":
+        return str(int(value))
+    if form == "exp":
+        return f"{value:.6e}"
+    text = repr(value)
+    return f" {text}\t" if form == "padded" else text
+
+
+@st.composite
+def _outcome_cell(draw, vocabulary) -> str:
+    token = vocabulary[draw(st.integers(0, 1))]
+    token = draw(st.sampled_from([token, token.upper(), token.capitalize()]))
+    return draw(st.sampled_from(["", " ", "\t"])) + token + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def csv_texts(draw, faults=()) -> str:
+    """A CSV with the outcome column ``bug`` anywhere, with each of ``faults`` planted once:
+    an ``odd`` cell the per-cell loop accepts, a ``bad`` cell, a ``short`` or ``long``
+    row, or a ``whitespace``-only line."""
+    p = draw(st.integers(1, 4))
+    out_idx = draw(st.integers(0, p))
+    header = [f"m{i}" for i in range(p)]
+    header.insert(out_idx, "bug")
+    vocabulary = draw(st.sampled_from(_OUTCOME_VOCABULARIES))
+    rows = [
+        [draw(_outcome_cell(vocabulary)) if j == out_idx else draw(_metric_cell()) for j in range(p + 1)]
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    for fault in faults:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("1")
+        elif fault == "whitespace":
+            rows.insert(draw(st.integers(0, len(rows))), [" "])
+        else:
+            j = draw(st.integers(0, len(row) - 1))
+            pool = (_ODD_CELLS if fault == "odd" else _BAD_CELLS)["outcome" if j == out_idx else "metric"]
+            row[j] = draw(st.sampled_from(pool))
+    lines = [",".join(draw(st.sampled_from(["", " "])) + h for h in header)]
+    for row in rows:
+        lines.append(",".join(row))
+        if draw(st.integers(0, 4)) == 4:
+            lines.append("")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _load(fn):
+    try:
+        return fn()
+    except CorrselError as exc:
+        return type(exc), str(exc)
+
+
+def _write_csv_text(directory, text: str, bom: bool):
+    path = directory / "data.csv"
+    path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+    return path
+
+
+def _per_cell_loop(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return _load(lambda: data._parse_cells(fh, path, "bug"))
+
+
+def _assert_same_load(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want  # the same error type, row, column and message
+    else:
+        assert got.metric_names == want.metric_names
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.outcome.tolist() == want.outcome.tolist()
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [(), ("odd",), ("bad",), ("short",), ("long",), ("whitespace",), ("odd", "bad")],
+    ids=lambda faults: "+".join(faults) or "none",
+)
+def test_load_csv_matches_per_cell_loop(tmp_path_factory, faults):
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(csv_texts(faults), st.booleans())
+    def check(text, bom):
+        path = _write_csv_text(tmp_path_factory.getbasetemp(), text, bom)
+        _assert_same_load(_load(lambda: load_csv(path, "bug")), _per_cell_loop(path))
+
+    check()
+
+
+@PROPERTY
+@given(csv_texts(), st.booleans())
+def test_load_csv_reads_clean_files_in_one_call(tmp_path_factory, text, bom):
+    path = _write_csv_text(tmp_path_factory.getbasetemp(), text, bom)
+    want = _per_cell_loop(path)
+    with mock.patch.object(data, "_parse_cells", side_effect=AssertionError("per-cell loop ran")):
+        _assert_same_load(load_csv(path, "bug"), want)
