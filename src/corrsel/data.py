@@ -32,8 +32,10 @@ _FALSE_TOKENS = {"0", "clean"}
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
+    """``a`` read-only and C-contiguous; a writeable ``a`` is copied, as it may be the caller's."""
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
+        a.flags.writeable = False
     return a
 
 
@@ -190,6 +192,8 @@ def _read_header(reader, path, outcome_column: str):
     header = [h.strip() for h in header]
     if outcome_column not in header:
         raise MissingColumn(outcome_column)
+    if header.count(outcome_column) > 1:
+        raise EmptyDataset(f"{path}: duplicate column name {outcome_column!r}")
     out_idx = header.index(outcome_column)
     metric_names = tuple(h for i, h in enumerate(header) if i != out_idx)
     if not metric_names:

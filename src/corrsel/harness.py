@@ -19,7 +19,9 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,6 +40,9 @@ _MEASURES = ("AUC", "F", "MCC")
 
 _CLASSIFIERS = ("logistic", "forest")
 
+# SelectorConfig fields that a config sets once, at its top level
+_TOP_LEVEL = ("bins", "base_seed", "sp_t", "vif_t")
+
 
 @dataclass(frozen=True)
 class SubsetCollection:
@@ -50,7 +55,7 @@ class SubsetCollection:
     subsets: dict[tuple[SelectorId, int], MetricSubset | None]
     failures: dict[tuple[SelectorId, int], str]
     sample_count: int
-    dataset_id: str
+    selectors: tuple[SelectorId, ...]
     split_seeds: tuple[int, ...]
     splits: tuple[BootstrapSplit, ...]
 
@@ -63,9 +68,9 @@ class SubsetCollection:
 
     def for_sample(self, j: int) -> list[MetricSubset]:
         return [
-            subset
-            for (sel, jj), subset in sorted(self.subsets.items(), key=lambda kv: kv[0][0].value)
-            if jj == j and subset is not None
+            self.subsets[(sel, j)]
+            for sel in self.selectors
+            if self.subsets[(sel, j)] is not None
         ]
 
 
@@ -108,21 +113,30 @@ class ExperimentConfig:
     output_csv: str | None = None
     selector_config: SelectorConfig | None = None
 
+    def __post_init__(self):
+        if self.dataset_path is not None and not self.outcome_column:
+            raise ConfigError("outcome_column is required with a dataset path")
+        if len(set(self.selectors)) != len(self.selectors):
+            raise ConfigError(f"duplicate selectors: {[s.value for s in self.selectors]}")
+        if self.bootstrap_count < 1:
+            raise ConfigError("bootstrap_count must be >= 1")
+        if not set(self.classifiers) <= set(_CLASSIFIERS):
+            raise ConfigError(
+                f"classifiers must be drawn from {list(_CLASSIFIERS)}, got {list(self.classifiers)}"
+            )
+        AutoSpearmanParams(self.sp_t, self.vif_t)
+        self.resolved_selector_config()  # checks bins
+
     def resolved_selector_config(self) -> SelectorConfig:
+        """The selector settings, with those set at the top level of the config."""
         base = self.selector_config or SelectorConfig()
-        return SelectorConfig(
-            bins=self.bins,
-            ranking_rule=base.ranking_rule,
-            ranking_top_k=base.ranking_top_k,
-            rfe_resamples=base.rfe_resamples,
-            rfe_sizes=base.rfe_sizes,
-            rfe_ntree=base.rfe_ntree,
-            stepwise_max_steps=base.stepwise_max_steps,
-            stall_limit=base.stall_limit,
-            base_seed=self.base_seed,
-            sp_t=self.sp_t,
-            vif_t=self.vif_t,
-        )
+        return replace(base, **{k: getattr(self, k) for k in _TOP_LEVEL})
+
+
+# fields that a config class's JSON form does not take: the dataset arrives as
+# one "dataset" value (a path or a synthetic spec), and the top-level fields
+# are not repeated inside "selector_config"
+_NOT_IN_JSON = {ExperimentConfig: ("dataset_path", "synthetic"), SelectorConfig: _TOP_LEVEL}
 
 
 @dataclass
@@ -147,7 +161,6 @@ def run_selection_grid(
     B: int,
     base_seed: int = DEFAULT_SEED,
     config: SelectorConfig = SelectorConfig(),
-    dataset_id: str = "dataset",
 ) -> SubsetCollection:
     """Apply every selector to each of B bootstrap training samples.
 
@@ -155,13 +168,9 @@ def run_selection_grid(
     """
     if B < 1:
         raise ConfigError("bootstrap_count must be >= 1")
-    selectors = list(selectors)
-    splits: list[BootstrapSplit] = []
-    split_seeds: list[int] = []
-    for j in range(B):
-        split, used = _split_with_retry(d, derive_seed(base_seed, j))
-        splits.append(split)
-        split_seeds.append(used)
+    selectors = tuple(selectors)
+    drawn = [_split_with_retry(d, derive_seed(base_seed, j)) for j in range(B)]
+    splits = [split for split, _ in drawn]
 
     subsets: dict[tuple[SelectorId, int], MetricSubset | None] = {}
     failures: dict[tuple[SelectorId, int], str] = {}
@@ -172,7 +181,7 @@ def run_selection_grid(
             except CorrselError as exc:
                 subsets[(sel, j)] = None
                 failures[(sel, j)] = f"{type(exc).__name__}: {exc}"
-    return SubsetCollection(subsets, failures, B, dataset_id, tuple(split_seeds), tuple(splits))
+    return SubsetCollection(subsets, failures, B, selectors, tuple(used for _, used in drawn), tuple(splits))
 
 
 def _consistency(subsets: list[MetricSubset], scope) -> ConsistencyResult:
@@ -214,6 +223,15 @@ def correlation_flags(
     return CorrelationFlags(has_coll, has_multi)
 
 
+def _flag_cells(grid: SubsetCollection, sp_t: float, vif_t: float) -> dict[tuple[SelectorId, int], CorrelationFlags]:
+    """Correlation flags of each selected subset on its own training sample."""
+    return {
+        (sel, j): correlation_flags(subset, grid.splits[j].train, sp_t, vif_t)
+        for (sel, j), subset in grid.subsets.items()
+        if subset is not None
+    }
+
+
 def _intercept_only_scores(train: Dataset, test: Dataset) -> np.ndarray:
     rate = float(np.count_nonzero(train.outcome)) / train.n_modules
     return np.full(test.n_modules, rate)
@@ -229,6 +247,18 @@ def _fit_and_score(classifier: str, train: Dataset, subset, test: Dataset, seed:
     else:
         raise ConfigError(f"unknown classifier {classifier!r}")
     return score_rows(model, test)
+
+
+def _measures(scores: np.ndarray, outcome: np.ndarray, with_auc: bool) -> dict[str, float]:
+    """F and MCC at the 0.5 cut, and AUC when asked for and both classes are present."""
+    cm = confusion_at(scores, outcome)
+    vals = {"F": f_measure(cm), "MCC": mcc(cm)}
+    if with_auc:
+        try:
+            vals["AUC"] = auc(scores, outcome)
+        except SingleClass:
+            pass
+    return vals
 
 
 def performance_deltas(
@@ -261,11 +291,8 @@ def performance_deltas(
             except ComputationError as exc:
                 records.append(f"sample {j} {clf} all-metrics: {type(exc).__name__}: {exc}")
                 continue
-            base_cm = confusion_at(base_scores, split.test.outcome)
-            base_vals = {"F": f_measure(base_cm), "MCC": mcc(base_cm)}
-            try:
-                base_vals["AUC"] = auc(base_scores, split.test.outcome)
-            except SingleClass:
+            base_vals = _measures(base_scores, split.test.outcome, True)
+            if "AUC" not in base_vals:
                 records.append(f"sample {j}: single-class test set, AUC skipped")
             for i, sel in enumerate(selectors):
                 subset = grid.subsets.get((sel, j))
@@ -276,21 +303,12 @@ def performance_deltas(
                 except ComputationError as exc:
                     records.append(f"sample {j} {clf} {sel.value}: {type(exc).__name__}: {exc}")
                     continue
-                cm = confusion_at(sel_scores, split.test.outcome)
-                vals = {"F": f_measure(cm), "MCC": mcc(cm)}
-                if "AUC" in base_vals:
-                    try:
-                        vals["AUC"] = auc(sel_scores, split.test.outcome)
-                    except SingleClass:
-                        pass
-                for measure in _MEASURES:
-                    if measure in vals and measure in base_vals:
-                        deltas.append(
-                            PerformanceDelta(
-                                sel, clf, measure, j,
-                                100.0 * (vals[measure] - base_vals[measure]),
-                            )
-                        )
+                vals = _measures(sel_scores, split.test.outcome, "AUC" in base_vals)
+                deltas.extend(
+                    PerformanceDelta(sel, clf, m, j, 100.0 * (vals[m] - base_vals[m]))
+                    for m in _MEASURES
+                    if m in vals
+                )
     return deltas, records
 
 
@@ -306,13 +324,55 @@ def _quartiles(values: list[float]) -> dict:
     }
 
 
-def _number(obj: dict, key: str, default, kind):
-    """``obj[key]`` (or ``default``) as a JSON integer (``kind`` int) or number."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        wanted = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {wanted}, got {value!r}")
-    return kind(value)
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _from_json(value, hint, key: str):
+    """``value`` checked against the type ``hint`` and built into it.
+
+    ``hint`` is ``int``, ``float``, ``str``, ``SelectorId`` (a selector
+    name), a config class (a JSON object), ``X | None`` or a tuple (a JSON
+    list). Booleans are not numbers here, and an integer is a valid float.
+    """
+    if get_origin(hint) in (Union, UnionType):
+        if value is None:
+            return None
+        (hint,) = [a for a in get_args(hint) if a is not type(None)]
+    if is_dataclass(hint):
+        return _config_from_json(hint, value, key)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        args = get_args(hint)
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise ConfigError(f"{key} must be a list of {len(items)} values, got {value!r}")
+        return tuple(_from_json(v, a, key) for v, a in zip(value, items))
+    if hint is SelectorId:
+        return parse_selector(_from_json(value, str, key))
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+        raise ConfigError(f"{key} must be {_JSON_TYPES[hint]}, got {value!r}")
+    return hint(value)
+
+
+def _config_from_json(cls, obj, key: str, **given):
+    """An instance of the config class ``cls`` from the JSON object ``obj``.
+
+    Every field is read through its type annotation; ``given`` supplies the
+    fields the JSON form does not take.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {obj!r}")
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls) if f.name not in _NOT_IN_JSON.get(cls, ())]
+    unknown = set(obj) - set(names)
+    if unknown:
+        raise ConfigError(f"{key}: fields not allowed here: {sorted(unknown)}")
+    values = {k: _from_json(obj[k], hints[k], k) for k in names if k in obj}
+    try:
+        return cls(**values, **given)
+    except (TypeError, ValueError) as exc:  # a missing field, or a value out of range
+        raise ConfigError(f"bad {key}: {exc}") from exc
 
 
 def load_config(obj: dict) -> ExperimentConfig:
@@ -323,127 +383,31 @@ def load_config(obj: dict) -> ExperimentConfig:
     """
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    known = {
-        "dataset", "outcome_column", "selectors", "bootstrap_count", "base_seed",
-        "sp_t", "vif_t", "bins", "classifiers", "output", "output_csv", "selector_config",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for key in ("outcome_column", "output", "output_csv"):
-        if obj.get(key) is not None and not isinstance(obj[key], str):
-            raise ConfigError(f"{key} must be a string, got {obj[key]!r}")
-    dataset = obj.get("dataset")
-    path, synthetic = None, None
+    obj = dict(obj)
+    dataset = obj.pop("dataset", None)
     if isinstance(dataset, str):
-        path = dataset
+        given = {"dataset_path": dataset}
     elif isinstance(dataset, dict):
-        try:
-            synthetic = SyntheticSpec(
-                base_metric_count=_number(dataset, "base_metric_count", None, int),
-                module_count=_number(dataset, "module_count", None, int),
-                signal_coefficients=tuple(dataset["signal_coefficients"]),
-                clone_groups=tuple(tuple(g) for g in dataset.get("clone_groups", [])),
-                seed=_number(dataset, "seed", 0, int),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic dataset spec: {exc}") from exc
+        given = {"synthetic": _config_from_json(SyntheticSpec, dataset, "dataset")}
     else:
         raise ConfigError("config needs a 'dataset' path or synthetic spec object")
-    if path is not None and not obj.get("outcome_column"):
-        raise ConfigError("outcome_column is required with a dataset path")
+    return _config_from_json(ExperimentConfig, obj, "config", **given)
 
-    names = obj.get("selectors", ["AutoSpearman"])
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ConfigError(f"selectors must be a list of selector names, got {names!r}")
-    selectors = tuple(parse_selector(n) for n in names)
-    classifiers = obj.get("classifiers", list(_CLASSIFIERS))
-    if not isinstance(classifiers, list) or not all(c in _CLASSIFIERS for c in classifiers):
-        raise ConfigError(
-            f"classifiers must be a list drawn from {list(_CLASSIFIERS)}, got {classifiers!r}"
-        )
-    bootstrap_count = _number(obj, "bootstrap_count", 30, int)
-    if bootstrap_count < 1:
-        raise ConfigError("bootstrap_count must be >= 1")
-    sp_t = _number(obj, "sp_t", 0.7, float)
-    vif_t = _number(obj, "vif_t", 5.0, float)
-    try:
-        AutoSpearmanParams(sp_t, vif_t)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
-    sc = None
-    if "selector_config" in obj:
-        if not isinstance(obj["selector_config"], dict):
-            raise ConfigError("selector_config must be a JSON object")
-        raw = dict(obj["selector_config"])
-        # bins/sp_t/vif_t/base_seed live at the top level of the config
-        allowed = {
-            "ranking_rule", "ranking_top_k", "rfe_resamples", "rfe_sizes",
-            "rfe_ntree", "stepwise_max_steps", "stall_limit",
-        }
-        bad = set(raw) - allowed
-        if bad:
-            raise ConfigError(f"selector_config fields not allowed here: {sorted(bad)}")
-        try:
-            if raw.get("rfe_sizes") is not None:
-                raw["rfe_sizes"] = tuple(raw["rfe_sizes"])
-            sc = SelectorConfig(**raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad selector_config: {exc}") from exc
-    cfg = ExperimentConfig(
-        dataset_path=path,
-        outcome_column=obj.get("outcome_column"),
-        synthetic=synthetic,
-        selectors=selectors,
-        bootstrap_count=bootstrap_count,
-        base_seed=_number(obj, "base_seed", DEFAULT_SEED, int),
-        sp_t=sp_t,
-        vif_t=vif_t,
-        bins=_number(obj, "bins", 10, int),
-        classifiers=tuple(classifiers),
-        output=obj.get("output"),
-        output_csv=obj.get("output_csv"),
-        selector_config=sc,
-    )
-    cfg.resolved_selector_config()  # checks bins
-    return cfg
+def _to_json(value):
+    """The JSON form of a config value, as :func:`load_config` reads it."""
+    if is_dataclass(value):
+        skip = _NOT_IN_JSON.get(type(value), ())
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value) if f.name not in skip}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value.value if isinstance(value, SelectorId) else value
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    if cfg.synthetic is not None:
-        dataset = {
-            "base_metric_count": cfg.synthetic.base_metric_count,
-            "module_count": cfg.synthetic.module_count,
-            "signal_coefficients": list(cfg.synthetic.signal_coefficients),
-            "clone_groups": [list(g) for g in cfg.synthetic.clone_groups],
-            "seed": cfg.synthetic.seed,
-        }
-    else:
-        dataset = cfg.dataset_path
-    sc = cfg.resolved_selector_config()
-    return {
-        "dataset": dataset,
-        "outcome_column": cfg.outcome_column,
-        "selectors": [s.value for s in cfg.selectors],
-        "bootstrap_count": cfg.bootstrap_count,
-        "base_seed": cfg.base_seed,
-        "sp_t": cfg.sp_t,
-        "vif_t": cfg.vif_t,
-        "bins": cfg.bins,
-        "classifiers": list(cfg.classifiers),
-        "output": cfg.output,
-        "output_csv": cfg.output_csv,
-        "selector_config": {
-            "ranking_rule": sc.ranking_rule,
-            "ranking_top_k": sc.ranking_top_k,
-            "rfe_resamples": sc.rfe_resamples,
-            "rfe_sizes": list(sc.rfe_sizes) if sc.rfe_sizes else None,
-            "rfe_ntree": sc.rfe_ntree,
-            "stepwise_max_steps": sc.stepwise_max_steps,
-            "stall_limit": sc.stall_limit,
-        },
-    }
+    echo = _to_json(replace(cfg, selector_config=cfg.resolved_selector_config()))
+    echo["dataset"] = cfg.dataset_path if cfg.synthetic is None else _to_json(cfg.synthetic)
+    return echo
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -462,9 +426,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("config needs a dataset")
 
     sel_config = cfg.resolved_selector_config()
-    selectors = list(cfg.selectors)
+    selectors = cfg.selectors
     B = cfg.bootstrap_count
-    grid = run_selection_grid(d, selectors, B, cfg.base_seed, sel_config, dataset_id)
+    grid = run_selection_grid(d, selectors, B, cfg.base_seed, sel_config)
+    flags = _flag_cells(grid, cfg.sp_t, cfg.vif_t)
+    deltas, records = performance_deltas(
+        d, selectors, B, cfg.classifiers, cfg.base_seed, sel_config, grid
+    )
+    by_cell: dict[tuple[SelectorId, str, str], dict[int, float]] = {}
+    for x in deltas:
+        by_cell.setdefault((x.selector, x.classifier, x.measure), {})[x.sample_index] = x.delta
 
     warnings: list[str] = []
     across_samples = {}
@@ -485,49 +456,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     across_selectors = []
     for j in range(B):
         subsets = grid.for_sample(j)
-        if not subsets:
-            across_selectors.append(None)
-            continue
-        res = consistency_across_selectors(subsets, j)
-        across_selectors.append(res.percentage)
+        across_selectors.append(consistency_across_selectors(subsets, j).percentage if subsets else None)
 
     flag_rows = {}
-    flags_by_cell: dict[tuple[str, int], CorrelationFlags] = {}
     for sel in selectors:
-        coll = 0
-        multi = 0
-        counted = 0
-        for j in range(B):
-            subset = grid.subsets.get((sel, j))
-            if subset is None:
-                continue
-            flags = correlation_flags(subset, grid.splits[j].train, cfg.sp_t, cfg.vif_t)
-            flags_by_cell[(sel.value, j)] = flags
-            counted += 1
-            coll += flags.has_collinearity
-            multi += flags.has_multicollinearity
+        cells = [flags[(sel, j)] for j in range(B) if (sel, j) in flags]
+        n = len(cells)
         flag_rows[sel.value] = {
-            "samples": counted,
-            "collinearity_pct": 100.0 * coll / counted if counted else 0.0,
-            "multicollinearity_pct": 100.0 * multi / counted if counted else 0.0,
+            "samples": n,
+            "collinearity_pct": 100.0 * sum(f.has_collinearity for f in cells) / n if n else 0.0,
+            "multicollinearity_pct": 100.0 * sum(f.has_multicollinearity for f in cells) / n if n else 0.0,
         }
 
-    delta_stats: dict[str, dict] = {}
-    deltas: list[PerformanceDelta] = []
-    records: list[str] = []
-    if cfg.classifiers:
-        deltas, records = performance_deltas(
-            d, selectors, B, cfg.classifiers, cfg.base_seed, sel_config, grid
-        )
-        for sel in selectors:
-            for clf in cfg.classifiers:
-                for measure in _MEASURES:
-                    vals = [
-                        x.delta
-                        for x in deltas
-                        if x.selector is sel and x.classifier == clf and x.measure == measure
-                    ]
-                    delta_stats[f"{sel.value}|{clf}|{measure}"] = _quartiles(vals)
+    delta_stats = {
+        f"{sel.value}|{clf}|{m}": _quartiles(list(by_cell.get((sel, clf, m), {}).values()))
+        for sel in selectors
+        for clf in cfg.classifiers
+        for m in _MEASURES
+    }
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -542,9 +488,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "consistency_across_selectors": across_selectors,
         "correlation_flags": flag_rows,
         "performance_deltas": delta_stats,
-        "failures": {f"{sel.value}|{j}": msg for (sel, j), msg in sorted(
-            grid.failures.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-        )},
+        "failures": {f"{sel.value}|{j}": msg for (sel, j), msg in grid.failures.items()},
         "records": records,
         "warnings": warnings,
     }
@@ -553,7 +497,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.output:
         write_report(report, cfg.output)
     if cfg.output_csv:
-        _write_cells_csv(cfg, grid, flags_by_cell, deltas)
+        _write_cells_csv(cfg, grid, flags, by_cell)
     return report
 
 
@@ -574,30 +518,26 @@ def write_report(report: ExperimentReport, path: str) -> None:
         raise
 
 
-def _write_cells_csv(cfg, grid: SubsetCollection, flags_by_cell, deltas) -> None:
-    delta_index: dict[tuple[str, int], dict[str, float]] = {}
-    for x in deltas:
-        delta_index.setdefault((x.selector.value, x.sample_index), {})[
-            f"{x.classifier}_{x.measure}"
-        ] = x.delta
+def _write_cells_csv(cfg, grid: SubsetCollection, flags, by_cell) -> None:
+    """One row per (selector, sample) cell: its subset, flags and deltas."""
+    delta_keys = [(clf, m) for clf in cfg.classifiers for m in _MEASURES]
     columns = ["selector", "sample", "subset_size", "metrics", "has_collinearity", "has_multicollinearity"]
-    delta_cols = [f"delta_{clf}_{m}" for clf in cfg.classifiers for m in _MEASURES]
     with open(cfg.output_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns + delta_cols)
+        writer.writerow(columns + [f"delta_{clf}_{m}" for clf, m in delta_keys])
         for sel in cfg.selectors:
             for j in range(grid.sample_count):
-                subset = grid.subsets.get((sel, j))
-                flags = flags_by_cell.get((sel.value, j))
-                dd = delta_index.get((sel.value, j), {})
+                subset = grid.subsets[(sel, j)]
+                cell_flags = flags.get((sel, j))
+                deltas = [by_cell.get((sel, clf, m), {}).get(j) for clf, m in delta_keys]
                 writer.writerow(
                     [
                         sel.value,
                         j,
-                        len(subset) if subset is not None else "",
-                        "|".join(subset) if subset is not None else "FAILED",
-                        "" if flags is None else int(flags.has_collinearity),
-                        "" if flags is None else int(flags.has_multicollinearity),
+                        "" if subset is None else len(subset),
+                        "FAILED" if subset is None else "|".join(subset),
+                        "" if cell_flags is None else int(cell_flags.has_collinearity),
+                        "" if cell_flags is None else int(cell_flags.has_multicollinearity),
                     ]
-                    + [format(dd[c.removeprefix("delta_")], ".6f") if c.removeprefix("delta_") in dd else "" for c in delta_cols]
+                    + ["" if x is None else format(x, ".6f") for x in deltas]
                 )

@@ -79,6 +79,8 @@ class SelectorConfig:
     vif_t: float = 5.0
 
     def __post_init__(self):
+        if self.rfe_sizes is not None:
+            object.__setattr__(self, "rfe_sizes", tuple(self.rfe_sizes) or None)
         if self.bins < 2:
             raise ConfigError("bins must be >= 2")
         if self.ranking_rule not in ("positive", "top_k"):

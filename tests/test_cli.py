@@ -221,6 +221,13 @@ _GOOD_CONFIG = {
         ("selector_config", {"rfe_sizes": 3}),
         ("output", 5),
         ("dataset", {"base_metric_count": 3, "module_count": 60.5, "signal_coefficients": [1, 0, 0]}),
+        ("selector_config", {"rfe_resamples": 2.5}),
+        ("selector_config", {"stepwise_max_steps": 1.5}),
+        ("selector_config", {"ranking_rule": "top_k", "ranking_top_k": 2.5}),
+        ("selector_config", {"rfe_ntree": True}),
+        ("selector_config", {"rfe_sizes": ["a"]}),
+        ("selector_config", {"rfe_sizes": [1.5]}),
+        ("selectors", ["IG", "IG"]),
     ],
 )
 def test_experiment_malformed_config_exit_3_before_any_work(tmp_path, capsys, monkeypatch, field, value):
@@ -282,6 +289,7 @@ _MALFORMED_CSVS = [
     ("nul byte", "a,b,bug\n1,5,0\n2,4\x00,1\n", "row 2, column 'b'"),
     ("invalid utf-8", b"a,b,bug\n1,5,0\n2,\xff\xfe,1\n", "not UTF-8"),
     ("duplicate header", "a,a,bug\n1,5,0\n2,4,1\n", "duplicate metric names"),
+    ("duplicate outcome header", "a,bug,bug\n1,0,0\n2,1,1\n", "duplicate column name 'bug'"),
     ("empty header name", "a,,bug\n1,5,0\n2,4,1\n", "empty metric name"),
     ("header only", "a,b,bug\n", "no data rows"),
     ("empty file", "", "file is empty"),

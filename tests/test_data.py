@@ -86,6 +86,12 @@ def test_load_csv_missing_outcome_column(tmp_path):
         load_csv(path, "bug")
 
 
+def test_load_csv_outcome_named_twice(tmp_path):
+    path = _write(tmp_path, "a,bug,bug\n1,0,0\n2,1,1\n")
+    with pytest.raises(EmptyDataset, match="duplicate column name 'bug'"):
+        load_csv(path, "bug")
+
+
 def test_load_csv_empty_file(tmp_path):
     path = _write(tmp_path, "loc,bug\n")
     with pytest.raises(EmptyDataset):
@@ -136,6 +142,18 @@ def test_csv_round_trip(tmp_path):
 def test_dataset_rejects_duplicate_names():
     with pytest.raises(EmptyDataset):
         Dataset(("a", "a"), np.zeros((2, 2)), np.array([True, False]))
+
+
+def test_dataset_leaves_the_callers_arrays_writeable():
+    x = np.arange(6.0).reshape(3, 2)
+    y = np.array([True, False, True])
+    d = Dataset(("a", "b"), x, y)
+    assert x.flags.writeable and y.flags.writeable
+    assert not d.rows.flags.writeable and not d.outcome.flags.writeable
+    x[0, 0] = 99.0
+    assert d.rows[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        d.rows[0, 0] = 1.0
 
 
 def test_dataset_rejects_nan():

@@ -7,7 +7,8 @@ fails here. If a change is meant to move them, re-baseline the digests once,
 on purpose, and say why in CHANGES.md.
 
 ``output`` stays unset: the config echo carries the output path, so a
-temporary path would make the digest depend on the test run.
+temporary path would make the digest depend on the test run. The per-cell
+CSV carries no config, so its digest is taken from a temporary file.
 """
 
 from __future__ import annotations
@@ -131,3 +132,13 @@ def payload_digest(raw: dict) -> str:
 def test_payload_digest_is_pinned(name):
     raw, expected = GOLDEN[name]
     assert payload_digest(raw) == expected
+
+
+CELLS_CSV_GOLDEN = ("planted", "ea87773b7aa80e77d91a84f04bf9a10ef6b336d4005bb4aa8c83bb0be0de24fa")
+
+
+def test_cells_csv_digest_is_pinned(tmp_path):
+    name, expected = CELLS_CSV_GOLDEN
+    path = tmp_path / "cells.csv"
+    run_experiment(load_config({**GOLDEN[name][0], "output_csv": str(path)}))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
