@@ -99,19 +99,25 @@ def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float):
-    """IRLS on stacked designs (m, n, k) with outcomes y (m, n).
+def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float, beta: np.ndarray,
+          warm: np.ndarray):
+    """IRLS on stacked designs (m, n, k) with outcomes y (m, n), from the
+    coefficients ``beta`` (m, k), which it updates in place.
 
     Each model halves its own Newton step until the log-likelihood does not
-    fall and stops on its own; stopped models leave the stack.
+    fall and stops on its own; stopped models leave the stack, and so does a
+    ``warm`` model as soon as it is capped (it will be refit cold). Returns the
+    models and, per model, whether it stopped on a step below ``tol`` that
+    its line search cut down from a Newton step of at least ``tol``: a
+    stall, which the model reports as converged.
     """
     m = design.shape[0]
-    beta = np.zeros((m, design.shape[2]))
     ll, eta = _log_likelihoods(design, y, beta)
     traces = [[v] for v in ll.tolist()]
     iterations = np.zeros(m, np.int64)
     converged = np.zeros(m, bool)
     capped = np.zeros(m, bool)
+    stalled = np.zeros(m, bool)
     live = np.arange(m)  # the models still iterating; design and y hold only theirs
     for _ in range(max_iter):
         if not live.size:
@@ -144,9 +150,10 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float)
         capped[moved[np.any(np.abs(beta[moved]) >= COEF_CAP, axis=1)]] = True
         small = accepted & (np.max(np.abs(beta[live] - start), axis=1) < tol)
         converged[live[small]] = True
+        stalled[live[small & (np.max(np.abs(delta), axis=1) >= tol)]] = True
         for i in moved.tolist():
             traces[i].append(float(ll[i]))
-        keep = accepted & ~small
+        keep = accepted & ~small & ~(warm[live] & capped[live])
         if not keep.all():
             live, design, y = live[keep], design[keep], y[keep]
     models = []
@@ -157,15 +164,76 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float)
             subset, float(beta[i, 0]), coef, float(ll[i]),
             bool(converged[i] and not capped[i]), int(iterations[i]), tuple(traces[i]),
         ))
+    return models, stalled
+
+
+def _fit_stacked(fits, starts, max_iter: int, tol: float):
+    """IRLS of every (dataset, subset) pair of one design shape, each from
+    its entry of ``starts`` (a k-vector, intercept first) or, where that is
+    None, from zero. Designs are stacked max(1, _IRLS_CELLS // (n * k)) at a
+    time. Returns the models and :func:`_irls`'s stall flags."""
+    n, k = fits[0][0].n_modules, len(fits[0][1]) + 1
+    per_chunk = max(1, _IRLS_CELLS // (n * k))
+    models, stalled = [], []
+    for lo in range(0, len(fits), per_chunk):
+        chunk = fits[lo:lo + per_chunk]
+        # BLAS rounds differently per memory layout, so each design keeps a
+        # lone fit's: np.column_stack([ones, d.columns(subset)]) is
+        # Fortran-ordered from two metrics on
+        if k >= 3:
+            design = np.ones((len(chunk), k, n)).transpose(0, 2, 1)
+        else:
+            design = np.ones((len(chunk), n, k))
+        beta = np.zeros((len(chunk), k))
+        warm = np.zeros(len(chunk), bool)
+        for i, ((d, subset), start) in enumerate(zip(chunk, starts[lo:lo + per_chunk])):
+            if subset:
+                design[i, :, 1:] = d.columns(subset)
+            if start is not None:
+                beta[i], warm[i] = start, True
+        y = np.array([d.outcome for d, _ in chunk], dtype=np.float64)
+        chunk_models, chunk_stalled = _irls(
+            design, y, [subset for _, subset in chunk], max_iter, tol, beta, warm
+        )
+        models += chunk_models
+        stalled += chunk_stalled.tolist()
+    return models, stalled
+
+
+def _fit_warm(fits, starts, max_iter: int, tol: float) -> list[LogisticModel]:
+    """:func:`_fit_stacked`, with every warm fit that did not converge, or
+    that stalled, redone cold."""
+    models, stalled = _fit_stacked(fits, starts, max_iter, tol)
+    redo = [
+        i for i, (m, start) in enumerate(zip(models, starts))
+        if start is not None and (stalled[i] or not m.converged)
+    ]
+    if redo:
+        cold, _ = _fit_stacked([fits[i] for i in redo], [None] * len(redo), max_iter, tol)
+        for i, m in zip(redo, cold):
+            models[i] = m
     return models
 
 
-def fit_logistic_batch(fits, max_iter: int = 25, tol: float = 1e-8) -> list[LogisticModel]:
+def fit_logistic_batch(
+    fits, max_iter: int = 25, tol: float = 1e-8, starts=None, memo: dict | None = None
+) -> list[LogisticModel]:
     """:func:`fit_logistic` of every (dataset, subset) pair, fit together.
 
-    All pairs need the same row count and subset width. Designs are stacked
-    max(1, _IRLS_CELLS // (n * k)) at a time, and each model's arithmetic is
-    a lone fit's, so no model depends on what it was stacked with.
+    All pairs need the same row count and subset width. Each model's
+    arithmetic is a lone fit's, so no model depends on what it was stacked
+    with.
+
+    ``starts`` gives each fit its first coefficients, intercept first, or
+    None to start it from zero, as every fit does without ``starts``. A
+    warm-started model that ends non-converged (or capped at COEF_CAP), or
+    that stops only because its line search shrank the step below ``tol``,
+    is refit from zero, so it is exactly the cold fit; one that converges on
+    a full Newton step stops within ``tol`` of the cold fit's maximum.
+
+    ``memo`` maps the exact inputs of a fit -- dataset, ordered subset,
+    start, ``max_iter`` and ``tol`` -- to its model, so a repeated fit is
+    returned, not redone. An entry holds its dataset, whose ``id`` keys it.
     """
     fits = [(d, tuple(subset)) for d, subset in fits]
     if not fits:
@@ -176,27 +244,37 @@ def fit_logistic_batch(fits, max_iter: int = 25, tol: float = 1e-8) -> list[Logi
             raise DegenerateOutcome("logistic fit needs both outcome classes")
         if (d.n_modules, len(subset) + 1) != (n, k):
             raise DimensionMismatch("batched logistic fits need designs of one shape")
-    per_chunk = max(1, _IRLS_CELLS // (n * k))
-    models = []
-    for lo in range(0, len(fits), per_chunk):
-        chunk = fits[lo:lo + per_chunk]
-        # BLAS rounds differently per memory layout, so each design keeps a
-        # lone fit's: np.column_stack([ones, d.columns(subset)]) is
-        # Fortran-ordered from two metrics on
-        if k >= 3:
-            design = np.ones((len(chunk), k, n)).transpose(0, 2, 1)
-        else:
-            design = np.ones((len(chunk), n, k))
-        for i, (d, subset) in enumerate(chunk):
-            if subset:
-                design[i, :, 1:] = d.columns(subset)
-        y = np.array([d.outcome for d, _ in chunk], dtype=np.float64)
-        models += _irls(design, y, [subset for _, subset in chunk], max_iter, tol)
-    return models
+    starts = [None] * len(fits) if starts is None else [
+        None if s is None else np.asarray(s, dtype=np.float64) for s in starts
+    ]
+    if len(starts) != len(fits) or any(s is not None and s.shape != (k,) for s in starts):
+        raise DimensionMismatch(f"need one start of {k} coefficients, or None, per fit")
+    memo = {} if memo is None else memo
+    keys = [
+        (id(d), subset, None if start is None else start.tobytes(), max_iter, tol)
+        for (d, subset), start in zip(fits, starts)
+    ]
+    todo = [i for i, key in enumerate(keys) if key not in memo]
+    if todo:
+        fitted = _fit_warm([fits[i] for i in todo], [starts[i] for i in todo], max_iter, tol)
+        for i, model in zip(todo, fitted):
+            memo[keys[i]] = (fits[i][0], model)
+    return [memo[key][1] for key in keys]
+
+
+def warm_start(model: LogisticModel, subset) -> np.ndarray | None:
+    """Start coefficients for ``subset`` from a fitted ``model``: its
+    intercept, its coefficient of each metric it has, and 0 for the rest.
+    None (start from zero) when ``model`` did not converge: a capped or
+    stopped-short model is no maximum to start near."""
+    if not model.converged:
+        return None
+    coef = dict(zip(model.metric_names, model.coefficients.tolist()))
+    return np.array([model.intercept] + [coef.get(name, 0.0) for name in subset])
 
 
 def fit_logistic(
-    d: Dataset, subset, max_iter: int = 25, tol: float = 1e-8
+    d: Dataset, subset, max_iter: int = 25, tol: float = 1e-8, start=None, memo: dict | None = None
 ) -> LogisticModel:
     """Binomial maximum likelihood by IRLS with an intercept.
 
@@ -205,8 +283,9 @@ def fit_logistic(
     Separation is handled by freezing runaway coefficients at +/-COEF_CAP
     and reporting converged=False, which keeps the log-likelihood finite
     for AIC-based search. An empty subset fits the intercept alone.
+    ``start`` and ``memo`` are as in :func:`fit_logistic_batch`.
     """
-    return fit_logistic_batch([(d, subset)], max_iter, tol)[0]
+    return fit_logistic_batch([(d, subset)], max_iter, tol, [start], memo)[0]
 
 
 def predict_logistic(m: LogisticModel, row) -> float:

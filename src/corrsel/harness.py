@@ -164,6 +164,9 @@ def run_selection_grid(
 ) -> SubsetCollection:
     """Apply every selector to each of B bootstrap training samples.
 
+    The grid runs sample by sample. The selectors of one sample share one
+    logistic fit memo, dropped when the sample is done; a memo hit is the fit
+    a fresh call would make, so no cell depends on the cells run before it.
     Per-cell failures are recorded, never fatal; the grid stays complete.
     """
     if B < 1:
@@ -174,10 +177,11 @@ def run_selection_grid(
 
     subsets: dict[tuple[SelectorId, int], MetricSubset | None] = {}
     failures: dict[tuple[SelectorId, int], str] = {}
-    for i, sel in enumerate(selectors):
-        for j in range(B):
+    for j, split in enumerate(splits):
+        memo: dict = {}
+        for i, sel in enumerate(selectors):
             try:
-                subsets[(sel, j)] = select(sel, splits[j].train, config, derive_seed(base_seed, j, i))
+                subsets[(sel, j)] = select(sel, split.train, config, derive_seed(base_seed, j, i), memo)
             except CorrselError as exc:
                 subsets[(sel, j)] = None
                 failures[(sel, j)] = f"{type(exc).__name__}: {exc}"

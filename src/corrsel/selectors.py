@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autospearman import AutoSpearmanParams, MetricSubset, auto_spearman
-from .classifiers import fit_logistic, fit_logistic_batch, fit_random_forest, importance, score_rows
+from .classifiers import (
+    LogisticModel,
+    fit_logistic,
+    fit_logistic_batch,
+    fit_random_forest,
+    importance,
+    score_rows,
+    warm_start,
+)
 from .data import Dataset, bootstrap_sample
 from .errors import (
     ConfigError,
@@ -89,6 +97,10 @@ class SelectorConfig:
             raise ConfigError("ranking_top_k must be >= 1 for the top_k rule")
         if self.rfe_resamples < 1 or self.rfe_ntree < 1 or self.stall_limit < 1:
             raise ConfigError("counts must be >= 1")
+        if self.stepwise_max_steps is not None and self.stepwise_max_steps < 1:
+            raise ConfigError("stepwise_max_steps must be >= 1")
+        if any(size < 1 for size in self.rfe_sizes or ()):
+            raise ConfigError(f"rfe_sizes must be >= 1, got {list(self.rfe_sizes)}")
 
 
 def _require_supervised(train: Dataset) -> None:
@@ -232,23 +244,23 @@ def select_consistency(train: Dataset, config: SelectorConfig = SelectorConfig()
 
 # -- recursive feature elimination -------------------------------------------
 
-def _fit_backend(backend: str, d: Dataset, subset, seed: int, config: SelectorConfig):
-    if backend == "LR":
-        return fit_logistic(d, subset)
-    return fit_random_forest(d, subset, ntree=config.rfe_ntree, seed=seed)
-
-
 def select_rfe(
     train: Dataset,
     backend: str = "LR",
     config: SelectorConfig = SelectorConfig(),
     seed: int | None = None,
+    memo: dict | None = None,
 ) -> MetricSubset:
     """Recursive elimination of the least important metric.
 
     The elimination path is computed on the full training sample; each
     candidate size is scored by mean out-of-sample bootstrap AUC of the
     training sample only, and the best size wins (smaller on ties).
+
+    With the LR backend each path fit starts from the previous path model,
+    and sizes are scored largest first, each resample's fit starting from
+    its fit at the last larger size. ``memo`` is :func:`fit_logistic_batch`'s
+    fit memo for the path fits on ``train``.
     """
     if backend not in ("LR", "RF"):
         raise UnsupportedSelector(f"RFE backend must be LR or RF, got {backend!r}")
@@ -259,8 +271,15 @@ def select_rfe(
 
     path: dict[int, list[str]] = {p: names.copy()}
     current = names.copy()
+    model = None
     while len(current) > 1:
-        model = _fit_backend(backend, train, current, derive_seed(seed, 1, len(current)), config)
+        if backend == "LR":
+            start = None if model is None else warm_start(model, current)
+            model = fit_logistic(train, current, start=start, memo=memo)
+        else:
+            model = fit_random_forest(
+                train, current, ntree=config.rfe_ntree, seed=derive_seed(seed, 1, len(current))
+            )
         scores = importance(model, train).scores
         # lowest importance leaves; ties drop the later column
         drop = min(current, key=lambda m: (scores[m], -names.index(m)))
@@ -284,13 +303,18 @@ def select_rfe(
         if split.train.has_both_classes():
             splits.append((r, split))
 
-    def mean_auc(size: int) -> float:
+    mean_auc: dict[int, float] = {}
+    models = None  # each resample's model at the last size scored
+    for size in sorted(set(sizes), reverse=True):
         subset = path[size]
         if backend == "LR":
-            models = fit_logistic_batch([(split.train, subset) for _, split in splits])
+            # the resamples' training sets are this call's own, so no memo
+            # could hold their fits
+            starts = None if models is None else [warm_start(m, subset) for m in models]
+            models = fit_logistic_batch([(split.train, subset) for _, split in splits], starts=starts)
         else:
             models = [
-                _fit_backend(backend, split.train, subset, derive_seed(seed, 3, size, r), config)
+                fit_random_forest(split.train, subset, ntree=config.rfe_ntree, seed=derive_seed(seed, 3, size, r))
                 for r, split in splits
             ]
         vals = []
@@ -299,9 +323,9 @@ def select_rfe(
                 vals.append(auc(score_rows(model, split.test), split.test.outcome))
             except SingleClass:
                 continue
-        return float(np.mean(vals)) if vals else 0.5
+        mean_auc[size] = float(np.mean(vals)) if vals else 0.5
 
-    best_size = max(sizes, key=lambda s: (mean_auc(s), -s))
+    best_size = max(sizes, key=lambda s: (mean_auc[s], -s))
     return _in_column_order(train, path[best_size])
 
 
@@ -311,33 +335,39 @@ def select_stepwise(
     train: Dataset,
     direction: str = "FWD",
     config: SelectorConfig = SelectorConfig(),
+    memo: dict | None = None,
 ) -> MetricSubset:
     """Greedy AIC search over logistic models.
 
     FWD starts from the intercept-only model and adds; BWD starts from the
     full model and drops; BOTH starts empty and considers both moves. A move
-    is taken only when it strictly lowers AIC.
+    is taken only when it strictly lowers AIC. Each candidate is fit from the
+    current model's coefficients, with an added metric at 0 or a removed one
+    dropped; ``memo`` is :func:`fit_logistic_batch`'s fit memo.
     """
     if direction not in ("FWD", "BWD", "BOTH"):
         raise UnsupportedSelector(f"stepwise direction must be FWD/BWD/BOTH, got {direction!r}")
     _require_supervised(train)
     names = list(train.metric_names)
     p = len(names)
-    max_steps = config.stepwise_max_steps or (2 * p + 1)
+    max_steps = 2 * p + 1 if config.stepwise_max_steps is None else config.stepwise_max_steps
 
-    cache: dict[frozenset, float] = {}
+    cache: dict[frozenset, tuple[float, LogisticModel]] = {}  # subset -> (AIC, model)
 
-    def fit_aics(subsets: list[list[str]]) -> list[float]:
-        """AIC of each subset; the uncached ones (all of one size) are fit in one batch."""
-        todo = {frozenset(s): s for s in subsets if frozenset(s) not in cache}
-        models = fit_logistic_batch([(train, _in_column_order(train, s)) for s in todo.values()])
+    def fit_aics(subsets: list[list[str]], parent: LogisticModel | None = None) -> list[float]:
+        """AIC of each subset; the uncached ones (all of one size) are fit in
+        one batch, started from ``parent`` when one is given."""
+        todo = {frozenset(s): _in_column_order(train, s) for s in subsets if frozenset(s) not in cache}
+        starts = None if parent is None else [warm_start(parent, s) for s in todo.values()]
+        models = fit_logistic_batch([(train, s) for s in todo.values()], starts=starts, memo=memo)
         for key, model in zip(todo, models):
-            cache[key] = aic(model.log_likelihood, len(key) + 1)
-        return [cache[frozenset(s)] for s in subsets]
+            cache[key] = (aic(model.log_likelihood, len(key) + 1), model)
+        return [cache[frozenset(s)][0] for s in subsets]
 
     current = names.copy() if direction == "BWD" else []
     [current_aic] = fit_aics([current])
     for _ in range(max_steps):
+        parent = cache[frozenset(current)][1]
         moves = []  # additions first, then removals, so AIC ties go as they always have
         if direction in ("FWD", "BOTH"):
             moves.append([current + [m] for m in names if m not in current])
@@ -345,7 +375,7 @@ def select_stepwise(
             moves.append([[x for x in current if x != m] for m in current])
         best_move = None  # (aic, new_subset)
         for cands in moves:
-            for a, cand in zip(fit_aics(cands), cands):
+            for a, cand in zip(fit_aics(cands, parent), cands):
                 if best_move is None or a < best_move[0]:
                     best_move = (a, cand)
         if best_move is None or best_move[0] >= current_aic:
@@ -361,8 +391,13 @@ def select(
     train: Dataset,
     config: SelectorConfig = SelectorConfig(),
     seed: int | None = None,
+    memo: dict | None = None,
 ) -> MetricSubset:
-    """Run one selection technique on a training sample."""
+    """Run one selection technique on a training sample.
+
+    ``memo`` is a logistic fit memo (see :func:`fit_logistic_batch`) that
+    the logistic wrappers share; it saves work and never changes a result.
+    """
     if id is SelectorId.AUTOSPEARMAN:
         subset, _ = auto_spearman(train, AutoSpearmanParams(config.sp_t, config.vif_t))
         return subset
@@ -375,13 +410,13 @@ def select(
     if id is SelectorId.CON:
         return select_consistency(train, config)
     if id is SelectorId.RFE_LR:
-        return select_rfe(train, "LR", config, seed)
+        return select_rfe(train, "LR", config, seed, memo)
     if id is SelectorId.RFE_RF:
         return select_rfe(train, "RF", config, seed)
     if id is SelectorId.STEP_FWD:
-        return select_stepwise(train, "FWD", config)
+        return select_stepwise(train, "FWD", config, memo)
     if id is SelectorId.STEP_BWD:
-        return select_stepwise(train, "BWD", config)
+        return select_stepwise(train, "BWD", config, memo)
     if id is SelectorId.STEP_BOTH:
-        return select_stepwise(train, "BOTH", config)
+        return select_stepwise(train, "BOTH", config, memo)
     raise UnsupportedSelector(str(id))

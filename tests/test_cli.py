@@ -228,6 +228,9 @@ _GOOD_CONFIG = {
         ("selector_config", {"rfe_sizes": ["a"]}),
         ("selector_config", {"rfe_sizes": [1.5]}),
         ("selectors", ["IG", "IG"]),
+        ("selector_config", {"stepwise_max_steps": -1}),
+        ("selector_config", {"stepwise_max_steps": 0}),
+        ("selector_config", {"rfe_sizes": [0]}),
     ],
 )
 def test_experiment_malformed_config_exit_3_before_any_work(tmp_path, capsys, monkeypatch, field, value):

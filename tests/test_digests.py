@@ -101,6 +101,23 @@ _LOGISTIC_WRAPPERS = {
     "selector_config": {"rfe_resamples": 4},
 }
 
+_WARM_STARTED = {
+    # every warm-started logistic selector on one sample, B = 2: the
+    # stepwise searches and RFE-LR's path and per-size resample fits
+    "dataset": {
+        "base_metric_count": 7,
+        "module_count": 220,
+        "signal_coefficients": [1.0, 0.8, 0.5, 0.3, 0, 0, 0],
+        "clone_groups": [[k, 1, 0.4] for k in range(7)],
+        "seed": 71,
+    },
+    "selectors": ["Step-FWD", "Step-BWD", "Step-BOTH", "RFE-LR"],
+    "bootstrap_count": 2,
+    "base_seed": 83,
+    "classifiers": ["logistic"],
+    "selector_config": {"rfe_resamples": 3},
+}
+
 GOLDEN = {
     "planted": (
         _PLANTED, "43c985ff1af81c88f19015d31d1689e09d2ee7be9a4ad0262bd0ba44c65d5e4c"
@@ -118,6 +135,10 @@ GOLDEN = {
     "logistic-wrappers": (
         _LOGISTIC_WRAPPERS,
         "8efc4bc18ba0f21b6fd865a34d7d76e05a586594699520d3d15f3a73b27ce123",
+    ),
+    "warm-started": (
+        _WARM_STARTED,
+        "eea83adbfb4c45aa377c472f0c8e265e10f49c2c0e544105338c19890c37cc36",
     ),
 }
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 
@@ -142,6 +143,42 @@ def test_grid_b_one():
 def test_grid_rejects_bad_b():
     with pytest.raises(ConfigError):
         run_selection_grid(_clone_fixture(8), [SelectorId.IG], B=0)
+
+
+def test_grid_logistic_wrappers_select_as_they_do_alone(monkeypatch):
+    # the selectors of one sample share a logistic fit memo; each still picks
+    # what it picks alone, and no memo outlives the grid
+    import corrsel.harness as harness
+    from corrsel.seeding import derive_seed
+    from corrsel.selectors import select
+
+    d = generate_synthetic(SyntheticSpec(
+        base_metric_count=5,
+        module_count=150,
+        signal_coefficients=(1.0, 0.7, 0.4, 0, 0),
+        clone_groups=tuple((k, 1, 0.5) for k in range(5)),
+        seed=3,
+    ))
+    sels = [SelectorId.STEP_FWD, SelectorId.STEP_BWD, SelectorId.STEP_BOTH, SelectorId.RFE_LR]
+    memos = []
+
+    def spy(sel, train, config, seed, memo):
+        memos.append(memo)
+        return select(sel, train, config, seed, memo)
+
+    monkeypatch.setattr(harness, "select", spy)
+    grid = run_selection_grid(d, sels, B=2, base_seed=19)
+    monkeypatch.undo()
+    assert not grid.failures
+    for j, split in enumerate(grid.splits):
+        for i, sel in enumerate(sels):
+            assert select(sel, split.train, seed=derive_seed(19, j, i)) == grid.subsets[(sel, j)]
+    # one memo per sample, shared by its four selectors
+    assert len(memos) == 8 and memos[0] is not memos[4]
+    assert all(m is memos[0] for m in memos[:4]) and all(m is memos[4] for m in memos[4:])
+    for k in (0, 4):
+        assert memos[k]
+        assert gc.get_referrers(memos[k]) == [memos]
 
 
 # -- performance deltas ----------------------------------------------------------------
