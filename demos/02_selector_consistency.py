@@ -12,7 +12,7 @@ against the outcome flip between duplicate partners and churn on noise,
 while the correlation-based eliminator keeps the independent metrics every
 single time.
 
-Run:  python demos/02_selector_consistency.py   (about half a minute)
+Run:  python demos/02_selector_consistency.py   (about five seconds)
 """
 
 from corrsel import (

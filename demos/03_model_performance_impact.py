@@ -7,7 +7,7 @@ percentage points) tells us what the pruning costs. When the predictive
 signal lives in metrics that are not part of any correlated group, the
 cost should hover near zero.
 
-Run:  python demos/03_model_performance_impact.py   (about a minute)
+Run:  python demos/03_model_performance_impact.py   (about ten seconds)
 """
 
 import numpy as np

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, sigmoid
-from .errors import DegenerateOutcome, DimensionMismatch
+from .errors import ConfigError, DegenerateOutcome, DimensionMismatch
 
 #: Coefficients hitting this magnitude during IRLS indicate separation; they
 #: are frozen at the cap and the model is marked non-converged.
@@ -50,6 +50,10 @@ _IRLS_CELLS = 50_000
 #: of max(1, _BATCH_CELLS // ntree) rows, so temporaries scale with it, not
 #: with ntree.
 _BATCH_CELLS = 20_000
+
+#: Low half of a packed (bag count << 32) + defective count. A batch's bag
+#: rows number far fewer than 2**31, so neither half of a sum overflows.
+_LOW = (1 << 32) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,30 +303,35 @@ def predict_logistic(m: LogisticModel, row) -> float:
     return min(1.0 - _PROB_EPS, max(_PROB_EPS, p))
 
 
-def _best_cuts(seq, xb, yb, starts, sizes, pos, feats):
+def _best_cuts(seq, xb, packed, starts, widths, size, pos, feats):
     """Lowest weighted-Gini cut of each node over its candidate metrics.
 
-    Node k owns positions ``starts[k]:starts[k] + sizes[k]`` of every row of
-    ``seq`` (bag rows sorted by metric f within each node, in row f), holds
-    ``pos[k]`` defective rows and tries the metrics ``feats[k]`` in order.
-    Ties go to the earlier candidate, then to the earlier cut. Returns, per
-    node: the weighted child Gini (inf when no candidate has a cut), the
-    metric, the midpoint threshold, and the left child's size and defects.
+    Node k owns positions ``starts[k]:starts[k] + widths[k]`` of every row
+    of ``seq`` (distinct bag rows sorted by metric f within each node, in
+    row f), holds ``size[k]`` bag rows counted with their bag counts,
+    ``pos[k]`` of them defective, and tries the metrics ``feats[k]`` in
+    order. ``packed[r]`` is row r's bag count << 32 plus its defective
+    count, so one cumulative sum gives both of a cut's left counts. Ties go
+    to the earlier candidate, then to the earlier cut. Returns, per node:
+    the weighted child Gini (inf when no candidate has a cut), the metric,
+    the midpoint threshold, and the left child's distinct rows, size and
+    defects.
     """
     k_count = feats.shape[0]
-    node = np.repeat(np.arange(k_count), sizes)
-    first = np.cumsum(sizes) - sizes
-    at = np.arange(node.size) + np.repeat(starts - first, sizes)
+    node = np.repeat(np.arange(k_count), widths)
+    first = np.cumsum(widths) - widths
+    at = np.arange(node.size) + np.repeat(starts - first, widths)
     f = feats.T[:, node]
     rows = seq[f, at]
     v = xb[rows, f]
-    cum = np.cumsum(yb[rows], axis=1, dtype=np.int32)
-    before = cum[:, first] - yb[rows[:, first]]
+    cum = np.cumsum(packed[rows], axis=1)
+    before = cum[:, first] - packed[rows[:, first]]
     s, i = np.nonzero((v[:, :-1] != v[:, 1:]) & (node[:-1] == node[1:]))
     k = node[i]
-    left_n = i - first[k] + 1
-    left_pos = cum[s, i] - before[s, k]
-    right_n = sizes[k] - left_n
+    left = cum[s, i] - before[s, k]
+    left_n = left >> 32
+    left_pos = left & _LOW
+    right_n = size[k] - left_n
     right_pos = pos[k] - left_pos
     pl = left_pos / left_n
     pr = right_pos / right_n
@@ -340,37 +349,45 @@ def _best_cuts(seq, xb, yb, starts, sizes, pos, feats):
     mid = (lo + hi) / 2.0
     feature = np.full(k_count, -1, np.int32)
     threshold = np.zeros(k_count)
+    w_left = np.zeros(k_count, np.int64)
     n_left = np.zeros(k_count, np.int64)
     pos_left = np.zeros(k_count, np.int64)
     feature[has] = feats[has, s[c]]
     # the midpoint of two adjacent floats can round onto the lower one
     threshold[has] = np.where((lo < mid) & (mid <= hi), mid, hi)
+    w_left[has] = i[c] - first[has] + 1
     n_left[has] = left_n[c]
     pos_left[has] = left_pos[c]
-    return score, feature, threshold, n_left, pos_left
+    return score, feature, threshold, w_left, n_left, pos_left
 
 
-def _grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
+def _grow_batch(x: np.ndarray, y: np.ndarray, presort: np.ndarray, rngs, mtry: int, base: int):
     """Grow one tree per generator to purity, every node of a depth at once.
 
-    Each tree's bag is the first draw from its generator. At each depth the
-    tree draws, in one call, a random metric order for each of its open
-    nodes; a node tries the first ``mtry`` metrics and, when none of them
-    has a cut, the rest in index order. Returns the batch's node arrays
-    (feature, threshold, left, right, vote, decrease), numbered from
+    Each tree's bag is the first draw from its generator; the tree keeps the
+    distinct rows it drew, each with its bag count, and takes each metric's
+    row order from ``presort`` (row f of it: the rows stably sorted by metric
+    f). At each depth the tree draws, in one call, a random metric order for
+    each of its open nodes; a node tries the first ``mtry`` metrics and, when
+    none of them has a cut, the rest in index order. Returns the batch's node
+    arrays (feature, threshold, left, right, vote, decrease), numbered from
     ``base``; nodes base..base+T-1 are the roots.
     """
     n, p = x.shape
     t_count = len(rngs)
-    bag = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
-    xb = x[bag]
-    yb = y[bag]
-    # seq[f]: each tree's bag positions, stably sorted by metric f; a
+    bag = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    offset = np.arange(t_count) * n
+    count = np.bincount((bag + offset[:, None]).ravel(), minlength=t_count * n)
+    drawn = count > 0  # at t * n + r: tree t drew row r
+    cell = np.flatnonzero(drawn)
+    xb = x[cell % n]
+    packed = (count[cell] << 32) + count[cell] * y[cell % n]
+    # seq[f]: each tree's distinct rows in presorted order of metric f; a
     # level's stable partition keeps every node's rows sorted
-    local = np.argsort(xb.reshape(t_count, n, p), axis=1, kind="stable").astype(np.int32)
-    local += (np.arange(t_count, dtype=np.int32) * n)[:, None, None]
-    seq = local.transpose(2, 0, 1).reshape(p, t_count * n)
-    status = np.zeros(t_count * n, np.int8)
+    ids_of = (np.cumsum(drawn) - 1).astype(np.int32)
+    flat = (presort[:, None, :] + offset[None, :, None]).reshape(p, -1)
+    seq = ids_of[flat][drawn[flat]].reshape(p, -1)
+    status = np.zeros(cell.size, np.int8)
 
     cap = t_count * (2 * n - 1)
     feature = np.full(cap, -1, np.int32)
@@ -382,18 +399,19 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
 
     ids = np.arange(t_count)
     tree = np.arange(t_count)
+    width = np.count_nonzero(drawn.reshape(t_count, n), axis=1)
     size = np.full(t_count, n)
-    pos = yb.reshape(t_count, n).sum(axis=1)
+    pos = y[bag].sum(axis=1)
     next_id = t_count
     while ids.size:
         vote[ids] = pos * 2 > size
         open_ = (pos > 0) & (pos < size) & (size > 1)
         if not open_.all():
-            seq = seq[:, np.repeat(open_, size)]
-            ids, tree, size, pos = ids[open_], tree[open_], size[open_], pos[open_]
+            seq = seq[:, np.repeat(open_, width)]
+            ids, tree, width, size, pos = ids[open_], tree[open_], width[open_], size[open_], pos[open_]
             if not ids.size:
                 break
-        starts = np.cumsum(size) - size
+        starts = np.cumsum(width) - width
 
         counts = np.bincount(tree, minlength=t_count)
         u = np.empty((ids.size, p))
@@ -401,13 +419,14 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
             [rngs[t].random((c, p)) for t, c in enumerate(counts) if c]
         )
         order = u.argsort(axis=1)
-        cuts = _best_cuts(seq, xb, yb, starts, size, pos, order[:, :mtry])
+        cuts = _best_cuts(seq, xb, packed, starts, width, size, pos, order[:, :mtry])
         miss = np.flatnonzero(cuts[0] == np.inf)
         if miss.size and mtry < p:
             rest = np.sort(order[miss, mtry:], axis=1)
-            for out, alt in zip(cuts, _best_cuts(seq, xb, yb, starts[miss], size[miss], pos[miss], rest)):
+            alts = _best_cuts(seq, xb, packed, starts[miss], width[miss], size[miss], pos[miss], rest)
+            for out, alt in zip(cuts, alts):
                 out[miss] = alt
-        score, feat, thr, left_n, left_pos = cuts
+        score, feat, thr, left_w, left_n, left_pos = cuts
 
         split = np.flatnonzero(score < np.inf)
         j_count = split.size
@@ -421,9 +440,9 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
 
         # move split nodes' rows to their children, all left children first;
         # rows of nodes that stay leaves drop out
-        node = np.repeat(np.arange(ids.size), size)
+        node = np.repeat(np.arange(ids.size), width)
         chosen = seq[np.maximum(feat, 0)[node], np.arange(node.size)]
-        goes = np.where(np.arange(node.size) - starts[node] < left_n[node], 1, 2).astype(np.int8)
+        goes = np.where(np.arange(node.size) - starts[node] < left_w[node], 1, 2).astype(np.int8)
         goes[score[node] == np.inf] = 0
         status[chosen] = goes
         st = status[seq]
@@ -432,6 +451,7 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
         ids = next_id + np.arange(2 * j_count)
         next_id += 2 * j_count
         tree = np.concatenate([tree[split], tree[split]])
+        width = np.concatenate([left_w[split], width[split] - left_w[split]])
         size = np.concatenate([left_n[split], size[split] - left_n[split]])
         pos = np.concatenate([left_pos[split], pos[split] - left_pos[split]])
     return tuple(a[:next_id].copy() for a in (feature, threshold, left, right, vote, decrease))
@@ -440,8 +460,14 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
 def fit_random_forest(
     d: Dataset, subset, ntree: int = 100, seed: int = 0
 ) -> ForestModel:
-    """Bagged Gini trees grown to purity; mtry = floor(sqrt(p))."""
+    """Bagged Gini trees grown to purity; mtry = floor(sqrt(p)).
+
+    Each metric of the training rows is stably sorted once, and every tree
+    takes its rows' order from that one presort.
+    """
     subset = tuple(subset)
+    if ntree < 1:
+        raise ConfigError(f"ntree must be >= 1, got {ntree}")
     if not subset:
         raise DegenerateOutcome("random forest needs at least one metric")
     if not d.has_both_classes():
@@ -450,12 +476,13 @@ def fit_random_forest(
     y = d.outcome.astype(np.int8)
     n, p = x.shape
     mtry = max(1, int(math.isqrt(p)))
+    presort = np.argsort(x, axis=0, kind="stable").T
     streams = np.random.SeedSequence(seed).spawn(ntree)
     per_batch = max(1, _BATCH_CELLS // (n * p))
     batches, roots, base = [], [], 0
     for lo in range(0, ntree, per_batch):
         rngs = [np.random.default_rng(s) for s in streams[lo:lo + per_batch]]
-        batches.append(_grow_batch(x, y, rngs, mtry, base))
+        batches.append(_grow_batch(x, y, presort, rngs, mtry, base))
         roots.append(base + np.arange(len(rngs), dtype=np.int32))
         base += batches[-1][0].size
     arrays = [np.concatenate(column) for column in zip(*batches)]

@@ -100,16 +100,17 @@ class Dataset:
         return self.rows[:, j]
 
     def columns(self, names) -> np.ndarray:
-        idx = [self.metric_names.index(n) for n in names]
+        """The rows' values of the metrics in the sequence ``names``, in order."""
+        try:
+            idx = [self.metric_names.index(n) for n in names]
+        except ValueError:
+            raise MissingColumn(next(n for n in names if n not in self.metric_names)) from None
         return self.rows[:, idx]
 
     def project(self, names) -> "Dataset":
         """Dataset restricted to the given metrics (given order kept)."""
-        names = list(names)
-        for n in names:
-            if n not in self.metric_names:
-                raise MissingColumn(n)
-        return Dataset(tuple(names), self.columns(names), self.outcome)
+        names = tuple(names)
+        return Dataset(names, self.columns(names), self.outcome)
 
     def take(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.metric_names, self.rows[indices], self.outcome[indices])

@@ -7,14 +7,16 @@ selected subsets on their training samples, and model-performance deltas of
 selected-metrics models against all-metrics models on the same split.
 
 Everything is seeded: the per-sample split seed is derived from
-(base_seed, sample index) and each grid cell from (base_seed, sample index,
-selector index), so a report re-runs bit-for-bit from its echoed
+(base_seed, sample index), each grid cell from (base_seed, sample index,
+selector index) and each performance forest from (base_seed, sample index,
+its subset's names), so a report re-runs bit-for-bit from its echoed
 configuration.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import tempfile
@@ -253,16 +255,34 @@ def _fit_and_score(classifier: str, train: Dataset, subset, test: Dataset, seed:
     return score_rows(model, test)
 
 
-def _measures(scores: np.ndarray, outcome: np.ndarray, with_auc: bool) -> dict[str, float]:
-    """F and MCC at the 0.5 cut, and AUC when asked for and both classes are present."""
+def _measures(scores: np.ndarray, outcome: np.ndarray) -> dict[str, float]:
+    """F and MCC at the 0.5 cut, and AUC when both classes are present."""
     cm = confusion_at(scores, outcome)
     vals = {"F": f_measure(cm), "MCC": mcc(cm)}
-    if with_auc:
-        try:
-            vals["AUC"] = auc(scores, outcome)
-        except SingleClass:
-            pass
+    try:
+        vals["AUC"] = auc(scores, outcome)
+    except SingleClass:
+        pass
     return vals
+
+
+def _subset_key(subset) -> int:
+    """A 64-bit key of an ordered subset's names, the same in every process
+    (unlike the salted built-in ``hash``)."""
+    digest = hashlib.sha256(json.dumps(list(subset)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _cell_measures(clf: str, split: BootstrapSplit, subset: tuple[str, ...], base_seed: int, j: int):
+    """The measures of one model fit on sample j's training rows and scored
+    on its test rows, or the ComputationError its fit raised. A forest's
+    seed is keyed on the sample and the subset, not on who picked it."""
+    seed = derive_seed(base_seed, j, 202, _subset_key(subset))
+    try:
+        scores = _fit_and_score(clf, split.train, subset, split.test, seed)
+    except ComputationError as exc:
+        return exc
+    return _measures(scores, split.test.outcome)
 
 
 def performance_deltas(
@@ -281,33 +301,39 @@ def performance_deltas(
     re-sampled. Samples whose test set has one class are skipped for AUC
     (recorded), but still counted for F and MCC. The splits are the grid's;
     ``B`` and ``config`` only build the grid when none is given.
+
+    Each (sample, classifier, ordered subset) is fit and scored once: the
+    all-metrics baseline and every selector that picked the subset share
+    that model. A forest's seed is derived from the sample and the subset's
+    names, so a selector that keeps every metric, in order, gets deltas of
+    exactly zero.
     """
     selectors = list(selectors)
     if grid is None:
         grid = run_selection_grid(d, selectors, B, base_seed, config)
     deltas: list[PerformanceDelta] = []
     records: list[str] = []
-    all_names = list(d.metric_names)
+    all_names = tuple(d.metric_names)
     for j, split in enumerate(grid.splits):
         for clf in classifiers:
-            try:
-                base_scores = _fit_and_score(clf, split.train, all_names, split.test, derive_seed(base_seed, j, 101))
-            except ComputationError as exc:
-                records.append(f"sample {j} {clf} all-metrics: {type(exc).__name__}: {exc}")
+            base_vals = _cell_measures(clf, split, all_names, base_seed, j)
+            if isinstance(base_vals, ComputationError):
+                records.append(f"sample {j} {clf} all-metrics: {type(base_vals).__name__}: {base_vals}")
                 continue
-            base_vals = _measures(base_scores, split.test.outcome, True)
             if "AUC" not in base_vals:
                 records.append(f"sample {j}: single-class test set, AUC skipped")
-            for i, sel in enumerate(selectors):
+            cells = {all_names: base_vals}  # ordered subset -> its measures or its fit's error
+            for sel in selectors:
                 subset = grid.subsets.get((sel, j))
                 if subset is None:
                     continue
-                try:
-                    sel_scores = _fit_and_score(clf, split.train, subset, split.test, derive_seed(base_seed, j, 202, i))
-                except ComputationError as exc:
-                    records.append(f"sample {j} {clf} {sel.value}: {type(exc).__name__}: {exc}")
+                subset = tuple(subset)
+                if subset not in cells:
+                    cells[subset] = _cell_measures(clf, split, subset, base_seed, j)
+                vals = cells[subset]
+                if isinstance(vals, ComputationError):
+                    records.append(f"sample {j} {clf} {sel.value}: {type(vals).__name__}: {vals}")
                     continue
-                vals = _measures(sel_scores, split.test.outcome, "AUC" in base_vals)
                 deltas.extend(
                     PerformanceDelta(sel, clf, m, j, 100.0 * (vals[m] - base_vals[m]))
                     for m in _MEASURES

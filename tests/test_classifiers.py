@@ -15,7 +15,7 @@ from corrsel.classifiers import (
     score_rows,
 )
 from corrsel.data import Dataset
-from corrsel.errors import DegenerateOutcome, DimensionMismatch
+from corrsel.errors import ConfigError, DegenerateOutcome, DimensionMismatch, MissingColumn
 from corrsel.evaluation import auc
 
 
@@ -181,6 +181,28 @@ def test_forest_degenerate_outcome():
     with pytest.raises(DegenerateOutcome):
         fit_random_forest(good, [], ntree=3, seed=0)
 
+
+
+@pytest.mark.parametrize("ntree", [0, -1])
+def test_forest_rejects_ntree_below_one(ntree):
+    d = _logistic_fixture(8, n=40)
+    with pytest.raises(ConfigError, match="ntree must be >= 1"):
+        fit_random_forest(d, list(d.metric_names), ntree=ntree, seed=0)
+
+
+def test_unknown_metric_raises_missing_column():
+    d = _logistic_fixture(12, n=40)
+    m = fit_logistic(d, ["m0"])
+    other = _dataset({"m1": d.column("m1")}, d.outcome)
+    for call in (
+        lambda: d.columns(["m0", "nope"]),
+        lambda: fit_logistic(d, ["nope"]),
+        lambda: fit_random_forest(d, ["m1", "nope"], ntree=2, seed=0),
+        lambda: score_rows(m, other),
+    ):
+        with pytest.raises(MissingColumn) as info:
+            call()
+        assert info.value.column in {"nope", "m0"}
 
 def test_predict_forest_vote_fraction():
     d = _logistic_fixture(9, n=60)

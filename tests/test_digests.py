@@ -120,7 +120,7 @@ _WARM_STARTED = {
 
 GOLDEN = {
     "planted": (
-        _PLANTED, "43c985ff1af81c88f19015d31d1689e09d2ee7be9a4ad0262bd0ba44c65d5e4c"
+        _PLANTED, "d4b3fcb69699e505d3622d28aa26f60594a42efea9ab6827784c255b285411e8"
     ),
     "correlated-logistic": (
         _CORRELATED_LOGISTIC,
@@ -130,7 +130,7 @@ GOLDEN = {
         _VIF_ACTIVE, "3ef80ba912782a318e7c355ecc7991f2db884cbc9bb65ce3ea0842ec34acf1d8"
     ),
     "rfe-forest": (
-        _RFE_FOREST, "3c1aadf2a64e8d373a939e1f048501878e9eeb502750e72c7725d367254b0cdf"
+        _RFE_FOREST, "8c7c624d456ae7b8615fa45d4d87617690786a925a2afc07a5002c2a687496c3"
     ),
     "logistic-wrappers": (
         _LOGISTIC_WRAPPERS,
@@ -155,7 +155,7 @@ def test_payload_digest_is_pinned(name):
     assert payload_digest(raw) == expected
 
 
-CELLS_CSV_GOLDEN = ("planted", "ea87773b7aa80e77d91a84f04bf9a10ef6b336d4005bb4aa8c83bb0be0de24fa")
+CELLS_CSV_GOLDEN = ("planted", "f01949e35d895ec59fb9d569738c953bf7cbf32432eddfaff7b1e3ec9a32d805")
 
 
 def test_cells_csv_digest_is_pinned(tmp_path):

@@ -191,10 +191,74 @@ def test_deltas_identity_selector_zero():
     full = {k: list(d.metric_names) for k in grid.subsets}
     grid = dataclasses.replace(grid, subsets=full, failures={})
     deltas, _ = performance_deltas(
-        d, [SelectorId.AUTOSPEARMAN], 3, ("logistic",), base_seed=21, grid=grid
+        d, [SelectorId.AUTOSPEARMAN], 3, ("logistic", "forest"), base_seed=21, grid=grid
     )
-    assert deltas
+    assert {x.classifier for x in deltas} == {"logistic", "forest"}
     assert all(x.delta == 0.0 for x in deltas)
+
+
+def _shared_subset_grid(d):
+    """A two-selector grid where both selectors pick the first two metrics,
+    in order, on sample 0, and in opposite orders on sample 1."""
+    sels = [SelectorId.AUTOSPEARMAN, SelectorId.IG]
+    grid = run_selection_grid(d, sels, B=2, base_seed=23)
+    a, b = d.metric_names[:2]
+    subsets = {
+        (sels[0], 0): [a, b], (sels[1], 0): [a, b],
+        (sels[0], 1): [a, b], (sels[1], 1): [b, a],
+    }
+    return sels, dataclasses.replace(grid, subsets=subsets, failures={})
+
+
+def test_deltas_shared_subset_fits_one_forest(monkeypatch):
+    import corrsel.harness as harness
+
+    d = _clone_fixture(12)
+    sels, grid = _shared_subset_grid(d)
+    fits = []
+    real = harness.fit_random_forest
+
+    def counted(train, subset, **kw):
+        fits.append(tuple(subset))
+        return real(train, subset, **kw)
+
+    monkeypatch.setattr(harness, "fit_random_forest", counted)
+    deltas, records = performance_deltas(d, sels, 2, ("forest",), base_seed=23, grid=grid)
+    a, b = d.metric_names[:2]
+    # per sample: the all-metrics baseline plus one fit per distinct ordered subset
+    assert fits == [d.metric_names, (a, b), d.metric_names, (a, b), (b, a)]
+    by = {(x.selector, x.sample_index, x.measure): x.delta for x in deltas}
+    for m in ("AUC", "F", "MCC"):
+        assert by[(sels[0], 0, m)] == by[(sels[1], 0, m)]
+    assert not any("forest" in r for r in records)
+
+
+def test_deltas_failed_shared_fit_records_each_selector(monkeypatch):
+    import corrsel.harness as harness
+    from corrsel.errors import DegenerateOutcome
+
+    d = _clone_fixture(13)
+    sels, grid = _shared_subset_grid(d)
+    a, b = d.metric_names[:2]
+    fits = []
+    real = harness.fit_random_forest
+
+    def failing(train, subset, **kw):
+        fits.append(tuple(subset))
+        if tuple(subset) == (a, b):
+            raise DegenerateOutcome("planted failure")
+        return real(train, subset, **kw)
+
+    monkeypatch.setattr(harness, "fit_random_forest", failing)
+    deltas, records = performance_deltas(d, sels, 2, ("forest",), base_seed=23, grid=grid)
+    assert fits.count((a, b)) == 2  # once per sample, not once per selector
+    failed = [r for r in records if "planted failure" in r]
+    assert failed == [
+        f"sample 0 forest {sels[0].value}: DegenerateOutcome: planted failure",
+        f"sample 0 forest {sels[1].value}: DegenerateOutcome: planted failure",
+        f"sample 1 forest {sels[0].value}: DegenerateOutcome: planted failure",
+    ]
+    assert {(x.selector, x.sample_index) for x in deltas} == {(sels[1], 1)}
 
 
 def test_deltas_empty_subset_auc_half():

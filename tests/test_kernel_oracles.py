@@ -5,7 +5,9 @@
 ``spearman_matrix`` ranks all columns at once and is checked bit for bit
 against the pair-by-pair construction it replaced and against ``spearman``.
 The level-wise random forest is checked against the depth-first grower it
-replaced, kept here as the reference. The batched IRLS behind
+replaced, kept here as the reference, and its distinct-row growth from one
+presort node array for node array against the bag-position grower (one row
+per bag draw, argsorted per batch) that preceded it. The batched IRLS behind
 ``fit_logistic`` is checked bit for bit against the one-model IRLS loop it
 replaced; a warm-started fit is checked against that loop bit for bit when it
 does not converge (it is refit cold) and within a stated tolerance when it
@@ -573,6 +575,176 @@ def test_forest_splits_adjacent_floats():
     d = Dataset(("m0",), np.array([[a], [b], [a], [b]]), np.array([False, True, False, True]))
     m = fit_random_forest(d, ["m0"], ntree=3, seed=0)
     assert score_rows(m, d).tolist() == [0.0, 1.0, 0.0, 1.0]
+
+
+# -- random forest: distinct-row growth vs the bag-position grower ------------------------
+
+def _bag_best_cuts(seq, xb, yb, starts, sizes, pos, feats):
+    """The bag-position grower's cut search: node k owns positions
+    ``starts[k]:starts[k] + sizes[k]`` of ``seq``, one per bag row."""
+    k_count = feats.shape[0]
+    node = np.repeat(np.arange(k_count), sizes)
+    first = np.cumsum(sizes) - sizes
+    at = np.arange(node.size) + np.repeat(starts - first, sizes)
+    f = feats.T[:, node]
+    rows = seq[f, at]
+    v = xb[rows, f]
+    cum = np.cumsum(yb[rows], axis=1, dtype=np.int32)
+    before = cum[:, first] - yb[rows[:, first]]
+    s, i = np.nonzero((v[:, :-1] != v[:, 1:]) & (node[:-1] == node[1:]))
+    k = node[i]
+    left_n = i - first[k] + 1
+    left_pos = cum[s, i] - before[s, k]
+    right_n = sizes[k] - left_n
+    right_pos = pos[k] - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    child = left_n * 2.0 * pl * (1.0 - pl) + right_n * 2.0 * pr * (1.0 - pr)
+
+    score = np.full(k_count, np.inf)
+    np.minimum.at(score, k, child)
+    win = np.flatnonzero(child == score[k])
+    pick = np.full(k_count, child.size)
+    np.minimum.at(pick, k[win], win)
+    has = np.flatnonzero(pick < child.size)
+    c = pick[has]
+    lo = v[s[c], i[c]]
+    hi = v[s[c], i[c] + 1]
+    mid = (lo + hi) / 2.0
+    feature = np.full(k_count, -1, np.int32)
+    threshold = np.zeros(k_count)
+    n_left = np.zeros(k_count, np.int64)
+    pos_left = np.zeros(k_count, np.int64)
+    feature[has] = feats[has, s[c]]
+    threshold[has] = np.where((lo < mid) & (mid <= hi), mid, hi)
+    n_left[has] = left_n[c]
+    pos_left[has] = left_pos[c]
+    return score, feature, threshold, n_left, pos_left
+
+
+def _bag_grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
+    """The grower that holds every bag row, duplicates included, and argsorts
+    each batch's bags per metric."""
+    n, p = x.shape
+    t_count = len(rngs)
+    bag = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    xb = x[bag]
+    yb = y[bag]
+    local = np.argsort(xb.reshape(t_count, n, p), axis=1, kind="stable").astype(np.int32)
+    local += (np.arange(t_count, dtype=np.int32) * n)[:, None, None]
+    seq = local.transpose(2, 0, 1).reshape(p, t_count * n)
+    status = np.zeros(t_count * n, np.int8)
+
+    cap = t_count * (2 * n - 1)
+    feature = np.full(cap, -1, np.int32)
+    threshold = np.zeros(cap)
+    left = np.full(cap, -1, np.int32)
+    right = np.full(cap, -1, np.int32)
+    vote = np.zeros(cap, bool)
+    decrease = np.zeros(cap)
+
+    ids = np.arange(t_count)
+    tree = np.arange(t_count)
+    size = np.full(t_count, n)
+    pos = yb.reshape(t_count, n).sum(axis=1)
+    next_id = t_count
+    while ids.size:
+        vote[ids] = pos * 2 > size
+        open_ = (pos > 0) & (pos < size) & (size > 1)
+        if not open_.all():
+            seq = seq[:, np.repeat(open_, size)]
+            ids, tree, size, pos = ids[open_], tree[open_], size[open_], pos[open_]
+            if not ids.size:
+                break
+        starts = np.cumsum(size) - size
+
+        counts = np.bincount(tree, minlength=t_count)
+        u = np.empty((ids.size, p))
+        u[np.argsort(tree, kind="stable")] = np.concatenate(
+            [rngs[t].random((c, p)) for t, c in enumerate(counts) if c]
+        )
+        order = u.argsort(axis=1)
+        cuts = _bag_best_cuts(seq, xb, yb, starts, size, pos, order[:, :mtry])
+        miss = np.flatnonzero(cuts[0] == np.inf)
+        if miss.size and mtry < p:
+            rest = np.sort(order[miss, mtry:], axis=1)
+            alts = _bag_best_cuts(seq, xb, yb, starts[miss], size[miss], pos[miss], rest)
+            for out, alt in zip(cuts, alts):
+                out[miss] = alt
+        score, feat, thr, left_n, left_pos = cuts
+
+        split = np.flatnonzero(score < np.inf)
+        j_count = split.size
+        sid = ids[split]
+        q = pos[split] / size[split]
+        feature[sid] = feat[split]
+        threshold[sid] = thr[split]
+        decrease[sid] = size[split] * (2.0 * q * (1.0 - q)) - score[split]
+        left[sid] = base + next_id + np.arange(j_count)
+        right[sid] = base + next_id + j_count + np.arange(j_count)
+
+        node = np.repeat(np.arange(ids.size), size)
+        chosen = seq[np.maximum(feat, 0)[node], np.arange(node.size)]
+        goes = np.where(np.arange(node.size) - starts[node] < left_n[node], 1, 2).astype(np.int8)
+        goes[score[node] == np.inf] = 0
+        status[chosen] = goes
+        st = status[seq]
+        seq = np.concatenate([seq[st == 1].reshape(p, -1), seq[st == 2].reshape(p, -1)], axis=1)
+
+        ids = next_id + np.arange(2 * j_count)
+        next_id += 2 * j_count
+        tree = np.concatenate([tree[split], tree[split]])
+        size = np.concatenate([left_n[split], size[split] - left_n[split]])
+        pos = np.concatenate([left_pos[split], pos[split] - left_pos[split]])
+    return tuple(a[:next_id].copy() for a in (feature, threshold, left, right, vote, decrease))
+
+
+def _bag_forest_arrays(d: Dataset, ntree: int, seed: int, cells: int):
+    """Node arrays of ``fit_random_forest`` on every metric of ``d``, grown
+    by the bag-position grower in batches of max(1, cells // (n * p))."""
+    x = d.rows
+    y = d.outcome.astype(np.int8)
+    n, p = x.shape
+    mtry = max(1, int(math.isqrt(p)))
+    streams = np.random.SeedSequence(seed).spawn(ntree)
+    per_batch = max(1, cells // (n * p))
+    batches, roots, base = [], [], 0
+    for lo in range(0, ntree, per_batch):
+        rngs = [np.random.default_rng(s) for s in streams[lo:lo + per_batch]]
+        batches.append(_bag_grow_batch(x, y, rngs, mtry, base))
+        roots.append(base + np.arange(len(rngs), dtype=np.int32))
+        base += batches[-1][0].size
+    return (np.concatenate(roots), *(np.concatenate(column) for column in zip(*batches)))
+
+
+_NODE_ARRAYS = ("trees", "feature", "threshold", "left", "right", "vote", "decrease")
+
+
+@PROPERTY
+@given(forest_cases())
+def test_forest_distinct_row_growth_is_byte_equal_to_bag_positions(case):
+    d, m = case
+    n, p = d.rows.shape
+    for cells in (1, n * p * 3, classifiers._BATCH_CELLS):
+        with mock.patch.object(classifiers, "_BATCH_CELLS", cells):
+            got = fit_random_forest(d, d.metric_names, ntree=m.ntree, seed=m.seed)
+        want = _bag_forest_arrays(d, m.ntree, m.seed, cells)
+        for name, w in zip(_NODE_ARRAYS, want):
+            g = getattr(got, name)
+            assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), name
+
+
+def test_forest_distinct_row_growth_on_tie_heavy_wide_data():
+    # many metrics, few levels: most bag rows are duplicates of a handful of
+    # distinct value patterns, and several trees share each batch
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 3, (120, 9)) / 2.0
+    y = rng.random(120) < 0.4
+    d = Dataset(tuple(f"m{i}" for i in range(9)), x, y)
+    got = fit_random_forest(d, d.metric_names, ntree=25, seed=77)
+    want = _bag_forest_arrays(d, 25, 77, classifiers._BATCH_CELLS)
+    for name, w in zip(_NODE_ARRAYS, want):
+        assert getattr(got, name).tobytes() == w.tobytes(), name
 
 
 # -- logistic regression: batched IRLS vs the one-model loop ------------------------------
