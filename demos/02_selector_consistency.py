@@ -25,8 +25,6 @@ from corrsel import (
     generate_synthetic,
     run_selection_grid,
 )
-from corrsel.harness import _split_with_retry
-from corrsel.seeding import derive_seed
 
 B = 20
 BASE_SEED = 97
@@ -51,10 +49,10 @@ selectors = [
 # The ranking filters need a cutoff rule; keep the four best-scoring
 # metrics. (With the keep-positive rule they would select every metric of
 # this continuous dataset and the comparison would be vacuous.)
-config = SelectorConfig(ranking_rule="top_k", ranking_top_k=4)
+config = SelectorConfig(ranking_rule="top_k", ranking_top_k=4, base_seed=BASE_SEED)
 
 print(f"running {len(selectors)} techniques over {B} bootstrap samples...")
-grid = run_selection_grid(data, selectors, B, BASE_SEED, config)
+grid = run_selection_grid(data, selectors, B, config)
 
 print(f"\n{'technique':14} {'consistency':>11} {'kept in all':>11} {'kept in any':>11}")
 for sel in selectors:
@@ -76,8 +74,7 @@ print(
 print(f"\n{'technique':14} {'subsets with collinearity':>26}")
 for sel in (SelectorId.IG, SelectorId.STEP_FWD, SelectorId.AUTOSPEARMAN):
     flagged = 0
-    for j in range(B):
-        split, _ = _split_with_retry(data, derive_seed(BASE_SEED, j))
+    for j, split in enumerate(grid.splits):
         subset = grid.subsets[(sel, j)]
         if subset and correlation_flags(subset, split.train).has_collinearity:
             flagged += 1

@@ -12,7 +12,14 @@ Run:  python demos/03_model_performance_impact.py   (about ten seconds)
 
 import numpy as np
 
-from corrsel import SelectorId, SyntheticSpec, generate_synthetic, performance_deltas
+from corrsel import (
+    SelectorConfig,
+    SelectorId,
+    SyntheticSpec,
+    generate_synthetic,
+    performance_deltas,
+    run_selection_grid,
+)
 
 # Signal on two of the four independent metrics; the three cloned pairs
 # are pure redundancy, so dropping one member of each is free.
@@ -27,9 +34,8 @@ data = generate_synthetic(spec)
 
 B = 15
 print(f"fitting logistic and forest models on {B} bootstrap samples...")
-deltas, records = performance_deltas(
-    data, [SelectorId.AUTOSPEARMAN], B, ("logistic", "forest"), base_seed=5
-)
+grid = run_selection_grid(data, [SelectorId.AUTOSPEARMAN], B, SelectorConfig(base_seed=5))
+deltas, records = performance_deltas(grid, ("logistic", "forest"))
 for note in records:
     print(f"  note: {note}")
 

@@ -21,6 +21,11 @@ from .errors import ConfigError, DegenerateOutcome, DimensionMismatch
 #: are frozen at the cap and the model is marked non-converged.
 COEF_CAP = 30.0
 
+#: IRLS stops after MAX_ITER Newton steps, or on an accepted step that
+#: moves no coefficient by TOL or more.
+MAX_ITER = 25
+TOL = 1e-8
+
 _RIDGE = 1e-8
 _PROB_EPS = 1e-15
 
@@ -103,16 +108,15 @@ def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float, beta: np.ndarray,
-          warm: np.ndarray):
+def _irls(design: np.ndarray, y: np.ndarray, subsets, beta: np.ndarray, warm: np.ndarray):
     """IRLS on stacked designs (m, n, k) with outcomes y (m, n), from the
     coefficients ``beta`` (m, k), which it updates in place.
 
     Each model halves its own Newton step until the log-likelihood does not
     fall and stops on its own; stopped models leave the stack, and so does a
     ``warm`` model as soon as it is capped (it will be refit cold). Returns the
-    models and, per model, whether it stopped on a step below ``tol`` that
-    its line search cut down from a Newton step of at least ``tol``: a
+    models and, per model, whether it stopped on a step below ``TOL`` that
+    its line search cut down from a Newton step of at least ``TOL``: a
     stall, which the model reports as converged.
     """
     m = design.shape[0]
@@ -123,7 +127,7 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float,
     capped = np.zeros(m, bool)
     stalled = np.zeros(m, bool)
     live = np.arange(m)  # the models still iterating; design and y hold only theirs
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not live.size:
             break
         iterations[live] += 1
@@ -152,9 +156,9 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float,
 
         moved = live[accepted]
         capped[moved[np.any(np.abs(beta[moved]) >= COEF_CAP, axis=1)]] = True
-        small = accepted & (np.max(np.abs(beta[live] - start), axis=1) < tol)
+        small = accepted & (np.max(np.abs(beta[live] - start), axis=1) < TOL)
         converged[live[small]] = True
-        stalled[live[small & (np.max(np.abs(delta), axis=1) >= tol)]] = True
+        stalled[live[small & (np.max(np.abs(delta), axis=1) >= TOL)]] = True
         for i in moved.tolist():
             traces[i].append(float(ll[i]))
         keep = accepted & ~small & ~(warm[live] & capped[live])
@@ -171,7 +175,7 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, max_iter: int, tol: float,
     return models, stalled
 
 
-def _fit_stacked(fits, starts, max_iter: int, tol: float):
+def _fit_stacked(fits, starts):
     """IRLS of every (dataset, subset) pair of one design shape, each from
     its entry of ``starts`` (a k-vector, intercept first) or, where that is
     None, from zero. Designs are stacked max(1, _IRLS_CELLS // (n * k)) at a
@@ -197,31 +201,29 @@ def _fit_stacked(fits, starts, max_iter: int, tol: float):
                 beta[i], warm[i] = start, True
         y = np.array([d.outcome for d, _ in chunk], dtype=np.float64)
         chunk_models, chunk_stalled = _irls(
-            design, y, [subset for _, subset in chunk], max_iter, tol, beta, warm
+            design, y, [subset for _, subset in chunk], beta, warm
         )
         models += chunk_models
         stalled += chunk_stalled.tolist()
     return models, stalled
 
 
-def _fit_warm(fits, starts, max_iter: int, tol: float) -> list[LogisticModel]:
+def _fit_warm(fits, starts) -> list[LogisticModel]:
     """:func:`_fit_stacked`, with every warm fit that did not converge, or
     that stalled, redone cold."""
-    models, stalled = _fit_stacked(fits, starts, max_iter, tol)
+    models, stalled = _fit_stacked(fits, starts)
     redo = [
         i for i, (m, start) in enumerate(zip(models, starts))
         if start is not None and (stalled[i] or not m.converged)
     ]
     if redo:
-        cold, _ = _fit_stacked([fits[i] for i in redo], [None] * len(redo), max_iter, tol)
+        cold, _ = _fit_stacked([fits[i] for i in redo], [None] * len(redo))
         for i, m in zip(redo, cold):
             models[i] = m
     return models
 
 
-def fit_logistic_batch(
-    fits, max_iter: int = 25, tol: float = 1e-8, starts=None, memo: dict | None = None
-) -> list[LogisticModel]:
+def fit_logistic_batch(fits, starts=None, memo: dict | None = None) -> list[LogisticModel]:
     """:func:`fit_logistic` of every (dataset, subset) pair, fit together.
 
     All pairs need the same row count and subset width. Each model's
@@ -231,13 +233,13 @@ def fit_logistic_batch(
     ``starts`` gives each fit its first coefficients, intercept first, or
     None to start it from zero, as every fit does without ``starts``. A
     warm-started model that ends non-converged (or capped at COEF_CAP), or
-    that stops only because its line search shrank the step below ``tol``,
+    that stops only because its line search shrank the step below ``TOL``,
     is refit from zero, so it is exactly the cold fit; one that converges on
-    a full Newton step stops within ``tol`` of the cold fit's maximum.
+    a full Newton step stops within ``TOL`` of the cold fit's maximum.
 
-    ``memo`` maps the exact inputs of a fit -- dataset, ordered subset,
-    start, ``max_iter`` and ``tol`` -- to its model, so a repeated fit is
-    returned, not redone. An entry holds its dataset, whose ``id`` keys it.
+    ``memo`` maps the exact inputs of a fit -- dataset, ordered subset and
+    start -- to its model, so a repeated fit is returned, not redone. An
+    entry holds its dataset, whose ``id`` keys it.
     """
     fits = [(d, tuple(subset)) for d, subset in fits]
     if not fits:
@@ -255,12 +257,12 @@ def fit_logistic_batch(
         raise DimensionMismatch(f"need one start of {k} coefficients, or None, per fit")
     memo = {} if memo is None else memo
     keys = [
-        (id(d), subset, None if start is None else start.tobytes(), max_iter, tol)
+        (id(d), subset, None if start is None else start.tobytes())
         for (d, subset), start in zip(fits, starts)
     ]
     todo = [i for i, key in enumerate(keys) if key not in memo]
     if todo:
-        fitted = _fit_warm([fits[i] for i in todo], [starts[i] for i in todo], max_iter, tol)
+        fitted = _fit_warm([fits[i] for i in todo], [starts[i] for i in todo])
         for i, model in zip(todo, fitted):
             memo[keys[i]] = (fits[i][0], model)
     return [memo[key][1] for key in keys]
@@ -277,9 +279,7 @@ def warm_start(model: LogisticModel, subset) -> np.ndarray | None:
     return np.array([model.intercept] + [coef.get(name, 0.0) for name in subset])
 
 
-def fit_logistic(
-    d: Dataset, subset, max_iter: int = 25, tol: float = 1e-8, start=None, memo: dict | None = None
-) -> LogisticModel:
+def fit_logistic(d: Dataset, subset, start=None, memo: dict | None = None) -> LogisticModel:
     """Binomial maximum likelihood by IRLS with an intercept.
 
     The accepted log-likelihood sequence is non-decreasing (step halving on
@@ -289,18 +289,7 @@ def fit_logistic(
     for AIC-based search. An empty subset fits the intercept alone.
     ``start`` and ``memo`` are as in :func:`fit_logistic_batch`.
     """
-    return fit_logistic_batch([(d, subset)], max_iter, tol, [start], memo)[0]
-
-
-def predict_logistic(m: LogisticModel, row) -> float:
-    """Defect probability for one module, clamped inside (0, 1)."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (len(m.metric_names),):
-        raise DimensionMismatch(
-            f"row of length {row.size}, model has {len(m.metric_names)} metrics"
-        )
-    p = float(sigmoid(np.array([m.intercept + float(m.coefficients @ row)]))[0])
-    return min(1.0 - _PROB_EPS, max(_PROB_EPS, p))
+    return fit_logistic_batch([(d, subset)], [start], memo)[0]
 
 
 def _best_cuts(seq, xb, packed, starts, widths, size, pos, feats):
@@ -515,25 +504,37 @@ def _forest_votes(m: ForestModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scores(model, x: np.ndarray) -> np.ndarray:
+    """Defect probability of each row of ``x`` (the model's metrics, in its
+    order): a logistic model's clamped inside (0, 1), a forest's vote
+    fraction."""
+    if isinstance(model, LogisticModel):
+        return np.clip(sigmoid(model.intercept + x @ model.coefficients), _PROB_EPS, 1.0 - _PROB_EPS)
+    if isinstance(model, ForestModel):
+        return _forest_votes(model, x)
+    raise DimensionMismatch(f"unsupported model type {type(model).__name__}")
+
+
+def _score_row(model, row) -> float:
+    row = np.asarray(row, dtype=np.float64)
+    if row.shape != (len(model.metric_names),):
+        raise DimensionMismatch(f"row of length {row.size}, model has {len(model.metric_names)} metrics")
+    return float(_scores(model, row[None, :])[0])
+
+
+def predict_logistic(m: LogisticModel, row) -> float:
+    """Defect probability for one module, clamped inside (0, 1)."""
+    return _score_row(m, row)
+
+
 def predict_forest(m: ForestModel, row) -> float:
     """Fraction of trees voting defective; always a multiple of 1/ntree."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (len(m.metric_names),):
-        raise DimensionMismatch(
-            f"row of length {row.size}, model has {len(m.metric_names)} metrics"
-        )
-    return float(_forest_votes(m, row[None, :])[0])
+    return _score_row(m, row)
 
 
 def score_rows(model, d: Dataset) -> np.ndarray:
     """Defect probabilities for every row of ``d`` under either model type."""
-    x = d.columns(model.metric_names)
-    if isinstance(model, LogisticModel):
-        eta = model.intercept + x @ model.coefficients
-        return np.clip(sigmoid(eta), _PROB_EPS, 1.0 - _PROB_EPS)
-    if isinstance(model, ForestModel):
-        return _forest_votes(model, x)
-    raise DimensionMismatch(f"unsupported model type {type(model).__name__}")
+    return _scores(model, d.columns(model.metric_names))
 
 
 def importance(model, d: Dataset) -> ImportanceScores:

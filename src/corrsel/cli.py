@@ -189,18 +189,23 @@ def _parse_clone_groups(text: str):
     if not text:
         return tuple(groups)
     for part in text.split(","):
-        pieces = part.strip().split(":")
-        if len(pieces) != 3:
-            raise DataError(f"bad clone group {part!r}, expected src:count:sd")
-        src, count, sd = int(pieces[0]) - 1, int(pieces[1]), float(pieces[2])
-        groups.append((src, count, sd))
+        try:
+            src, count, sd = part.strip().split(":")
+            groups.append((int(src) - 1, int(count), float(sd)))
+        except ValueError:
+            raise DataError(f"bad clone group {part!r}, expected src:count:sd") from None
     return tuple(groups)
 
 
 def _cmd_synth(args) -> int:
     coef = [0.0] * args.metrics
     if args.signal:
-        given = [float(c) for c in args.signal.split(",")]
+        given = []
+        for c in args.signal.split(","):
+            try:
+                given.append(float(c))
+            except ValueError:
+                raise DataError(f"bad signal coefficient {c!r}") from None
         if len(given) > args.metrics:
             raise DataError("more signal coefficients than base metrics")
         coef[: len(given)] = given

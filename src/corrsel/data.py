@@ -164,6 +164,8 @@ class SyntheticSpec:
         coef = tuple(float(c) for c in self.signal_coefficients)
         if len(coef) != self.base_metric_count:
             raise InvalidSpec("signal_coefficients length must equal base_metric_count")
+        if not all(map(math.isfinite, coef)):
+            raise InvalidSpec(f"signal_coefficients must be finite, got {list(coef)}")
         groups = tuple(
             (int(src), int(count), float(sd)) for src, count, sd in self.clone_groups
         )

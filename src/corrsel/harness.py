@@ -51,15 +51,20 @@ class SubsetCollection:
     """Complete (selector x sample) grid of selected subsets.
 
     ``splits`` holds the bootstrap split of each sample, drawn once, so the
-    later stages score and flag on the very rows the selectors saw.
+    later stages score and flag on the very rows the selectors saw; their
+    seeds derive from ``base_seed``, as the later stages' seeds do.
     """
 
     subsets: dict[tuple[SelectorId, int], MetricSubset | None]
     failures: dict[tuple[SelectorId, int], str]
-    sample_count: int
     selectors: tuple[SelectorId, ...]
+    base_seed: int
     split_seeds: tuple[int, ...]
     splits: tuple[BootstrapSplit, ...]
+
+    @property
+    def sample_count(self) -> int:
+        return len(self.splits)
 
     def for_selector(self, sel: SelectorId) -> list[MetricSubset]:
         return [
@@ -158,13 +163,12 @@ def _split_with_retry(d: Dataset, seed: int) -> tuple[BootstrapSplit, int]:
 
 
 def run_selection_grid(
-    d: Dataset,
-    selectors,
-    B: int,
-    base_seed: int = DEFAULT_SEED,
-    config: SelectorConfig = SelectorConfig(),
+    d: Dataset, selectors, B: int, config: SelectorConfig = SelectorConfig()
 ) -> SubsetCollection:
     """Apply every selector to each of B bootstrap training samples.
+
+    Sample j's split seed is derived from (``config.base_seed``, j) and its
+    cell of selector i from (``config.base_seed``, j, i).
 
     The grid runs sample by sample. The selectors of one sample share one
     logistic fit memo, dropped when the sample is done; a memo hit is the fit
@@ -174,6 +178,7 @@ def run_selection_grid(
     if B < 1:
         raise ConfigError("bootstrap_count must be >= 1")
     selectors = tuple(selectors)
+    base_seed = config.base_seed
     drawn = [_split_with_retry(d, derive_seed(base_seed, j)) for j in range(B)]
     splits = [split for split, _ in drawn]
 
@@ -187,7 +192,7 @@ def run_selection_grid(
             except CorrselError as exc:
                 subsets[(sel, j)] = None
                 failures[(sel, j)] = f"{type(exc).__name__}: {exc}"
-    return SubsetCollection(subsets, failures, B, selectors, tuple(used for _, used in drawn), tuple(splits))
+    return SubsetCollection(subsets, failures, selectors, base_seed, tuple(used for _, used in drawn), tuple(splits))
 
 
 def _consistency(subsets: list[MetricSubset], scope) -> ConsistencyResult:
@@ -285,22 +290,14 @@ def _cell_measures(clf: str, split: BootstrapSplit, subset: tuple[str, ...], bas
     return _measures(scores, split.test.outcome)
 
 
-def performance_deltas(
-    d: Dataset,
-    selectors,
-    B: int,
-    classifiers=_CLASSIFIERS,
-    base_seed: int = DEFAULT_SEED,
-    config: SelectorConfig = SelectorConfig(),
-    grid: SubsetCollection | None = None,
-):
-    """Per-sample performance differences, selected minus all metrics.
+def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
+    """Per-sample performance differences of the grid's subsets, selected
+    minus all metrics.
 
-    Both models of a pair are fit on the same bootstrap training sample and
-    scored on the same test rows; training data is never re-balanced or
+    Both models of a pair are fit on the grid's bootstrap training sample and
+    scored on its test rows; training data is never re-balanced or
     re-sampled. Samples whose test set has one class are skipped for AUC
-    (recorded), but still counted for F and MCC. The splits are the grid's;
-    ``B`` and ``config`` only build the grid when none is given.
+    (recorded), but still counted for F and MCC.
 
     Each (sample, classifier, ordered subset) is fit and scored once: the
     all-metrics baseline and every selector that picked the subset share
@@ -308,28 +305,25 @@ def performance_deltas(
     names, so a selector that keeps every metric, in order, gets deltas of
     exactly zero.
     """
-    selectors = list(selectors)
-    if grid is None:
-        grid = run_selection_grid(d, selectors, B, base_seed, config)
     deltas: list[PerformanceDelta] = []
     records: list[str] = []
-    all_names = tuple(d.metric_names)
     for j, split in enumerate(grid.splits):
+        all_names = split.train.metric_names
         for clf in classifiers:
-            base_vals = _cell_measures(clf, split, all_names, base_seed, j)
+            base_vals = _cell_measures(clf, split, all_names, grid.base_seed, j)
             if isinstance(base_vals, ComputationError):
                 records.append(f"sample {j} {clf} all-metrics: {type(base_vals).__name__}: {base_vals}")
                 continue
             if "AUC" not in base_vals:
                 records.append(f"sample {j}: single-class test set, AUC skipped")
             cells = {all_names: base_vals}  # ordered subset -> its measures or its fit's error
-            for sel in selectors:
-                subset = grid.subsets.get((sel, j))
+            for sel in grid.selectors:
+                subset = grid.subsets[(sel, j)]
                 if subset is None:
                     continue
                 subset = tuple(subset)
                 if subset not in cells:
-                    cells[subset] = _cell_measures(clf, split, subset, base_seed, j)
+                    cells[subset] = _cell_measures(clf, split, subset, grid.base_seed, j)
                 vals = cells[subset]
                 if isinstance(vals, ComputationError):
                     records.append(f"sample {j} {clf} {sel.value}: {type(vals).__name__}: {vals}")
@@ -455,14 +449,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         raise ConfigError("config needs a dataset")
 
-    sel_config = cfg.resolved_selector_config()
     selectors = cfg.selectors
     B = cfg.bootstrap_count
-    grid = run_selection_grid(d, selectors, B, cfg.base_seed, sel_config)
+    grid = run_selection_grid(d, selectors, B, cfg.resolved_selector_config())
     flags = _flag_cells(grid, cfg.sp_t, cfg.vif_t)
-    deltas, records = performance_deltas(
-        d, selectors, B, cfg.classifiers, cfg.base_seed, sel_config, grid
-    )
+    deltas, records = performance_deltas(grid, cfg.classifiers)
     by_cell: dict[tuple[SelectorId, str, str], dict[int, float]] = {}
     for x in deltas:
         by_cell.setdefault((x.selector, x.classifier, x.measure), {})[x.sample_index] = x.delta

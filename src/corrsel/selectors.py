@@ -42,6 +42,7 @@ from .stats import (
     aic,
     chi_squared,
     discretize_equal_frequency,
+    effective_bins,
     inconsistency_rate,
     information_gain,
     spearman,
@@ -116,8 +117,8 @@ def _in_column_order(train: Dataset, names) -> MetricSubset:
 # -- ranking filters ---------------------------------------------------------
 
 def _discretized(train: Dataset, config: SelectorConfig) -> list[DiscreteColumn]:
-    """Every metric of ``train`` binned at ``config.bins`` (at most one bin per row)."""
-    bins = max(2, min(config.bins, train.n_modules))
+    """Every metric of ``train`` binned at :func:`effective_bins` of ``config.bins``."""
+    bins = effective_bins(config.bins, train.n_modules)
     return [discretize_equal_frequency(train.column(name), bins) for name in train.metric_names]
 
 
@@ -219,9 +220,8 @@ def select_consistency(train: Dataset, config: SelectorConfig = SelectorConfig()
     _require_supervised(train)
     p = train.n_metrics
     names = train.metric_names
-    bins = config.bins
     labels = np.column_stack([c.labels for c in _discretized(train, config)])  # once per call
-    target = inconsistency_rate(train, names, bins, labels) + 1e-9
+    target = inconsistency_rate(train, names, labels=labels) + 1e-9
 
     n = train.n_modules
     pos = int(np.count_nonzero(train.outcome))
@@ -231,7 +231,7 @@ def select_consistency(train: Dataset, config: SelectorConfig = SelectorConfig()
 
     def rate(members: tuple[int, ...]) -> float:
         if members not in cache:
-            cache[members] = inconsistency_rate(train, [names[i] for i in members], bins, labels)
+            cache[members] = inconsistency_rate(train, [names[i] for i in members], labels=labels)
         return cache[members]
 
     _best_first(p, lambda m: -rate(m), config.stall_limit)

@@ -61,25 +61,6 @@ class DiscreteColumn:
     bin_edges: np.ndarray  # sorted interior edges
 
 
-def rank_with_ties(values) -> np.ndarray:
-    """Ranks 1..n; tied values get the average of the ranks they span."""
-    v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sv[1:] != sv[:-1]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # 1-based positions first+1 .. first+count average to first + (count+1)/2
-    avg = first + (counts + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = avg[group]
-    return ranks
-
-
 def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     n = rx.size
     cx = rx - rx.mean()
@@ -96,6 +77,11 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def rank_with_ties(values) -> np.ndarray:
+    """Ranks 1..n; tied values get the average of the ranks they span."""
+    return _rank_columns(np.asarray(values, dtype=np.float64).reshape(-1, 1))[:, 0]
+
+
 def spearman(x, y) -> float:
     """Rank correlation in [-1, 1]; 0 when either input is constant."""
     x = np.asarray(x, dtype=np.float64)
@@ -106,7 +92,8 @@ def spearman(x, y) -> float:
 
 
 def _rank_columns(x: np.ndarray) -> np.ndarray:
-    """:func:`rank_with_ties` applied to every column of ``x`` at once."""
+    """Average ranks 1..n of every column of ``x`` at once; tied values get
+    the average of the ranks they span."""
     n = x.shape[0]
     order = np.argsort(x, axis=0, kind="stable")
     sx = np.take_along_axis(x, order, axis=0)
@@ -117,8 +104,8 @@ def _rank_columns(x: np.ndarray) -> np.ndarray:
     ends[:-1] = starts[1:]
     first = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
     last = np.minimum.accumulate(np.where(ends, pos, n)[::-1], axis=0)[::-1]
-    # 0-based positions first..last average to 1-based rank (first + last)/2 + 1;
-    # both forms are exact half-integers, so ranks match rank_with_ties bit for bit
+    # 0-based positions first..last average to 1-based rank (first + last)/2 + 1,
+    # an exact half-integer
     ranks = np.empty(x.shape, dtype=np.float64)
     np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
     return ranks
@@ -257,6 +244,12 @@ def vif_scores(d: Dataset, subset) -> VifReport:
     return VifReport(dict(zip(subset, scores.tolist())))
 
 
+def effective_bins(bins: int, n: int) -> int:
+    """The bin count used for ``n`` values: ``bins``, but at most one bin per
+    value and never fewer than 2."""
+    return max(2, min(bins, n))
+
+
 def discretize_equal_frequency(values, bins: int) -> DiscreteColumn:
     """Bin by empirical quantiles; duplicate edges merge (fewer effective bins).
 
@@ -325,7 +318,7 @@ def inconsistency_rate(d: Dataset, subset, bins: int = 10, labels=None) -> float
     """Fraction of rows outside the majority outcome of their discretized pattern.
 
     ``labels`` may hold every metric's labels, in column order, binned at
-    max(2, min(bins, rows)), so a caller scoring many subsets bins once.
+    :func:`effective_bins`, so a caller scoring many subsets bins once.
     Patterns are folded into one integer key and counted exactly.
     """
     subset = list(subset)
@@ -335,8 +328,8 @@ def inconsistency_rate(d: Dataset, subset, bins: int = 10, labels=None) -> float
     if n < 2:
         return 0.0
     if labels is None:
-        eff_bins = max(2, min(bins, n))
-        columns = [discretize_equal_frequency(d.column(name), eff_bins).labels for name in subset]
+        bins = effective_bins(bins, n)
+        columns = [discretize_equal_frequency(d.column(name), bins).labels for name in subset]
     else:
         columns = [labels[:, d.metric_names.index(name)] for name in subset]
     key = np.zeros(n, np.int64)

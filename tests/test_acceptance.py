@@ -83,9 +83,9 @@ _GRID_SELECTORS = [
 # keep-positive rule every continuous metric has strictly positive sample
 # IG/chi-squared, so those filters would select all metrics on every sample
 # and their consistency would be a degenerate 100%.
-_GRID_CONFIG = SelectorConfig(ranking_rule="top_k", ranking_top_k=4)
-_GRID_B = 30
 _GRID_BASE_SEED = 97
+_GRID_CONFIG = SelectorConfig(ranking_rule="top_k", ranking_top_k=4, base_seed=_GRID_BASE_SEED)
+_GRID_B = 30
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def planted_dataset() -> Dataset:
 @pytest.fixture(scope="module")
 def selection_grid(planted_dataset):
     return run_selection_grid(
-        planted_dataset, _GRID_SELECTORS, _GRID_B, _GRID_BASE_SEED, _GRID_CONFIG
+        planted_dataset, _GRID_SELECTORS, _GRID_B, _GRID_CONFIG
     )
 
 
@@ -175,9 +175,8 @@ def test_criterion_5_performance_impact_bound():
             seed=23,
         )
         d = generate_synthetic(spec)
-        deltas, _ = performance_deltas(
-            d, [SelectorId.AUTOSPEARMAN], 30, ("logistic", "forest"), base_seed=5
-        )
+        grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], 30, SelectorConfig(base_seed=5))
+        deltas, _ = performance_deltas(grid, ("logistic", "forest"))
         for clf in ("logistic", "forest"):
             vals = [abs(x.delta) for x in deltas if x.classifier == clf and x.measure == "AUC"]
             assert len(vals) == 30

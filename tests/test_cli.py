@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,8 +145,16 @@ def test_synth_writes_clone_csv(tmp_path, capsys):
         assert abs(rho) >= 0.99
 
 
-def test_synth_bad_clone_spec_exit_3(tmp_path):
-    assert main(["synth", "--out", str(tmp_path / "x.csv"), "--clones", "1:1"]) == 3
+def test_synth_bad_clone_spec_exit_3(tmp_path, capsys):
+    for option, value in [("--clones", "1:1"), ("--clones", "1:x:0.1"), ("--clones", "1.5:1:0.1"),
+                          ("--signal", "a,b")]:
+        assert main(["synth", "--out", str(tmp_path / "x.csv"), option, value]) == 3
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        # the message names the bad group, or the bad coefficient
+        assert repr(value if option == "--clones" else value.split(",")[0]) in lines[0]
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_experiment_smoke_and_rerun_identical(tmp_path, capsys):
@@ -231,6 +240,8 @@ _GOOD_CONFIG = {
         ("selector_config", {"stepwise_max_steps": -1}),
         ("selector_config", {"stepwise_max_steps": 0}),
         ("selector_config", {"rfe_sizes": [0]}),
+        ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [math.nan, 0, 0]}),
+        ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [0, math.inf, 0]}),
     ],
 )
 def test_experiment_malformed_config_exit_3_before_any_work(tmp_path, capsys, monkeypatch, field, value):

@@ -20,7 +20,8 @@ from corrsel.harness import (
     run_selection_grid,
     write_report,
 )
-from corrsel.selectors import SelectorId
+from corrsel.seeding import derive_seed
+from corrsel.selectors import SelectorConfig, SelectorId
 
 
 def _clone_fixture(seed=0):
@@ -125,8 +126,8 @@ def test_flags_independent_columns_clean():
 def test_grid_shape_and_determinism():
     d = _clone_fixture(5)
     sels = [SelectorId.AUTOSPEARMAN, SelectorId.IG]
-    g1 = run_selection_grid(d, sels, B=3, base_seed=11)
-    g2 = run_selection_grid(d, sels, B=3, base_seed=11)
+    g1 = run_selection_grid(d, sels, B=3, config=SelectorConfig(base_seed=11))
+    g2 = run_selection_grid(d, sels, B=3, config=SelectorConfig(base_seed=11))
     assert set(g1.subsets) == {(s, j) for s in sels for j in range(3)}
     assert g1.subsets == g2.subsets
     assert g1.split_seeds == g2.split_seeds
@@ -135,9 +136,19 @@ def test_grid_shape_and_determinism():
 
 def test_grid_b_one():
     d = _clone_fixture(6)
-    g = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], B=1, base_seed=1)
+    g = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], B=1, config=SelectorConfig(base_seed=1))
     assert g.sample_count == 1
     assert len(g.for_selector(SelectorId.AUTOSPEARMAN)) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+def test_grid_takes_its_seeds_from_the_config(seed):
+    d = _clone_fixture(7)
+    sels = [SelectorId.AUTOSPEARMAN, SelectorId.IG]
+    grid = run_selection_grid(d, sels, 3, SelectorConfig(base_seed=seed))
+    assert grid.base_seed == seed
+    assert grid.split_seeds == tuple(derive_seed(seed, j) for j in range(3))
+    assert grid.sample_count == len(grid.splits) == 3
 
 
 def test_grid_rejects_bad_b():
@@ -149,7 +160,6 @@ def test_grid_logistic_wrappers_select_as_they_do_alone(monkeypatch):
     # the selectors of one sample share a logistic fit memo; each still picks
     # what it picks alone, and no memo outlives the grid
     import corrsel.harness as harness
-    from corrsel.seeding import derive_seed
     from corrsel.selectors import select
 
     d = generate_synthetic(SyntheticSpec(
@@ -167,7 +177,7 @@ def test_grid_logistic_wrappers_select_as_they_do_alone(monkeypatch):
         return select(sel, train, config, seed, memo)
 
     monkeypatch.setattr(harness, "select", spy)
-    grid = run_selection_grid(d, sels, B=2, base_seed=19)
+    grid = run_selection_grid(d, sels, B=2, config=SelectorConfig(base_seed=19))
     monkeypatch.undo()
     assert not grid.failures
     for j, split in enumerate(grid.splits):
@@ -187,12 +197,10 @@ def test_deltas_identity_selector_zero():
     # a selector that returns every metric must produce exactly zero deltas;
     # wire it through the grid by monkeypatching the grid contents
     d = _clone_fixture(9)
-    grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], B=3, base_seed=21)
+    grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], B=3, config=SelectorConfig(base_seed=21))
     full = {k: list(d.metric_names) for k in grid.subsets}
     grid = dataclasses.replace(grid, subsets=full, failures={})
-    deltas, _ = performance_deltas(
-        d, [SelectorId.AUTOSPEARMAN], 3, ("logistic", "forest"), base_seed=21, grid=grid
-    )
+    deltas, _ = performance_deltas(grid, ("logistic", "forest"))
     assert {x.classifier for x in deltas} == {"logistic", "forest"}
     assert all(x.delta == 0.0 for x in deltas)
 
@@ -201,7 +209,7 @@ def _shared_subset_grid(d):
     """A two-selector grid where both selectors pick the first two metrics,
     in order, on sample 0, and in opposite orders on sample 1."""
     sels = [SelectorId.AUTOSPEARMAN, SelectorId.IG]
-    grid = run_selection_grid(d, sels, B=2, base_seed=23)
+    grid = run_selection_grid(d, sels, B=2, config=SelectorConfig(base_seed=23))
     a, b = d.metric_names[:2]
     subsets = {
         (sels[0], 0): [a, b], (sels[1], 0): [a, b],
@@ -223,7 +231,7 @@ def test_deltas_shared_subset_fits_one_forest(monkeypatch):
         return real(train, subset, **kw)
 
     monkeypatch.setattr(harness, "fit_random_forest", counted)
-    deltas, records = performance_deltas(d, sels, 2, ("forest",), base_seed=23, grid=grid)
+    deltas, records = performance_deltas(grid, ("forest",))
     a, b = d.metric_names[:2]
     # per sample: the all-metrics baseline plus one fit per distinct ordered subset
     assert fits == [d.metric_names, (a, b), d.metric_names, (a, b), (b, a)]
@@ -250,7 +258,7 @@ def test_deltas_failed_shared_fit_records_each_selector(monkeypatch):
         return real(train, subset, **kw)
 
     monkeypatch.setattr(harness, "fit_random_forest", failing)
-    deltas, records = performance_deltas(d, sels, 2, ("forest",), base_seed=23, grid=grid)
+    deltas, records = performance_deltas(grid, ("forest",))
     assert fits.count((a, b)) == 2  # once per sample, not once per selector
     failed = [r for r in records if "planted failure" in r]
     assert failed == [
@@ -264,7 +272,6 @@ def test_deltas_failed_shared_fit_records_each_selector(monkeypatch):
 def test_deltas_empty_subset_auc_half():
     from corrsel.evaluation import auc
     from corrsel.harness import _intercept_only_scores, _split_with_retry
-    from corrsel.seeding import derive_seed
 
     d = _clone_fixture(10)
     split, _ = _split_with_retry(d, derive_seed(5, 0))
@@ -275,9 +282,8 @@ def test_deltas_empty_subset_auc_half():
 
 def test_deltas_same_split_for_both_terms():
     d = _clone_fixture(11)
-    deltas, records = performance_deltas(
-        d, [SelectorId.AUTOSPEARMAN], 2, ("logistic",), base_seed=2
-    )
+    grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], 2, SelectorConfig(base_seed=2))
+    deltas, records = performance_deltas(grid, ("logistic",))
     by_sample = {}
     for x in deltas:
         by_sample.setdefault(x.sample_index, []).append(x.measure)

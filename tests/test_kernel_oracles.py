@@ -3,7 +3,9 @@
 ``vif_scores`` reads VIFs off diag(R^-1) and is checked against
 ``_vif_lstsq``, the one-regression-per-metric path it falls back to.
 ``spearman_matrix`` ranks all columns at once and is checked bit for bit
-against the pair-by-pair construction it replaced and against ``spearman``.
+against the pair-by-pair construction it replaced and against ``spearman``;
+the column rank kernel, which ``rank_with_ties`` runs on one column, is
+checked bit for bit against the one-column ranker it replaced.
 The level-wise random forest is checked against the depth-first grower it
 replaced, kept here as the reference, and its distinct-row growth from one
 presort node array for node array against the bag-position grower (one row
@@ -234,10 +236,30 @@ def test_vif_phase_declined_passes_go_to_vif_scores(monkeypatch):
 
 # -- Spearman matrix: bit-equal to the pairwise construction -----------------------------
 
+def _reference_ranks(values) -> np.ndarray:
+    """The one-column ranker: average ranks 1..n from one stable argsort and
+    the run length of each tie group."""
+    v = np.asarray(values, dtype=np.float64)
+    n = v.size
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    new_group = np.empty(n, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = sv[1:] != sv[:-1]
+    group = np.cumsum(new_group) - 1
+    counts = np.bincount(group)
+    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    # 1-based positions first+1 .. first+count average to first + (count+1)/2
+    avg = first + (counts + 1) / 2.0
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = avg[group]
+    return ranks
+
+
 def _spearman_matrix_pairwise(d: Dataset) -> np.ndarray:
     """The pair-by-pair construction ``spearman_matrix`` must reproduce exactly."""
     p, n = d.n_metrics, d.n_modules
-    ranks = np.column_stack([rank_with_ties(d.rows[:, j]) for j in range(p)])
+    ranks = np.column_stack([_reference_ranks(d.rows[:, j]) for j in range(p)])
     centered = ranks - ranks.mean(axis=0)
     norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
     constant = norms == 0.0
@@ -289,7 +311,7 @@ def test_spearman_matrix_is_bit_equal_to_pairwise(x):
     got = spearman_matrix(d).values
     assert got.tobytes() == _spearman_matrix_pairwise(d).tobytes()
     n, p = x.shape
-    ranks = [rank_with_ties(x[:, j]) for j in range(p)]
+    ranks = [_reference_ranks(x[:, j]) for j in range(p)]
     for i in range(p):
         for j in range(p):
             if i == j:
@@ -325,13 +347,27 @@ def test_spearman_matrix_invariant_under_monotone_maps(seed, n, p):
     assert np.array_equal(got, expected)
 
 
+def _assert_ranks_match_reference(x):
+    """The column kernel, and ``rank_with_ties`` on each column, rank every
+    column of ``x`` exactly as the one-column ranker does."""
+    got = stats._rank_columns(x)
+    for j in range(x.shape[1]):
+        want = _reference_ranks(x[:, j]).tobytes()
+        assert got[:, j].tobytes() == want
+        assert rank_with_ties(x[:, j]).tobytes() == want
+
+
 def test_rank_columns_match_rank_with_ties():
     rng = np.random.default_rng(6)
     x = rng.integers(0, 4, (50, 6)).astype(float)
     x[:, 5] = rng.standard_normal(50)
-    got = stats._rank_columns(x)
-    for j in range(x.shape[1]):
-        assert got[:, j].tobytes() == rank_with_ties(x[:, j]).tobytes()
+    _assert_ranks_match_reference(x)
+
+
+@PROPERTY
+@given(rank_designs())
+def test_rank_kernel_is_bit_equal_to_the_one_column_ranker(x):
+    _assert_ranks_match_reference(x)
 
 
 # -- AutoSpearman postcondition on wide data ---------------------------------------------
@@ -848,8 +884,9 @@ def test_batched_irls_matches_one_model_loop(case, budget, max_iter):
     d, subsets = case
     cells = d.n_modules * (len(subsets[0]) + 1)
     budgets = {"one": cells, "few": 3 * cells, "default": classifiers._IRLS_CELLS}
-    with mock.patch.object(classifiers, "_IRLS_CELLS", budgets[budget]):
-        models = fit_logistic_batch([(d, s) for s in subsets], max_iter=max_iter)
+    with mock.patch.object(classifiers, "_IRLS_CELLS", budgets[budget]), \
+            mock.patch.object(classifiers, "MAX_ITER", max_iter):
+        models = fit_logistic_batch([(d, s) for s in subsets])
     for s, m in zip(subsets, models):
         assert m.metric_names == tuple(s)
         assert _fields(m) == _reference_fit_logistic(d, s, max_iter=max_iter)
@@ -871,7 +908,9 @@ def test_batched_irls_resamples_of_one_dataset():
 def test_batched_irls_separation_caps_and_hits_max_iter():
     x = np.linspace(-2.0, 2.0, 40)[:, None]
     d = Dataset(("a",), x, x[:, 0] > 0.05)
-    capped, short = fit_logistic_batch([(d, ["a"]), (d, ["a"])], max_iter=25)[0], fit_logistic(d, ["a"], max_iter=2)
+    capped = fit_logistic_batch([(d, ["a"]), (d, ["a"])])[0]
+    with mock.patch.object(classifiers, "MAX_ITER", 2):
+        short = fit_logistic(d, ["a"])
     assert max(abs(capped.intercept), abs(float(capped.coefficients[0]))) == COEF_CAP
     assert not capped.converged
     assert short.iterations_used == 2 and not short.converged
@@ -947,7 +986,8 @@ def warm_batches(draw):
 @given(warm_batches(), st.sampled_from([25, 3]))
 def test_warm_irls_nonconverged_fit_is_the_cold_fit(case, max_iter):
     d, subsets, starts = case
-    models = fit_logistic_batch([(d, s) for s in subsets], max_iter=max_iter, starts=starts)
+    with mock.patch.object(classifiers, "MAX_ITER", max_iter):
+        models = fit_logistic_batch([(d, s) for s in subsets], starts=starts)
     for s, m in zip(subsets, models):
         assert m.metric_names == tuple(s)
         assert all(b >= a for a, b in zip(m.ll_trace, m.ll_trace[1:]))
@@ -1007,7 +1047,7 @@ def test_warm_irls_stalled_fit_is_refit_cold():
     full = fit_logistic(d, d.metric_names)
     assert not full.converged and warm_start(full, subset) is None
     start = np.r_[full.intercept, full.coefficients[[0, 2, 3, 4]]]
-    [stalled], flags = classifiers._fit_stacked([(d, subset)], [start], 25, 1e-8)
+    [stalled], flags = classifiers._fit_stacked([(d, subset)], [start])
     assert flags == [True] and stalled.converged
     [m] = fit_logistic_batch([(d, subset)], starts=[start])
     assert _fields(m) == _reference_fit_logistic(d, subset)

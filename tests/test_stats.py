@@ -46,6 +46,11 @@ def test_rank_all_tied():
     assert rank_with_ties([7, 7, 7]).tolist() == [2, 2, 2]
 
 
+def test_rank_empty():
+    ranks = rank_with_ties([])
+    assert ranks.shape == (0,) and ranks.dtype == np.float64
+
+
 def test_rank_sum_exact():
     rng = np.random.default_rng(0)
     for n in (1, 2, 17, 100):
