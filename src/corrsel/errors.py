@@ -7,7 +7,22 @@ inputs (``ComputationError``). The CLI maps these onto distinct exit codes.
 
 
 class CorrselError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Every subclass survives a pickle round trip with its type, message and
+    attributes, so an error raised in a worker process reaches its caller
+    intact. The copy is rebuilt without calling ``__init__``, which for some
+    subclasses takes fields, not the message.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
 
 
 class DataError(CorrselError):

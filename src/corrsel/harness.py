@@ -162,6 +162,52 @@ def _split_with_retry(d: Dataset, seed: int) -> tuple[BootstrapSplit, int]:
             seed = (seed + RESEED_OFFSET) % (1 << 64)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``taskset`` narrows them)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# set in each forked worker of an ordered map: the (function, tasks) it runs,
+# inherited through fork, so a task crosses the process boundary as its index
+_worker_job = None
+
+
+def _start_worker(fn, tasks) -> None:
+    global _worker_job
+    _worker_job = (fn, tasks)
+
+
+def _run_task(i: int):
+    fn, tasks = _worker_job
+    return fn(tasks[i])
+
+
+def _ordered_map(fn, tasks) -> list:
+    """``[fn(t) for t in tasks]``, run on forked workers, one per usable CPU.
+
+    Results come back in task order, so what is built from them does not
+    depend on the worker count; only results and a task's exception are
+    pickled. Workers fork, so they start without an import and see the
+    caller's data as it is. The map runs in this process when there is one
+    usable CPU or one task, when the platform cannot fork, or when this
+    process is a daemon (which may not start children).
+    """
+    tasks = list(tasks)
+    workers = min(_usable_cpus(), len(tasks))
+    if workers > 1:
+        import multiprocessing  # here, so that commands which run no map do not pay its import
+
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            with multiprocessing.get_context("fork").Pool(workers, _start_worker, (fn, tasks)) as pool:
+                results = pool.map(_run_task, range(len(tasks)), chunksize=1)
+                pool.close()
+                pool.join()
+            return results
+    return [fn(t) for t in tasks]
+
+
 def run_selection_grid(
     d: Dataset, selectors, B: int, config: SelectorConfig = SelectorConfig()
 ) -> SubsetCollection:
@@ -170,10 +216,11 @@ def run_selection_grid(
     Sample j's split seed is derived from (``config.base_seed``, j) and its
     cell of selector i from (``config.base_seed``, j, i).
 
-    The grid runs sample by sample. The selectors of one sample share one
-    logistic fit memo, dropped when the sample is done; a memo hit is the fit
-    a fresh call would make, so no cell depends on the cells run before it.
-    Per-cell failures are recorded, never fatal; the grid stays complete.
+    Each sample is one task of :func:`_ordered_map`. The selectors of one
+    sample share one logistic fit memo, dropped when the sample is done; a
+    memo hit is the fit a fresh call would make, so no cell depends on the
+    cells run before it. Per-cell failures are recorded, never fatal; the
+    grid stays complete.
     """
     if B < 1:
         raise ConfigError("bootstrap_count must be >= 1")
@@ -182,16 +229,23 @@ def run_selection_grid(
     drawn = [_split_with_retry(d, derive_seed(base_seed, j)) for j in range(B)]
     splits = [split for split, _ in drawn]
 
-    subsets: dict[tuple[SelectorId, int], MetricSubset | None] = {}
-    failures: dict[tuple[SelectorId, int], str] = {}
-    for j, split in enumerate(splits):
+    def sample_cells(j: int) -> list[tuple[MetricSubset | None, str | None]]:
         memo: dict = {}
+        cells = []
         for i, sel in enumerate(selectors):
             try:
-                subsets[(sel, j)] = select(sel, split.train, config, derive_seed(base_seed, j, i), memo)
+                cells.append((select(sel, splits[j].train, config, derive_seed(base_seed, j, i), memo), None))
             except CorrselError as exc:
-                subsets[(sel, j)] = None
-                failures[(sel, j)] = f"{type(exc).__name__}: {exc}"
+                cells.append((None, f"{type(exc).__name__}: {exc}"))
+        return cells
+
+    subsets: dict[tuple[SelectorId, int], MetricSubset | None] = {}
+    failures: dict[tuple[SelectorId, int], str] = {}
+    for j, cells in enumerate(_ordered_map(sample_cells, range(B))):
+        for sel, (subset, failure) in zip(selectors, cells):
+            subsets[(sel, j)] = subset
+            if failure is not None:
+                failures[(sel, j)] = failure
     return SubsetCollection(subsets, failures, selectors, base_seed, tuple(used for _, used in drawn), tuple(splits))
 
 
@@ -299,32 +353,48 @@ def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
     re-sampled. Samples whose test set has one class are skipped for AUC
     (recorded), but still counted for F and MCC.
 
-    Each (sample, classifier, ordered subset) is fit and scored once: the
-    all-metrics baseline and every selector that picked the subset share
-    that model. A forest's seed is derived from the sample and the subset's
-    names, so a selector that keeps every metric, in order, gets deltas of
-    exactly zero.
+    Each (sample, classifier, ordered subset) is fit and scored once, a
+    forest as one task of :func:`_ordered_map`: the all-metrics baseline
+    and every selector that picked the subset share that model. A forest's
+    seed is derived from the sample and the subset's names, so a selector
+    that keeps every metric, in order, gets deltas of exactly zero.
     """
+    cells = []  # distinct (sample, classifier, ordered subset), baselines first
+    for j, split in enumerate(grid.splits):
+        for clf in classifiers:
+            cells.append((j, clf, split.train.metric_names))
+            cells.extend(
+                (j, clf, tuple(grid.subsets[(sel, j)]))
+                for sel in grid.selectors
+                if grid.subsets[(sel, j)] is not None
+            )
+    cells = list(dict.fromkeys(cells))
+
+    def measure(cell):
+        j, clf, subset = cell
+        return _cell_measures(clf, grid.splits[j], subset, grid.base_seed, j)
+
+    # a forest cell grows 100 trees; a logistic cell is one IRLS fit of a few
+    # milliseconds, less than starting the workers costs, so it runs here
+    forests = [cell for cell in cells if cell[1] == "forest"]
+    measured = dict(zip(forests, _ordered_map(measure, forests)))  # measures, or the fit's error
+    measured.update((cell, measure(cell)) for cell in cells if cell[1] != "forest")
+
     deltas: list[PerformanceDelta] = []
     records: list[str] = []
     for j, split in enumerate(grid.splits):
-        all_names = split.train.metric_names
         for clf in classifiers:
-            base_vals = _cell_measures(clf, split, all_names, grid.base_seed, j)
+            base_vals = measured[(j, clf, split.train.metric_names)]
             if isinstance(base_vals, ComputationError):
                 records.append(f"sample {j} {clf} all-metrics: {type(base_vals).__name__}: {base_vals}")
                 continue
             if "AUC" not in base_vals:
                 records.append(f"sample {j}: single-class test set, AUC skipped")
-            cells = {all_names: base_vals}  # ordered subset -> its measures or its fit's error
             for sel in grid.selectors:
                 subset = grid.subsets[(sel, j)]
                 if subset is None:
                     continue
-                subset = tuple(subset)
-                if subset not in cells:
-                    cells[subset] = _cell_measures(clf, split, subset, grid.base_seed, j)
-                vals = cells[subset]
+                vals = measured[(j, clf, tuple(subset))]
                 if isinstance(vals, ComputationError):
                     records.append(f"sample {j} {clf} {sel.value}: {type(vals).__name__}: {vals}")
                     continue

@@ -79,7 +79,7 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
 
 def rank_with_ties(values) -> np.ndarray:
     """Ranks 1..n; tied values get the average of the ranks they span."""
-    return _rank_columns(np.asarray(values, dtype=np.float64).reshape(-1, 1))[:, 0]
+    return _rank_columns(np.asarray(values, dtype=np.float64).reshape(-1))
 
 
 def spearman(x, y) -> float:
@@ -92,12 +92,13 @@ def spearman(x, y) -> float:
 
 
 def _rank_columns(x: np.ndarray) -> np.ndarray:
-    """Average ranks 1..n of every column of ``x`` at once; tied values get
-    the average of the ranks they span."""
+    """Average ranks 1..n of every column of ``x`` at once, or of the vector
+    ``x``; tied values get the average of the ranks they span."""
     n = x.shape[0]
+    vector = x.ndim == 1  # plain indexing: the axis helpers cost more than a short vector's ranking
     order = np.argsort(x, axis=0, kind="stable")
-    sx = np.take_along_axis(x, order, axis=0)
-    pos = np.arange(n)[:, None]
+    sx = x[order] if vector else np.take_along_axis(x, order, axis=0)
+    pos = np.arange(n) if vector else np.arange(n)[:, None]
     starts = np.ones(x.shape, dtype=bool)  # a tie group starts at this sorted row
     starts[1:] = sx[1:] != sx[:-1]
     ends = np.ones(x.shape, dtype=bool)  # a tie group ends at this sorted row
@@ -107,7 +108,10 @@ def _rank_columns(x: np.ndarray) -> np.ndarray:
     # 0-based positions first..last average to 1-based rank (first + last)/2 + 1,
     # an exact half-integer
     ranks = np.empty(x.shape, dtype=np.float64)
-    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
+    if vector:
+        ranks[order] = (first + last) / 2.0 + 1.0
+    else:
+        np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
     return ranks
 
 

@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import itertools
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +24,14 @@ from corrsel.harness import (
 )
 from corrsel.seeding import derive_seed
 from corrsel.selectors import SelectorConfig, SelectorId
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every ordered map in this process, where a spy sees its calls."""
+    import corrsel.harness as harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
 
 
 def _clone_fixture(seed=0):
@@ -156,6 +166,7 @@ def test_grid_rejects_bad_b():
         run_selection_grid(_clone_fixture(8), [SelectorId.IG], B=0)
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_grid_logistic_wrappers_select_as_they_do_alone(monkeypatch):
     # the selectors of one sample share a logistic fit memo; each still picks
     # what it picks alone, and no memo outlives the grid
@@ -218,6 +229,7 @@ def _shared_subset_grid(d):
     return sels, dataclasses.replace(grid, subsets=subsets, failures={})
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_deltas_shared_subset_fits_one_forest(monkeypatch):
     import corrsel.harness as harness
 
@@ -241,6 +253,7 @@ def test_deltas_shared_subset_fits_one_forest(monkeypatch):
     assert not any("forest" in r for r in records)
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_deltas_failed_shared_fit_records_each_selector(monkeypatch):
     import corrsel.harness as harness
     from corrsel.errors import DegenerateOutcome
@@ -420,3 +433,116 @@ def test_write_report_atomic(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == 1
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# -- worker processes --------------------------------------------------------------------
+
+FORK = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+def _run_on(workers, obj, monkeypatch):
+    """The report payload and cells CSV of ``obj`` run with ``workers`` workers."""
+    import corrsel.harness as harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+    report = run_experiment(load_config(obj))
+    with open(obj["output_csv"], "rb") as fh:
+        return report.to_json(), fh.read()
+
+
+def _rare_positive_config(tmp_path):
+    """A config whose 30-row CSV has two defective rows: sample 0 of base seed
+    3 draws neither, so IG fails in the grid and both all-metrics fits fail."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((30, 4))
+    path = tmp_path / "rare.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("m1,m2,m3,m4,bug\n")
+        for i, row in enumerate(x):
+            fh.write(",".join(f"{v:.4f}" for v in row) + f",{int(i in (3, 17))}\n")
+    return {
+        "dataset": str(path),
+        "outcome_column": "bug",
+        "selectors": ["AutoSpearman", "IG"],
+        "bootstrap_count": 3,
+        "base_seed": 3,
+        "classifiers": ["logistic", "forest"],
+        "output_csv": str(tmp_path / "cells.csv"),
+    }
+
+
+@FORK
+@pytest.mark.parametrize("B", [1, 3])
+def test_report_and_cells_do_not_depend_on_the_worker_count(B, tmp_path, monkeypatch):
+    obj = _smoke_config(
+        tmp_path, bootstrap_count=B, classifiers=["logistic", "forest"], output=None,
+        output_csv=str(tmp_path / "cells.csv"),
+    )
+    assert _run_on(1, obj, monkeypatch) == _run_on(2, obj, monkeypatch)
+
+
+@FORK
+def test_failing_cells_report_the_same_from_workers(tmp_path, monkeypatch):
+    obj = _rare_positive_config(tmp_path)
+    serial = _run_on(1, obj, monkeypatch)
+    assert _run_on(2, obj, monkeypatch) == serial
+    payload = json.loads(serial[0])
+    assert payload["failures"] == {
+        "IG|0": "DegenerateOutcome: selector needs both outcome classes in the training sample"
+    }
+    assert payload["records"][:2] == [
+        "sample 0 logistic all-metrics: DegenerateOutcome: logistic fit needs both outcome classes",
+        "sample 0 forest all-metrics: DegenerateOutcome: random forest needs both outcome classes",
+    ]
+
+
+@FORK
+def test_ordered_map_runs_tasks_on_workers_in_task_order(monkeypatch):
+    import corrsel.harness as harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    results = harness._ordered_map(lambda t: (t * t, os.getpid()), range(6))
+    assert [r for r, _ in results] == [t * t for t in range(6)]
+    assert os.getpid() not in {pid for _, pid in results}
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert {pid for _, pid in harness._ordered_map(lambda t: (t, os.getpid()), range(3))} == {os.getpid()}
+
+
+@FORK
+def test_no_worker_outlives_its_experiment(tmp_path, monkeypatch):
+    import corrsel.harness as harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    run_experiment(load_config(_smoke_config(tmp_path, bootstrap_count=3, output=None)))
+    assert multiprocessing.active_children() == []
+
+    def broken(*args):
+        raise RuntimeError("planted in a worker")
+
+    monkeypatch.setattr(harness, "_fit_and_score", broken)
+    with pytest.raises(RuntimeError, match="planted in a worker"):
+        run_experiment(load_config(_smoke_config(tmp_path, bootstrap_count=3, output=None)))
+    assert multiprocessing.active_children() == []
+
+
+def _experiment_in_daemon(obj):
+    run_experiment(load_config(obj))
+
+
+@FORK
+def test_experiment_in_a_daemonic_process_runs_serially(tmp_path, monkeypatch):
+    # a daemonic process may not start children, so the maps run in it
+    import corrsel.harness as harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    obj = _smoke_config(tmp_path, bootstrap_count=3, classifiers=["logistic", "forest"])
+    proc = multiprocessing.get_context("fork").Process(target=_experiment_in_daemon, args=(obj,), daemon=True)
+    proc.start()
+    proc.join(120)
+    assert proc.exitcode == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    del doc["timestamp"]
+    assert doc == run_experiment(load_config(obj)).payload
