@@ -75,17 +75,6 @@ class EliminationTrace:
         return out
 
 
-def _drop_constant_columns(d: Dataset) -> tuple[list[str], list[TraceStep]]:
-    keep, steps = [], []
-    for name in d.metric_names:
-        col = d.column(name)
-        if np.all(col == col[0]):
-            steps.append(TraceStep("spearman", name, None, 0.0))
-        else:
-            keep.append(name)
-    return keep, steps
-
-
 def spearman_phase(d: Dataset, sp_t: float = 0.7):
     """Pairwise Spearman elimination; returns (kept subset, trace).
 
@@ -93,42 +82,37 @@ def spearman_phase(d: Dataset, sp_t: float = 0.7):
     once; while any pair of survivors has |rho| >= sp_t, the strongest pair
     is resolved by keeping the member whose mean |rho| against the other
     metrics (excluding the pair itself) is smaller.
+
+    A removal only deletes pairs and never changes a |rho|, so the pairs are
+    sorted once and walked in order, skipping any pair with a removed member.
     """
-    names, steps = _drop_constant_columns(d)
+    constant = np.all(d.rows == d.rows[0], axis=0)
+    steps = [TraceStep("spearman", n, None, 0.0) for n, c in zip(d.metric_names, constant) if c]
+    names = [n for n, c in zip(d.metric_names, constant) if not c]
     if not names:
         return [], EliminationTrace(tuple(steps))
     p = len(names)
     filtered = d if p == d.n_metrics else d.project(names)
     corr = np.abs(spearman_matrix(filtered).values)
 
-    alive = list(range(p))
-    pairs = [
-        (i, j) for i in range(p) for j in range(i + 1, p) if corr[i, j] >= sp_t
-    ]
-
-    def mean_abs_corr(member: int, i: int, j: int) -> float:
-        others = [k for k in range(p) if k not in (i, j)]
-        if not others:
-            return 0.0
-        return float(np.mean(corr[member, others]))
-
-    while pairs:
-        # strongest pair first; ties by smallest column-index pair
-        i, j = max(pairs, key=lambda ij: (corr[ij[0], ij[1]], (-ij[0], -ij[1])))
-        mi, mj = mean_abs_corr(i, i, j), mean_abs_corr(j, i, j)
-        if mi < mj or (mi == mj and i < j):
-            kept, removed = i, j
+    # strongest pair first: nonzero lists pairs in row-major order, which the
+    # stable sort keeps among equal |rho|, so ties go smallest (i, j) first
+    first, second = np.nonzero(np.triu(corr >= sp_t, 1))
+    order = np.argsort(-corr[first, second], kind="stable")
+    alive = np.ones(p, dtype=bool)
+    for i, j in zip(first[order].tolist(), second[order].tolist()):
+        if not (alive[i] and alive[j]):
+            continue
+        if p == 2:
+            mi = mj = 0.0
         else:
-            kept, removed = j, i
-        steps.append(
-            TraceStep("spearman", names[removed], names[kept], float(corr[i, j]))
-        )
-        alive.remove(removed)
-        pairs = [(a, b) for a, b in pairs if removed not in (a, b)]
+            mi = float(np.mean(np.delete(corr[i], [i, j])))
+            mj = float(np.mean(np.delete(corr[j], [i, j])))
+        kept, removed = (i, j) if mi <= mj else (j, i)
+        steps.append(TraceStep("spearman", names[removed], names[kept], float(corr[i, j])))
+        alive[removed] = False
 
-    kept_set = {names[k] for k in alive}
-    kept_names = [n for n in d.metric_names if n in kept_set]
-    return kept_names, EliminationTrace(tuple(steps))
+    return [n for n, a in zip(names, alive) if a], EliminationTrace(tuple(steps))
 
 
 def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = 5.0):

@@ -161,6 +161,8 @@ class SyntheticSpec:
             raise InvalidSpec("base_metric_count must be >= 1")
         if self.module_count < 10:
             raise InvalidSpec("module_count must be >= 10")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         coef = tuple(float(c) for c in self.signal_coefficients)
         if len(coef) != self.base_metric_count:
             raise InvalidSpec("signal_coefficients length must equal base_metric_count")

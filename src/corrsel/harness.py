@@ -30,7 +30,7 @@ import numpy as np
 from .autospearman import AutoSpearmanParams, MetricSubset
 from .classifiers import fit_logistic, fit_random_forest, score_rows
 from .data import Dataset, BootstrapSplit, SyntheticSpec, bootstrap_sample, generate_synthetic, load_csv
-from .errors import ComputationError, ConfigError, CorrselError, EmptyTestSet, SingleClass
+from .errors import ComputationError, ConfigError, CorrselError, DataError, EmptyTestSet, SingleClass
 from .evaluation import auc, confusion_at, f_measure, mcc
 from .seeding import DEFAULT_SEED, RESEED_OFFSET, derive_seed
 from .selectors import SelectorConfig, SelectorId, parse_selector, select
@@ -224,6 +224,9 @@ def run_selection_grid(
     """
     if B < 1:
         raise ConfigError("bootstrap_count must be >= 1")
+    if d.n_modules < 2:
+        # every draw would take the only row, so no split ever has a test side
+        raise DataError(f"bootstrap samples need at least 2 rows, got {d.n_modules}")
     selectors = tuple(selectors)
     base_seed = config.base_seed
     drawn = [_split_with_retry(d, derive_seed(base_seed, j)) for j in range(B)]

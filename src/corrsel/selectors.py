@@ -128,10 +128,8 @@ def _discrete_scores(train: Dataset, config: SelectorConfig, scorer) -> dict[str
 
 
 def _apply_cutoff(train: Dataset, scores: dict[str, float], config: SelectorConfig) -> MetricSubset:
-    # stable order: descending score, original column order on ties
-    ranked = sorted(
-        train.metric_names, key=lambda n: (-scores[n], train.metric_names.index(n))
-    )
+    # descending score; the sort is stable, so ties keep column order
+    ranked = sorted(train.metric_names, key=lambda n: -scores[n])
     if config.ranking_rule == "top_k":
         k = min(config.ranking_top_k, len(ranked))
         return ranked[:k]
@@ -156,11 +154,11 @@ def _cfs_merit(members: tuple[int, ...], corr_out: np.ndarray, corr_ff: np.ndarr
     k = len(members)
     if k == 0:
         return 0.0
-    r_cf = float(np.mean(corr_out[list(members)]))
+    m = list(members)
+    r_cf = float(np.mean(corr_out[m]))
     if k == 1:
         return r_cf
-    pairs = [(a, b) for ai, a in enumerate(members) for b in members[ai + 1:]]
-    r_ff = float(np.mean([corr_ff[a, b] for a, b in pairs]))
+    r_ff = float(np.mean(corr_ff[np.ix_(m, m)][np.triu_indices(k, 1)]))
     return k * r_cf / np.sqrt(k + k * (k - 1) * r_ff)
 
 
@@ -281,8 +279,9 @@ def select_rfe(
                 train, current, ntree=config.rfe_ntree, seed=derive_seed(seed, 1, len(current))
             )
         scores = importance(model, train).scores
-        # lowest importance leaves; ties drop the later column
-        drop = min(current, key=lambda m: (scores[m], -names.index(m)))
+        # lowest importance leaves; ``current`` keeps column order, so
+        # scanning it reversed drops the later column on ties
+        drop = min(reversed(current), key=scores.__getitem__)
         current.remove(drop)
         path[len(current)] = current.copy()
 

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,37 @@ _GOOD_CONFIG = {
 }
 
 
+def test_experiment_one_row_dataset_exit_3(tmp_path):
+    # every bootstrap draw of one row takes that row, so a split never has a
+    # test side; run in a child process so a reseed loop fails the test
+    # instead of hanging the suite
+    data = tmp_path / "one.csv"
+    data.write_text("a,b,bug\n1.0,2.0,1\n", encoding="utf-8")
+    cfg_path = tmp_path / "config.json"
+    config = {
+        "dataset": str(data), "outcome_column": "bug",
+        "selectors": ["AutoSpearman"], "classifiers": ["logistic"],
+    }
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "corrsel.cli", "experiment", str(cfg_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "2 rows" in lines[0]
+
+
+def test_synth_negative_seed_exit_3(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--out", str(out), "--seed", "-1"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "seed" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -242,6 +277,7 @@ _GOOD_CONFIG = {
         ("selector_config", {"rfe_sizes": [0]}),
         ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [math.nan, 0, 0]}),
         ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [0, math.inf, 0]}),
+        ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [1, 0, 0], "seed": -1}),
     ],
 )
 def test_experiment_malformed_config_exit_3_before_any_work(tmp_path, capsys, monkeypatch, field, value):

@@ -9,6 +9,11 @@ on purpose, and say why in CHANGES.md.
 ``output`` stays unset: the config echo carries the output path, so a
 temporary path would make the digest depend on the test run. The per-cell
 CSV carries no config, so its digest is taken from a temporary file.
+
+Payloads carry subsets, not traces, so AutoSpearman's removal order is pinned
+by a digest of ``corrsel select --selector AutoSpearman --json`` on a fixed
+CSV whose exact, reversed, tied and noisy clones put many pairs at or above
+``sp_t``.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from corrsel.cli import main
 from corrsel.harness import load_config, run_experiment
 
 _PLANTED = {
@@ -163,3 +170,47 @@ def test_cells_csv_digest_is_pinned(tmp_path):
     path = tmp_path / "cells.csv"
     run_experiment(load_config({**GOLDEN[name][0], "output_csv": str(path)}))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+SELECT_TRACE_GOLDEN = "0aa9afd5ff7140c4abca1e43290421180f563e358498db09b6ee3cab704a484b"
+
+
+def _write_trace_csv(path) -> None:
+    rng = np.random.default_rng(2018)
+    n = 60
+    base = rng.standard_normal((n, 6))
+    b1, b2, b3, b4, b5, b6 = base.T
+    noisy = b3 + 0.4 * rng.standard_normal(n)
+    cols = {f"b{k + 1}": base[:, k] for k in range(6)}
+    cols.update({
+        "b1_copy": b1.copy(),  # exact clone
+        "b1_neg": -b1,  # reversed clone
+        "b2_round": np.round(b2),  # tied clone
+        "b2_exp": np.exp(b2),  # monotone map
+        "b3_noisy": noisy,
+        "b3_noisy_copy": noisy.copy(),  # ties the pair (b3, b3_noisy) below |rho| 1
+        "b3_noisy_neg": -noisy,
+        "b4_floor": np.floor(2 * b4),
+        "b4_cube": b4**3,
+        "b5_rev_noisy": -(b5 + 0.3 * rng.standard_normal(n)),
+        "b6_a": b6.copy(),
+        "b6_b": b6.copy(),
+        "flat": np.full(n, 3.0),
+        "mix": b1 + b2 + 0.2 * rng.standard_normal(n),
+    })
+    y = rng.random(n) < 0.4
+    names = list(cols)
+    lines = [",".join(names + ["bug"])]
+    for i in range(n):
+        lines.append(",".join(repr(float(cols[c][i])) for c in names) + f",{int(y[i])}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_select_trace_digest_is_pinned(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path)
+    code = main(["select", str(path), "--outcome", "bug", "--selector", "AutoSpearman", "--json"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["trace"]) == 14
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SELECT_TRACE_GOLDEN

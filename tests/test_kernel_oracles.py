@@ -16,7 +16,9 @@ does not converge (it is refit cold) and within a stated tolerance when it
 does. ``inconsistency_rate``'s folded-key count is checked against the
 ``np.unique(axis=0)`` grouping it replaced. ``vif_phase``, which forms the
 correlation matrix once, is checked against the phase that called
-``vif_scores`` on every pass, and ``load_csv``'s one-call parse against the
+``vif_scores`` on every pass; ``spearman_phase``, which sorts its pairs once
+and walks them, against the loop that took the strongest pair from a list
+it filtered after every removal; and ``load_csv``'s one-call parse against the
 per-cell loop that remains its error path.
 """
 
@@ -34,7 +36,14 @@ import corrsel.autospearman as autospearman
 import corrsel.classifiers as classifiers
 import corrsel.data as data
 import corrsel.stats as stats
-from corrsel.autospearman import AutoSpearmanParams, auto_spearman, vif_phase
+from corrsel.autospearman import (
+    AutoSpearmanParams,
+    EliminationTrace,
+    TraceStep,
+    auto_spearman,
+    spearman_phase,
+    vif_phase,
+)
 from corrsel.classifiers import (
     COEF_CAP,
     fit_logistic,
@@ -388,6 +397,69 @@ def test_auto_spearman_postcondition_when_metrics_outnumber_rows(seed, n, sp_t):
     assert np.all(corr[np.triu_indices(len(kept), k=1)] < sp_t)
     scores = vif_scores(d, kept).scores.values()
     assert all(math.isfinite(v) and v < params.vif_t for v in scores)
+
+
+# -- AutoSpearman phase 1: one sorted walk vs the rescanning loop ------------------------
+
+def _reference_spearman_phase(d: Dataset, sp_t: float):
+    """Phase 1 as a loop that takes the strongest pair with ``max`` and filters
+    the pair list after every removal."""
+    names, steps = [], []
+    for name in d.metric_names:
+        col = d.column(name)
+        if np.all(col == col[0]):
+            steps.append(TraceStep("spearman", name, None, 0.0))
+        else:
+            names.append(name)
+    if not names:
+        return [], EliminationTrace(tuple(steps))
+    p = len(names)
+    filtered = d if p == d.n_metrics else d.project(names)
+    corr = np.abs(spearman_matrix(filtered).values)
+
+    alive = list(range(p))
+    pairs = [
+        (i, j) for i in range(p) for j in range(i + 1, p) if corr[i, j] >= sp_t
+    ]
+
+    def mean_abs_corr(member: int, i: int, j: int) -> float:
+        others = [k for k in range(p) if k not in (i, j)]
+        if not others:
+            return 0.0
+        return float(np.mean(corr[member, others]))
+
+    while pairs:
+        i, j = max(pairs, key=lambda ij: (corr[ij[0], ij[1]], (-ij[0], -ij[1])))
+        mi, mj = mean_abs_corr(i, i, j), mean_abs_corr(j, i, j)
+        if mi < mj or (mi == mj and i < j):
+            kept, removed = i, j
+        else:
+            kept, removed = j, i
+        steps.append(
+            TraceStep("spearman", names[removed], names[kept], float(corr[i, j]))
+        )
+        alive.remove(removed)
+        pairs = [(a, b) for a, b in pairs if removed not in (a, b)]
+
+    kept_set = {names[k] for k in alive}
+    kept_names = [n for n in d.metric_names if n in kept_set]
+    return kept_names, EliminationTrace(tuple(steps))
+
+
+def _trace_key(trace: EliminationTrace) -> list:
+    return [(s.phase, s.removed, s.kept, float(s.statistic).hex()) for s in trace.steps]
+
+
+@PROPERTY
+@given(rank_designs(), st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+def test_spearman_phase_matches_the_rescanning_loop(x, sp_t):
+    # duplicated, reversed, constant and monotone-mapped columns make many
+    # pairs tie on |rho| and many keep decisions tie on mean |rho|
+    d = _dataset(x)
+    kept, trace = spearman_phase(d, sp_t)
+    want_kept, want_trace = _reference_spearman_phase(d, sp_t)
+    assert kept == want_kept
+    assert _trace_key(trace) == _trace_key(want_trace)
 
 
 # -- random forest: level-wise growth vs the depth-first reference ------------------------
