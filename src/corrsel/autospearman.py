@@ -40,6 +40,8 @@ MetricSubset = list[str]
 
 @dataclass(frozen=True)
 class AutoSpearmanParams:
+    """The two thresholds, whose defaults every other default reads."""
+
     sp_t: float = 0.7
     vif_t: float = 5.0
 
@@ -75,7 +77,7 @@ class EliminationTrace:
         return out
 
 
-def spearman_phase(d: Dataset, sp_t: float = 0.7):
+def spearman_phase(d: Dataset, sp_t: float = AutoSpearmanParams.sp_t):
     """Pairwise Spearman elimination; returns (kept subset, trace).
 
     Constant columns are removed first. The correlation matrix is computed
@@ -115,7 +117,7 @@ def spearman_phase(d: Dataset, sp_t: float = 0.7):
     return [n for n, a in zip(names, alive) if a], EliminationTrace(tuple(steps))
 
 
-def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = 5.0):
+def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams.vif_t):
     """Iterative highest-VIF elimination; returns (kept subset, trace).
 
     Scores are recomputed after every removal; exactly one metric leaves

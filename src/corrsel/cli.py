@@ -17,7 +17,7 @@ import sys
 
 from .autospearman import AutoSpearmanParams, auto_spearman
 from .data import SyntheticSpec, generate_synthetic, load_csv, write_csv
-from .errors import ComputationError, DataError, UnsupportedSelector
+from .errors import ComputationError, ConfigError, DataError, UnsupportedSelector
 from .harness import correlation_flags, load_config, run_experiment
 from .seeding import DEFAULT_SEED
 from .selectors import SelectorConfig, SelectorId, parse_selector, select
@@ -30,13 +30,15 @@ EXIT_COMPUTE = 4
 
 
 def _param(field: str):
-    """argparse ``type=`` for an AutoSpearmanParams field; a bad value exits 2."""
+    """argparse ``type=`` for a SelectorConfig field, parsed as the type of
+    its default and checked by SelectorConfig; a bad value exits 2."""
+    kind = type(getattr(SelectorConfig, field))
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
-            AutoSpearmanParams(**{field: value})
-        except ValueError as exc:
+            value = kind(text)
+            SelectorConfig(**{field: value})
+        except (ValueError, ConfigError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
@@ -54,9 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("dataset")
     p_select.add_argument("--outcome", required=True, help="name of the outcome column")
     p_select.add_argument("--selector", required=True, help="technique abbreviation")
-    p_select.add_argument("--sp-t", type=_param("sp_t"), default=0.7)
-    p_select.add_argument("--vif-t", type=_param("vif_t"), default=5.0)
-    p_select.add_argument("--bins", type=int, default=10)
+    p_select.add_argument("--sp-t", type=_param("sp_t"), default=AutoSpearmanParams.sp_t)
+    p_select.add_argument("--vif-t", type=_param("vif_t"), default=AutoSpearmanParams.vif_t)
+    p_select.add_argument("--bins", type=_param("bins"), default=SelectorConfig.bins)
     p_select.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_select.add_argument("--json", action="store_true", dest="as_json")
 
@@ -64,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("dataset")
     p_diag.add_argument("--outcome", required=True)
     p_diag.add_argument("--metrics", help="comma-separated subset (default: all)")
-    p_diag.add_argument("--sp-t", type=float, default=0.7)
-    p_diag.add_argument("--vif-t", type=float, default=5.0)
+    p_diag.add_argument("--sp-t", type=float, default=AutoSpearmanParams.sp_t)
+    p_diag.add_argument("--vif-t", type=float, default=AutoSpearmanParams.vif_t)
     p_diag.add_argument("--json", action="store_true", dest="as_json")
 
     p_exp = sub.add_parser("experiment", help="run a JSON experiment config")

@@ -26,6 +26,7 @@ from .errors import (
     MissingColumn,
     NonNumericCell,
 )
+from .seeding import RESEED_OFFSET
 
 _TRUE_TOKENS = {"1", "defective"}
 _FALSE_TOKENS = {"0", "clean"}
@@ -132,6 +133,7 @@ class BootstrapSplit:
     train: Dataset
     test: Dataset
     draw_indices: np.ndarray
+    seed: int  # the seed the rows were drawn at
 
     def __post_init__(self):
         object.__setattr__(
@@ -354,18 +356,22 @@ def bootstrap_sample(d: Dataset, seed: int) -> BootstrapSplit:
     """Draw N rows with replacement; the never-drawn rows form the test set.
 
     Row identity is by source index, so duplicate-valued rows stay
-    distinguishable. Same seed, same split. Raises :class:`EmptyTestSet`
-    when every row was drawn (callers retry with an offset seed).
+    distinguishable. Same seed, same split. A draw that takes every row is
+    made again at ``seed + RESEED_OFFSET`` (mod 2**64), until one leaves a
+    row out; the split records the seed it was drawn at. Raises
+    :class:`EmptyTestSet` for a one-row dataset, whose every draw takes it.
     """
     n = d.n_modules
-    rng = np.random.default_rng(seed)
-    draw = rng.integers(0, n, size=n)
-    mask = np.ones(n, dtype=bool)
-    mask[draw] = False
-    test_idx = np.flatnonzero(mask)
-    if test_idx.size == 0:
-        raise EmptyTestSet(f"all {n} rows drawn for seed {seed}")
-    return BootstrapSplit(train=d.take(draw), test=d.take(test_idx), draw_indices=draw)
+    if n < 2:
+        raise EmptyTestSet(f"a bootstrap sample of {n} row leaves no row out")
+    while True:
+        draw = np.random.default_rng(seed).integers(0, n, size=n)
+        mask = np.ones(n, dtype=bool)
+        mask[draw] = False
+        test_idx = np.flatnonzero(mask)
+        if test_idx.size:
+            return BootstrapSplit(d.take(draw), d.take(test_idx), draw, seed)
+        seed = (seed + RESEED_OFFSET) % (1 << 64)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

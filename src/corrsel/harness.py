@@ -18,10 +18,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -29,10 +30,10 @@ import numpy as np
 
 from .autospearman import AutoSpearmanParams, MetricSubset
 from .classifiers import fit_logistic, fit_random_forest, score_rows
-from .data import Dataset, BootstrapSplit, SyntheticSpec, bootstrap_sample, generate_synthetic, load_csv
-from .errors import ComputationError, ConfigError, CorrselError, DataError, EmptyTestSet, SingleClass
+from .data import BootstrapSplit, Dataset, SyntheticSpec, bootstrap_sample, generate_synthetic, load_csv
+from .errors import ComputationError, ConfigError, CorrselError, DataError, SingleClass
 from .evaluation import auc, confusion_at, f_measure, mcc
-from .seeding import DEFAULT_SEED, RESEED_OFFSET, derive_seed
+from .seeding import derive_seed
 from .selectors import SelectorConfig, SelectorId, parse_selector, select
 from .stats import spearman_matrix, vif_scores
 
@@ -42,7 +43,7 @@ _MEASURES = ("AUC", "F", "MCC")
 
 _CLASSIFIERS = ("logistic", "forest")
 
-# SelectorConfig fields that a config sets once, at its top level
+# SelectorConfig fields that a config's JSON form sets at its top level only
 _TOP_LEVEL = ("bins", "base_seed", "sp_t", "vif_t")
 
 
@@ -59,12 +60,16 @@ class SubsetCollection:
     failures: dict[tuple[SelectorId, int], str]
     selectors: tuple[SelectorId, ...]
     base_seed: int
-    split_seeds: tuple[int, ...]
     splits: tuple[BootstrapSplit, ...]
 
     @property
     def sample_count(self) -> int:
         return len(self.splits)
+
+    @property
+    def split_seeds(self) -> tuple[int, ...]:
+        """The seed each sample's split was drawn at."""
+        return tuple(split.seed for split in self.splits)
 
     def for_selector(self, sel: SelectorId) -> list[MetricSubset]:
         return [
@@ -106,22 +111,23 @@ class PerformanceDelta:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset_path: str | None = None
+    """One experiment: a dataset (a CSV path or a synthetic spec), what runs
+    on it and where its report goes. The thresholds, bins and base seed are
+    ``selector_config``'s."""
+
+    dataset: str | SyntheticSpec
     outcome_column: str | None = None
-    synthetic: SyntheticSpec | None = None
     selectors: tuple[SelectorId, ...] = (SelectorId.AUTOSPEARMAN,)
     bootstrap_count: int = 30
-    base_seed: int = DEFAULT_SEED
-    sp_t: float = 0.7
-    vif_t: float = 5.0
-    bins: int = 10
     classifiers: tuple[str, ...] = _CLASSIFIERS
     output: str | None = None
     output_csv: str | None = None
-    selector_config: SelectorConfig | None = None
+    selector_config: SelectorConfig = SelectorConfig()
 
     def __post_init__(self):
-        if self.dataset_path is not None and not self.outcome_column:
+        if not (isinstance(self.dataset, SyntheticSpec) or (isinstance(self.dataset, str) and self.dataset)):
+            raise ConfigError(f"dataset must be a CSV path or a synthetic spec, got {self.dataset!r}")
+        if isinstance(self.dataset, str) and not self.outcome_column:
             raise ConfigError("outcome_column is required with a dataset path")
         if len(set(self.selectors)) != len(self.selectors):
             raise ConfigError(f"duplicate selectors: {[s.value for s in self.selectors]}")
@@ -131,19 +137,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"classifiers must be drawn from {list(_CLASSIFIERS)}, got {list(self.classifiers)}"
             )
-        AutoSpearmanParams(self.sp_t, self.vif_t)
-        self.resolved_selector_config()  # checks bins
-
-    def resolved_selector_config(self) -> SelectorConfig:
-        """The selector settings, with those set at the top level of the config."""
-        base = self.selector_config or SelectorConfig()
-        return replace(base, **{k: getattr(self, k) for k in _TOP_LEVEL})
-
-
-# fields that a config class's JSON form does not take: the dataset arrives as
-# one "dataset" value (a path or a synthetic spec), and the top-level fields
-# are not repeated inside "selector_config"
-_NOT_IN_JSON = {ExperimentConfig: ("dataset_path", "synthetic"), SelectorConfig: _TOP_LEVEL}
 
 
 @dataclass
@@ -152,14 +145,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.payload, sort_keys=True, indent=2, allow_nan=False)
-
-
-def _split_with_retry(d: Dataset, seed: int) -> tuple[BootstrapSplit, int]:
-    while True:
-        try:
-            return bootstrap_sample(d, seed), seed
-        except EmptyTestSet:
-            seed = (seed + RESEED_OFFSET) % (1 << 64)
 
 
 def _usable_cpus() -> int:
@@ -229,8 +214,7 @@ def run_selection_grid(
         raise DataError(f"bootstrap samples need at least 2 rows, got {d.n_modules}")
     selectors = tuple(selectors)
     base_seed = config.base_seed
-    drawn = [_split_with_retry(d, derive_seed(base_seed, j)) for j in range(B)]
-    splits = [split for split, _ in drawn]
+    splits = [bootstrap_sample(d, derive_seed(base_seed, j)) for j in range(B)]
 
     def sample_cells(j: int) -> list[tuple[MetricSubset | None, str | None]]:
         memo: dict = {}
@@ -249,7 +233,7 @@ def run_selection_grid(
             subsets[(sel, j)] = subset
             if failure is not None:
                 failures[(sel, j)] = failure
-    return SubsetCollection(subsets, failures, selectors, base_seed, tuple(used for _, used in drawn), tuple(splits))
+    return SubsetCollection(subsets, failures, selectors, base_seed, tuple(splits))
 
 
 def _consistency(subsets: list[MetricSubset], scope) -> ConsistencyResult:
@@ -273,7 +257,7 @@ def consistency_across_selectors(subsets_one_sample: list[MetricSubset], sample_
 
 
 def correlation_flags(
-    subset: MetricSubset, train: Dataset, sp_t: float = 0.7, vif_t: float = 5.0
+    subset: MetricSubset, train: Dataset, sp_t: float = AutoSpearmanParams.sp_t, vif_t: float = AutoSpearmanParams.vif_t
 ) -> CorrelationFlags:
     """Strictly-above-threshold collinearity and multicollinearity checks.
 
@@ -311,7 +295,7 @@ def _fit_and_score(classifier: str, train: Dataset, subset, test: Dataset, seed:
     if classifier == "logistic":
         model = fit_logistic(train, subset)
     elif classifier == "forest":
-        model = fit_random_forest(train, subset, ntree=100, seed=seed)
+        model = fit_random_forest(train, subset, seed=seed)
     else:
         raise ConfigError(f"unknown classifier {classifier!r}")
     return score_rows(model, test)
@@ -428,13 +412,17 @@ def _from_json(value, hint, key: str):
     """``value`` checked against the type ``hint`` and built into it.
 
     ``hint`` is ``int``, ``float``, ``str``, ``SelectorId`` (a selector
-    name), a config class (a JSON object), ``X | None`` or a tuple (a JSON
-    list). Booleans are not numbers here, and an integer is a valid float.
+    name), a config class (a JSON object), a union of these (a JSON object
+    picks the config class) or of one with ``None``, or a tuple (a JSON
+    list). Booleans are not numbers here; a float is finite, or an integer.
     """
     if get_origin(hint) in (Union, UnionType):
-        if value is None:
+        if value is None and type(None) in get_args(hint):
             return None
-        (hint,) = [a for a in get_args(hint) if a is not type(None)]
+        members = [a for a in get_args(hint) if a is not type(None)]
+        if len(members) > 1:
+            members = [a for a in members if is_dataclass(a) == isinstance(value, dict)]
+        (hint,) = members
     if is_dataclass(hint):
         return _config_from_json(hint, value, key)
     if get_origin(hint) is tuple:
@@ -449,61 +437,63 @@ def _from_json(value, hint, key: str):
         return parse_selector(_from_json(value, str, key))
     if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
         raise ConfigError(f"{key} must be {_JSON_TYPES[hint]}, got {value!r}")
+    if hint is float and not math.isfinite(value):  # the report could not echo it
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return hint(value)
 
 
-def _config_from_json(cls, obj, key: str, **given):
-    """An instance of the config class ``cls`` from the JSON object ``obj``.
-
-    Every field is read through its type annotation; ``given`` supplies the
-    fields the JSON form does not take.
-    """
+def _config_from_json(cls, obj, key: str):
+    """An instance of the config class ``cls`` from the JSON object ``obj``,
+    every field read through its type annotation in declaration order."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{key} must be a JSON object, got {obj!r}")
-    hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls) if f.name not in _NOT_IN_JSON.get(cls, ())]
-    unknown = set(obj) - set(names)
+    unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{key}: fields not allowed here: {sorted(unknown)}")
-    values = {k: _from_json(obj[k], hints[k], k) for k in names if k in obj}
-    try:
-        return cls(**values, **given)
-    except (TypeError, ValueError) as exc:  # a missing field, or a value out of range
-        raise ConfigError(f"bad {key}: {exc}") from exc
+    missing = [f.name for f in fields(cls) if f.name not in obj and f.default is f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{key}: missing fields: {missing}")
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _from_json(obj[f.name], hints[f.name], f.name) for f in fields(cls) if f.name in obj})
 
 
 def load_config(obj: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON object.
-
-    Every field is checked here, before any work runs; a bad value raises
-    ConfigError (an unknown selector name, UnsupportedSelector).
-    """
+    """Build an ExperimentConfig from a parsed JSON object, reading the
+    top-level ``_TOP_LEVEL`` settings into ``selector_config`` (whose object
+    may be null or left out, and may not repeat them). Every field is
+    checked here, before any work runs; a bad value raises ConfigError (an
+    unknown selector name, UnsupportedSelector)."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     obj = dict(obj)
-    dataset = obj.pop("dataset", None)
-    if isinstance(dataset, str):
-        given = {"dataset_path": dataset}
-    elif isinstance(dataset, dict):
-        given = {"synthetic": _config_from_json(SyntheticSpec, dataset, "dataset")}
-    else:
-        raise ConfigError("config needs a 'dataset' path or synthetic spec object")
-    return _config_from_json(ExperimentConfig, obj, "config", **given)
+    nested = obj.pop("selector_config", None)
+    top = {k: obj.pop(k) for k in _TOP_LEVEL if k in obj}
+    # the selector settings are read last, so an unknown selector name
+    # (exit 2) is found before any bad setting (exit 3)
+    cfg = _config_from_json(ExperimentConfig, obj, "config")
+    if nested is None:
+        nested = {}
+    if not isinstance(nested, dict):
+        raise ConfigError(f"selector_config must be a JSON object, got {nested!r}")
+    if set(nested) & set(_TOP_LEVEL):
+        raise ConfigError(f"selector_config: fields not allowed here: {sorted(set(nested) & set(_TOP_LEVEL))}")
+    return replace(cfg, selector_config=_config_from_json(SelectorConfig, {**nested, **top}, "selector_config"))
 
 
 def _to_json(value):
-    """The JSON form of a config value, as :func:`load_config` reads it."""
+    """The JSON form of a config value, with every field of a config class."""
     if is_dataclass(value):
-        skip = _NOT_IN_JSON.get(type(value), ())
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value) if f.name not in skip}
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value.value if isinstance(value, SelectorId) else value
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = _to_json(replace(cfg, selector_config=cfg.resolved_selector_config()))
-    echo["dataset"] = cfg.dataset_path if cfg.synthetic is None else _to_json(cfg.synthetic)
+    """The config as :func:`load_config` reads it: the ``_TOP_LEVEL``
+    selector settings moved out of ``selector_config`` to the top."""
+    echo = _to_json(cfg)
+    echo.update((k, echo["selector_config"].pop(k)) for k in _TOP_LEVEL)
     return echo
 
 
@@ -513,19 +503,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     The report echoes its configuration and seeds, so an identical re-run
     reproduces it byte for byte apart from the timestamp field.
     """
-    if cfg.synthetic is not None:
-        d = generate_synthetic(cfg.synthetic)
-        dataset_id = f"synthetic(seed={cfg.synthetic.seed})"
-    elif cfg.dataset_path:
-        d = load_csv(cfg.dataset_path, cfg.outcome_column)
-        dataset_id = cfg.dataset_path
+    if isinstance(cfg.dataset, SyntheticSpec):
+        d = generate_synthetic(cfg.dataset)
+        dataset_id = f"synthetic(seed={cfg.dataset.seed})"
     else:
-        raise ConfigError("config needs a dataset")
+        d = load_csv(cfg.dataset, cfg.outcome_column)
+        dataset_id = cfg.dataset
 
     selectors = cfg.selectors
     B = cfg.bootstrap_count
-    grid = run_selection_grid(d, selectors, B, cfg.resolved_selector_config())
-    flags = _flag_cells(grid, cfg.sp_t, cfg.vif_t)
+    grid = run_selection_grid(d, selectors, B, cfg.selector_config)
+    flags = _flag_cells(grid, cfg.selector_config.sp_t, cfg.selector_config.vif_t)
     deltas, records = performance_deltas(grid, cfg.classifiers)
     by_cell: dict[tuple[SelectorId, str, str], dict[int, float]] = {}
     for x in deltas:

@@ -31,12 +31,11 @@ from .data import Dataset, bootstrap_sample
 from .errors import (
     ConfigError,
     DegenerateOutcome,
-    EmptyTestSet,
     SingleClass,
     UnsupportedSelector,
 )
 from .evaluation import auc
-from .seeding import DEFAULT_SEED, RESEED_OFFSET, derive_seed
+from .seeding import DEFAULT_SEED, derive_seed
 from .stats import (
     DiscreteColumn,
     aic,
@@ -75,6 +74,9 @@ def parse_selector(text: str) -> SelectorId:
 
 @dataclass(frozen=True)
 class SelectorConfig:
+    """Every selector setting, the thresholds and base seed included,
+    checked when built; an experiment config holds one."""
+
     bins: int = 10
     ranking_rule: str = "positive"  # "positive" | "top_k"
     ranking_top_k: int | None = None
@@ -84,14 +86,18 @@ class SelectorConfig:
     stepwise_max_steps: int | None = None  # default 2p + 1
     stall_limit: int = 5
     base_seed: int = DEFAULT_SEED
-    sp_t: float = 0.7
-    vif_t: float = 5.0
+    sp_t: float = AutoSpearmanParams.sp_t
+    vif_t: float = AutoSpearmanParams.vif_t
 
     def __post_init__(self):
         if self.rfe_sizes is not None:
             object.__setattr__(self, "rfe_sizes", tuple(self.rfe_sizes) or None)
         if self.bins < 2:
             raise ConfigError("bins must be >= 2")
+        try:
+            AutoSpearmanParams(self.sp_t, self.vif_t)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.ranking_rule not in ("positive", "top_k"):
             raise ConfigError(f"unknown ranking_rule {self.ranking_rule!r}")
         if self.ranking_rule == "top_k" and (self.ranking_top_k or 0) < 1:
@@ -292,13 +298,7 @@ def select_rfe(
 
     splits = []  # (resample index, split) of the resamples whose training side has both classes
     for r in range(config.rfe_resamples):
-        split_seed = derive_seed(seed, 2, r)
-        while True:
-            try:
-                split = bootstrap_sample(train, split_seed)
-                break
-            except EmptyTestSet:
-                split_seed = (split_seed + RESEED_OFFSET) % (1 << 64)
+        split = bootstrap_sample(train, derive_seed(seed, 2, r))
         if split.train.has_both_classes():
             splits.append((r, split))
 

@@ -29,9 +29,7 @@ from corrsel.harness import (
     correlation_flags,
     performance_deltas,
     run_selection_grid,
-    _split_with_retry,
 )
-from corrsel.seeding import derive_seed
 from corrsel.selectors import SelectorConfig, SelectorId
 from corrsel.stats import rank_with_ties, spearman, spearman_matrix, vif_scores
 
@@ -144,12 +142,9 @@ def test_criterion_3_consistency_superiority(selection_grid):
         assert time.time() - start < 600.0
 
 
-def test_criterion_4_correlated_subset_flagging(planted_dataset, selection_grid):
+def test_criterion_4_correlated_subset_flagging(selection_grid):
     with criterion(4, "IG subsets flag collinearity >= 80%, AutoSpearman 0%"):
-        splits = [
-            _split_with_retry(planted_dataset, derive_seed(_GRID_BASE_SEED, j))[0]
-            for j in range(_GRID_B)
-        ]
+        splits = selection_grid.splits
         ig_flagged = 0
         for j in range(_GRID_B):
             subset = selection_grid.subsets[(SelectorId.IG, j)]

@@ -278,6 +278,7 @@ def test_synth_negative_seed_exit_3(tmp_path, capsys):
         ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [math.nan, 0, 0]}),
         ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [0, math.inf, 0]}),
         ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [1, 0, 0], "seed": -1}),
+        ("vif_t", math.inf),  # JSON Infinity, which a report could not echo
     ],
 )
 def test_experiment_malformed_config_exit_3_before_any_work(tmp_path, capsys, monkeypatch, field, value):
@@ -303,7 +304,7 @@ def test_usage_error_exit_2():
 @pytest.mark.parametrize(
     "option, value",
     [("--sp-t", "2"), ("--sp-t", "0"), ("--sp-t", "nan"), ("--sp-t", "x"),
-     ("--vif-t", "1"), ("--vif-t", "0.5")],
+     ("--vif-t", "1"), ("--vif-t", "0.5"), ("--bins", "1"), ("--bins", "x")],
 )
 def test_select_out_of_range_threshold_exit_2(clone_csv, capsys, option, value):
     with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,7 @@ from corrsel.errors import (
     MissingColumn,
     NonNumericCell,
 )
+from corrsel.seeding import RESEED_OFFSET
 from corrsel.stats import spearman
 
 
@@ -230,6 +231,27 @@ def test_bootstrap_single_row_empty_test():
     d = Dataset(("a",), np.array([[1.0]]), np.array([True]))
     with pytest.raises(EmptyTestSet):
         bootstrap_sample(d, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bootstrap_reseeds_a_draw_that_takes_every_row(n):
+    d = Dataset(("a",), np.arange(float(n))[:, None], np.arange(n) % 2 == 0)
+
+    def takes_every_row(seed):
+        return len(set(np.random.default_rng(seed).integers(0, n, n).tolist())) == n
+
+    seed = next(s for s in range(1000) if takes_every_row(s) and not takes_every_row(s + RESEED_OFFSET))
+    split = bootstrap_sample(d, seed)
+    assert split.seed == seed + RESEED_OFFSET
+    again = bootstrap_sample(d, seed + RESEED_OFFSET)
+    assert again.seed == split.seed
+    assert np.array_equal(split.draw_indices, again.draw_indices)
+    assert split.train == again.train and split.test == again.test
+    for seed in range(50):  # every split leaves a row out, and is the one drawn at its seed
+        split = bootstrap_sample(d, seed)
+        assert split.test.n_modules >= 1
+        assert split.seed in {(seed + k * RESEED_OFFSET) % (1 << 64) for k in range(20)}
+        assert bootstrap_sample(d, split.seed).seed == split.seed
 
 
 def test_bootstrap_out_of_bag_mass_small():

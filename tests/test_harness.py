@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gc
 import itertools
@@ -9,10 +10,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrsel.data import Dataset, SyntheticSpec, generate_synthetic
-from corrsel.errors import ConfigError
+from corrsel.autospearman import AutoSpearmanParams, auto_spearman
+from corrsel.data import Dataset, SyntheticSpec, bootstrap_sample, generate_synthetic
+from corrsel.errors import ConfigError, UnsupportedSelector
 from corrsel.harness import (
+    ExperimentConfig,
+    _config_echo,
     consistency_across_samples,
     consistency_across_selectors,
     correlation_flags,
@@ -24,6 +30,7 @@ from corrsel.harness import (
 )
 from corrsel.seeding import derive_seed
 from corrsel.selectors import SelectorConfig, SelectorId
+from test_digests import GOLDEN
 
 
 @pytest.fixture
@@ -284,10 +291,10 @@ def test_deltas_failed_shared_fit_records_each_selector(monkeypatch):
 
 def test_deltas_empty_subset_auc_half():
     from corrsel.evaluation import auc
-    from corrsel.harness import _intercept_only_scores, _split_with_retry
+    from corrsel.harness import _intercept_only_scores
 
     d = _clone_fixture(10)
-    split, _ = _split_with_retry(d, derive_seed(5, 0))
+    split = bootstrap_sample(d, derive_seed(5, 0))
     scores = _intercept_only_scores(split.train, split.test)
     assert len(set(scores.tolist())) == 1
     assert auc(scores, split.test.outcome) == 0.5
@@ -383,14 +390,77 @@ def test_experiment_rerun_identical_payload(tmp_path):
     assert r1.to_json() == r2.to_json()
 
 
+# the golden configs, and one that sets rfe_sizes
+_ROUND_TRIP = {
+    **{name: raw for name, (raw, _) in GOLDEN.items()},
+    "rfe-sizes": {**GOLDEN["logistic-wrappers"][0], "selector_config": {"rfe_sizes": [1, 3, 5], "rfe_resamples": 2}},
+}
+
+
 def test_experiment_echo_reproduces(tmp_path):
-    cfg = load_config(_smoke_config(tmp_path))
-    r1 = run_experiment(cfg)
-    echoed = json.loads((tmp_path / "report.json").read_text())["config"]
-    # drop echo-only fields that load_config does not take
-    cfg2 = load_config({k: v for k, v in echoed.items() if v is not None})
-    r2 = run_experiment(cfg2)
-    assert r1.to_json() == r2.to_json()
+    cases = {"smoke": _smoke_config(tmp_path)}
+    cases.update((name, {**raw, "output": str(tmp_path / "report.json")}) for name, raw in _ROUND_TRIP.items())
+    for name, obj in cases.items():
+        cfg = load_config(obj)
+        r1 = run_experiment(cfg)
+        echoed = json.loads((tmp_path / "report.json").read_text())["config"]
+        cfg2 = load_config(echoed)
+        assert cfg2 == cfg, name
+        r2 = run_experiment(cfg2)
+        assert r1.to_json() == r2.to_json(), name
+
+
+def test_selector_config_null_or_left_out_loads_to_the_same_echo(tmp_path):
+    obj = _smoke_config(tmp_path)
+    assert "selector_config" not in obj
+    echo = _config_echo(load_config(obj))
+    assert _config_echo(load_config({**obj, "selector_config": None})) == echo
+    assert _config_echo(load_config({**obj, "selector_config": {}})) == echo
+
+
+def test_no_setting_is_declared_in_both_config_classes():
+    own = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert len(own) == 8
+    assert not own & {f.name for f in dataclasses.fields(SelectorConfig)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.01, 1.0),
+    st.floats(1.01, 100.0),
+    st.integers(2, 50),
+    st.integers(0, 2**64 - 1),
+)
+def test_top_level_settings_load_into_selector_config_and_echo_at_the_top(sp_t, vif_t, bins, base_seed):
+    top = {"sp_t": sp_t, "vif_t": vif_t, "bins": bins, "base_seed": base_seed}
+    cfg = load_config({"dataset": "data.csv", "outcome_column": "bug", **top})
+    assert {k: getattr(cfg.selector_config, k) for k in top} == top
+    echo = _config_echo(cfg)
+    assert {k: echo[k] for k in top} == top
+    assert not set(top) & set(echo["selector_config"])
+    assert load_config(json.loads(json.dumps(echo))) == cfg
+
+
+def test_experiment_runs_the_thresholds_of_its_selector_config(tmp_path):
+    # clones at noise sd 1.1 correlate with their sources at |rho| ~0.65:
+    # AutoSpearman removes them at sp_t 0.5 and keeps them at the default 0.7
+    spec = SyntheticSpec(3, 200, (1.0, 0.5, 0.0), ((0, 1, 1.1), (1, 1, 1.1)), seed=8)
+    config = SelectorConfig(sp_t=0.5)
+    cfg = ExperimentConfig(
+        dataset=spec, bootstrap_count=2, classifiers=("logistic",),
+        output_csv=str(tmp_path / "cells.csv"), selector_config=config,
+    )
+    report = run_experiment(cfg)
+    assert report.payload["config"]["sp_t"] == 0.5
+    assert "sp_t" not in report.payload["config"]["selector_config"]
+    d = generate_synthetic(spec)
+    with open(tmp_path / "cells.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for j, row in enumerate(rows):
+        train = bootstrap_sample(d, derive_seed(config.base_seed, j)).train
+        assert row["metrics"].split("|") == auto_spearman(train, AutoSpearmanParams(sp_t=0.5))[0]
+        assert row["metrics"].split("|") != auto_spearman(train)[0]
 
 
 def test_experiment_csv_cells(tmp_path):
@@ -423,6 +493,13 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         # thresholds live at the top level, not inside selector_config
         load_config(_smoke_config(tmp_path, selector_config={"sp_t": 0.9}))
+
+
+def test_load_config_checks_the_selectors_after_the_dataset_and_before_the_settings(tmp_path):
+    with pytest.raises(ConfigError):
+        load_config({"selectors": ["magic"]})  # no dataset: exit 3
+    with pytest.raises(UnsupportedSelector):  # exit 2
+        load_config(_smoke_config(tmp_path, selectors=["magic"], sp_t=2, selector_config={"bins": 3}))
 
 
 def test_write_report_atomic(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corrsel.data import Dataset, SyntheticSpec, generate_synthetic
-from corrsel.errors import DegenerateOutcome, UnsupportedSelector
+from corrsel.errors import ConfigError, DegenerateOutcome, UnsupportedSelector
 from corrsel.selectors import (
     SelectorConfig,
     SelectorId,
@@ -334,3 +334,12 @@ def test_selectors_disagree_on_correlated_fixture():
         for sel in (SelectorId.AUTOSPEARMAN, SelectorId.IG, SelectorId.STEP_FWD)
     }
     assert len(set(outputs.values())) > 1
+
+
+@pytest.mark.parametrize(
+    "field, value", [("sp_t", 2.0), ("sp_t", 0.0), ("sp_t", float("nan")), ("vif_t", 1.0), ("vif_t", 0.5), ("bins", 1)]
+)
+def test_selector_config_rejects_out_of_range_settings(field, value):
+    # a bad threshold stops the config, not a grid cell halfway through a run
+    with pytest.raises(ConfigError):
+        SelectorConfig(**{field: value})
