@@ -114,10 +114,11 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, beta: np.ndarray, warm: np
 
     Each model halves its own Newton step until the log-likelihood does not
     fall and stops on its own; stopped models leave the stack, and so does a
-    ``warm`` model as soon as it is capped (it will be refit cold). Returns the
-    models and, per model, whether it stopped on a step below ``TOL`` that
-    its line search cut down from a Newton step of at least ``TOL``: a
-    stall, which the model reports as converged.
+    ``warm`` model as soon as it is capped (it will be refit cold). A
+    ``warm`` model that stops on a step below ``TOL`` which its line search
+    cut down from a Newton step of at least ``TOL`` (a stall) reports itself
+    not converged, so it is refit cold too; a cold model reports that stop
+    as converged.
     """
     m = design.shape[0]
     ll, eta = _log_likelihoods(design, y, beta)
@@ -125,7 +126,6 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, beta: np.ndarray, warm: np
     iterations = np.zeros(m, np.int64)
     converged = np.zeros(m, bool)
     capped = np.zeros(m, bool)
-    stalled = np.zeros(m, bool)
     live = np.arange(m)  # the models still iterating; design and y hold only theirs
     for _ in range(MAX_ITER):
         if not live.size:
@@ -157,8 +157,8 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, beta: np.ndarray, warm: np
         moved = live[accepted]
         capped[moved[np.any(np.abs(beta[moved]) >= COEF_CAP, axis=1)]] = True
         small = accepted & (np.max(np.abs(beta[live] - start), axis=1) < TOL)
-        converged[live[small]] = True
-        stalled[live[small & (np.max(np.abs(delta), axis=1) >= TOL)]] = True
+        stalled = warm[live] & (np.max(np.abs(delta), axis=1) >= TOL)
+        converged[live[small & ~stalled]] = True
         for i in moved.tolist():
             traces[i].append(float(ll[i]))
         keep = accepted & ~small & ~(warm[live] & capped[live])
@@ -172,17 +172,17 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, beta: np.ndarray, warm: np
             subset, float(beta[i, 0]), coef, float(ll[i]),
             bool(converged[i] and not capped[i]), int(iterations[i]), tuple(traces[i]),
         ))
-    return models, stalled
+    return models
 
 
 def _fit_stacked(fits, starts):
     """IRLS of every (dataset, subset) pair of one design shape, each from
     its entry of ``starts`` (a k-vector, intercept first) or, where that is
     None, from zero. Designs are stacked max(1, _IRLS_CELLS // (n * k)) at a
-    time. Returns the models and :func:`_irls`'s stall flags."""
+    time."""
     n, k = fits[0][0].n_modules, len(fits[0][1]) + 1
     per_chunk = max(1, _IRLS_CELLS // (n * k))
-    models, stalled = [], []
+    models = []
     for lo in range(0, len(fits), per_chunk):
         chunk = fits[lo:lo + per_chunk]
         # BLAS rounds differently per memory layout, so each design keeps a
@@ -200,26 +200,7 @@ def _fit_stacked(fits, starts):
             if start is not None:
                 beta[i], warm[i] = start, True
         y = np.array([d.outcome for d, _ in chunk], dtype=np.float64)
-        chunk_models, chunk_stalled = _irls(
-            design, y, [subset for _, subset in chunk], beta, warm
-        )
-        models += chunk_models
-        stalled += chunk_stalled.tolist()
-    return models, stalled
-
-
-def _fit_warm(fits, starts) -> list[LogisticModel]:
-    """:func:`_fit_stacked`, with every warm fit that did not converge, or
-    that stalled, redone cold."""
-    models, stalled = _fit_stacked(fits, starts)
-    redo = [
-        i for i, (m, start) in enumerate(zip(models, starts))
-        if start is not None and (stalled[i] or not m.converged)
-    ]
-    if redo:
-        cold, _ = _fit_stacked([fits[i] for i in redo], [None] * len(redo))
-        for i, m in zip(redo, cold):
-            models[i] = m
+        models += _irls(design, y, [subset for _, subset in chunk], beta, warm)
     return models
 
 
@@ -231,11 +212,12 @@ def fit_logistic_batch(fits, starts=None, memo: dict | None = None) -> list[Logi
     with.
 
     ``starts`` gives each fit its first coefficients, intercept first, or
-    None to start it from zero, as every fit does without ``starts``. A
-    warm-started model that ends non-converged (or capped at COEF_CAP), or
-    that stops only because its line search shrank the step below ``TOL``,
-    is refit from zero, so it is exactly the cold fit; one that converges on
-    a full Newton step stops within ``TOL`` of the cold fit's maximum.
+    None to start it from zero, as every fit does without ``starts``. Every
+    warm-started model that does not converge is refit from zero, so it is
+    exactly the cold fit; a warm model that is capped at COEF_CAP, or that
+    stops only because its line search shrank the step below ``TOL``, counts
+    as not converged. One that converges stops within ``TOL`` of the cold
+    fit's maximum.
 
     ``memo`` maps the exact inputs of a fit -- dataset, ordered subset and
     start -- to its model, so a repeated fit is returned, not redone. An
@@ -262,8 +244,11 @@ def fit_logistic_batch(fits, starts=None, memo: dict | None = None) -> list[Logi
     ]
     todo = [i for i, key in enumerate(keys) if key not in memo]
     if todo:
-        fitted = _fit_warm([fits[i] for i in todo], [starts[i] for i in todo])
-        for i, model in zip(todo, fitted):
+        fitted = dict(zip(todo, _fit_stacked([fits[i] for i in todo], [starts[i] for i in todo])))
+        redo = [i for i in todo if starts[i] is not None and not fitted[i].converged]
+        if redo:
+            fitted.update(zip(redo, _fit_stacked([fits[i] for i in redo], [None] * len(redo))))
+        for i, model in fitted.items():
             memo[keys[i]] = (fits[i][0], model)
     return [memo[key][1] for key in keys]
 

@@ -52,23 +52,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_select = sub.add_parser("select", help="run one selection technique on a CSV")
-    p_select.add_argument("dataset")
-    p_select.add_argument("--outcome", required=True, help="name of the outcome column")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("dataset")
+    shared.add_argument("--outcome", required=True, help="name of the outcome column")
+    shared.add_argument("--sp-t", type=_param("sp_t"), default=AutoSpearmanParams.sp_t)
+    shared.add_argument("--vif-t", type=_param("vif_t"), default=AutoSpearmanParams.vif_t)
+    shared.add_argument("--json", action="store_true", dest="as_json")
+
+    p_select = sub.add_parser("select", parents=[shared], help="run one selection technique on a CSV")
     p_select.add_argument("--selector", required=True, help="technique abbreviation")
-    p_select.add_argument("--sp-t", type=_param("sp_t"), default=AutoSpearmanParams.sp_t)
-    p_select.add_argument("--vif-t", type=_param("vif_t"), default=AutoSpearmanParams.vif_t)
     p_select.add_argument("--bins", type=_param("bins"), default=SelectorConfig.bins)
     p_select.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_select.add_argument("--json", action="store_true", dest="as_json")
 
-    p_diag = sub.add_parser("diagnose", help="Spearman matrix, VIF table, correlation flags")
-    p_diag.add_argument("dataset")
-    p_diag.add_argument("--outcome", required=True)
+    p_diag = sub.add_parser("diagnose", parents=[shared], help="Spearman matrix, VIF table, correlation flags")
     p_diag.add_argument("--metrics", help="comma-separated subset (default: all)")
-    p_diag.add_argument("--sp-t", type=float, default=AutoSpearmanParams.sp_t)
-    p_diag.add_argument("--vif-t", type=float, default=AutoSpearmanParams.vif_t)
-    p_diag.add_argument("--json", action="store_true", dest="as_json")
 
     p_exp = sub.add_parser("experiment", help="run a JSON experiment config")
     p_exp.add_argument("config")
@@ -97,27 +94,23 @@ def _fmt_stat(v: float) -> str:
 def _cmd_select(args) -> int:
     selector = parse_selector(args.selector)
     d = load_csv(args.dataset, args.outcome)
-    config = SelectorConfig(bins=args.bins, base_seed=args.seed, sp_t=args.sp_t, vif_t=args.vif_t)
+    trace = None
     if selector is SelectorId.AUTOSPEARMAN:
         subset, trace = auto_spearman(d, AutoSpearmanParams(args.sp_t, args.vif_t))
-        if args.as_json:
-            print(json.dumps({"selected": subset, "trace": trace.to_json_obj()}, indent=2))
-        else:
-            for name in subset:
-                print(name)
-            for step in trace.steps:
-                kept = f" (kept {step.kept})" if step.kept else ""
-                print(
-                    f"# removed {step.removed} [{step.phase}, {_fmt_stat(step.statistic)}]{kept}",
-                    file=sys.stderr,
-                )
-        return EXIT_OK
-    subset = select(selector, d, config, args.seed)
-    if args.as_json:
-        print(json.dumps({"selected": subset}, indent=2))
     else:
-        for name in subset:
-            print(name)
+        config = SelectorConfig(bins=args.bins, base_seed=args.seed, sp_t=args.sp_t, vif_t=args.vif_t)
+        subset = select(selector, d, config, args.seed)
+    if args.as_json:
+        doc = {"selected": subset}
+        if trace is not None:
+            doc["trace"] = trace.to_json_obj()
+        print(json.dumps(doc, indent=2))
+        return EXIT_OK
+    for name in subset:
+        print(name)
+    for step in trace.steps if trace is not None else ():
+        kept = f" (kept {step.kept})" if step.kept else ""
+        print(f"# removed {step.removed} [{step.phase}, {_fmt_stat(step.statistic)}]{kept}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -237,18 +230,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UnsupportedSelector as exc:
+    except (DataError, ComputationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(exc, UnsupportedSelector):
+            return EXIT_USAGE
+        return EXIT_COMPUTE if isinstance(exc, ComputationError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -77,7 +77,8 @@ class ConfigError(DataError):
 # -- computation ------------------------------------------------------------
 
 class EmptyTestSet(ComputationError):
-    """Every source row was drawn into the bootstrap sample; reseed and retry."""
+    """A bootstrap split of a one-row dataset: every draw takes that row, so
+    no split has a test side. Other draws that take every row are redrawn."""
 
 
 class LengthMismatch(ComputationError):

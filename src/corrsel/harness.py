@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
-import tempfile
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
@@ -501,8 +501,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Full pipeline: grid, consistency, correlation flags, performance deltas.
 
     The report echoes its configuration and seeds, so an identical re-run
-    reproduces it byte for byte apart from the timestamp field.
+    reproduces it byte for byte apart from the timestamp field. Its output
+    paths are checked before any work runs.
     """
+    outputs = [path for path in (cfg.output, cfg.output_csv) if path]
+    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+        raise ConfigError(f"output and output_csv name the same file {cfg.output!r}")
+    for path in outputs:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
     if isinstance(cfg.dataset, SyntheticSpec):
         d = generate_synthetic(cfg.dataset)
         dataset_id = f"synthetic(seed={cfg.dataset.seed})"
@@ -583,16 +590,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def write_report(report: ExperimentReport, path: str) -> None:
-    """Atomic write: the timestamp rides outside the deterministic payload."""
-    doc = dict(report.payload)
-    doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``, so ``path`` never holds a partial file. The file gets the
+    mode ``open`` would give it, where ``tempfile.mkstemp``'s is owner-only."""
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -600,26 +606,34 @@ def write_report(report: ExperimentReport, path: str) -> None:
         raise
 
 
+def write_report(report: ExperimentReport, path: str) -> None:
+    """Atomic write: the timestamp rides outside the deterministic payload."""
+    doc = dict(report.payload)
+    doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    _write_atomic(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
 def _write_cells_csv(cfg, grid: SubsetCollection, flags, by_cell) -> None:
     """One row per (selector, sample) cell: its subset, flags and deltas."""
     delta_keys = [(clf, m) for clf in cfg.classifiers for m in _MEASURES]
     columns = ["selector", "sample", "subset_size", "metrics", "has_collinearity", "has_multicollinearity"]
-    with open(cfg.output_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns + [f"delta_{clf}_{m}" for clf, m in delta_keys])
-        for sel in cfg.selectors:
-            for j in range(grid.sample_count):
-                subset = grid.subsets[(sel, j)]
-                cell_flags = flags.get((sel, j))
-                deltas = [by_cell.get((sel, clf, m), {}).get(j) for clf, m in delta_keys]
-                writer.writerow(
-                    [
-                        sel.value,
-                        j,
-                        "" if subset is None else len(subset),
-                        "FAILED" if subset is None else "|".join(subset),
-                        "" if cell_flags is None else int(cell_flags.has_collinearity),
-                        "" if cell_flags is None else int(cell_flags.has_multicollinearity),
-                    ]
-                    + ["" if x is None else format(x, ".6f") for x in deltas]
-                )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(columns + [f"delta_{clf}_{m}" for clf, m in delta_keys])
+    for sel in cfg.selectors:
+        for j in range(grid.sample_count):
+            subset = grid.subsets[(sel, j)]
+            cell_flags = flags.get((sel, j))
+            deltas = [by_cell.get((sel, clf, m), {}).get(j) for clf, m in delta_keys]
+            writer.writerow(
+                [
+                    sel.value,
+                    j,
+                    "" if subset is None else len(subset),
+                    "FAILED" if subset is None else "|".join(subset),
+                    "" if cell_flags is None else int(cell_flags.has_collinearity),
+                    "" if cell_flags is None else int(cell_flags.has_multicollinearity),
+                ]
+                + ["" if x is None else format(x, ".6f") for x in deltas]
+            )
+    _write_atomic(cfg.output_csv, text.getvalue())

@@ -272,47 +272,48 @@ def discretize_equal_frequency(values, bins: int) -> DiscreteColumn:
     return DiscreteColumn(labels=labels.astype(np.int64), bin_edges=edges)
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+def _class_counts(labels: np.ndarray, outcome) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and defective rows carrying each label 0..max(labels)."""
+    y = np.asarray(outcome, dtype=bool)
+    if labels.shape != y.shape:
+        raise LengthMismatch(f"{labels.shape} vs {y.shape}")
+    count = np.bincount(labels)
+    return count, np.bincount(labels[y], minlength=count.size)
+
+
+def _bin_table(metric_labels: DiscreteColumn, outcome) -> np.ndarray:
+    """The bins-by-2 (defective, clean) count table of the bins in use,
+    in ascending bin order."""
+    count, pos = _class_counts(metric_labels.labels, outcome)
+    used = count > 0
+    return np.column_stack([pos[used], count[used] - pos[used]])
+
+
+def _entropies(table: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a count table; 0 for an empty row."""
+    p = table / np.maximum(table.sum(axis=1, keepdims=True), 1)
+    plogp = np.zeros(p.shape)
+    nonzero = p > 0
+    plogp[nonzero] = p[nonzero] * np.log2(p[nonzero])
+    return -plogp.sum(axis=1)
 
 
 def information_gain(metric_labels: DiscreteColumn, outcome) -> float:
     """H(outcome) minus outcome entropy conditional on the bin, in bits."""
-    y = np.asarray(outcome, dtype=bool)
-    labels = metric_labels.labels
-    if labels.shape != y.shape:
-        raise LengthMismatch(f"{labels.shape} vs {y.shape}")
-    n = y.size
-    h_outcome = _entropy(np.array([np.count_nonzero(y), n - np.count_nonzero(y)]))
-    cond = 0.0
-    for b in np.unique(labels):
-        in_bin = labels == b
-        nb = int(np.count_nonzero(in_bin))
-        pos = int(np.count_nonzero(y[in_bin]))
-        cond += (nb / n) * _entropy(np.array([pos, nb - pos]))
-    return max(0.0, h_outcome - cond)
+    table = _bin_table(metric_labels, outcome)
+    rows = table.sum(axis=1)
+    n = int(rows.sum())
+    h_outcome = _entropies(table.sum(axis=0, keepdims=True))[0]
+    # summed one bin at a time in ascending bin order, the order of the
+    # reference per-bin loop, so the result matches it bit for bit
+    cond = np.cumsum(np.append(0.0, rows / n * _entropies(table)))[-1]
+    return max(0.0, float(h_outcome - cond))
 
 
 def chi_squared(metric_labels: DiscreteColumn, outcome) -> float:
     """Sum of (O-E)^2/E over the bins-by-2 contingency table; E=0 cells add 0."""
-    y = np.asarray(outcome, dtype=bool)
-    labels = metric_labels.labels
-    if labels.shape != y.shape:
-        raise LengthMismatch(f"{labels.shape} vs {y.shape}")
-    n = y.size
-    uniq = np.unique(labels)
-    observed = np.zeros((uniq.size, 2))
-    for i, b in enumerate(uniq):
-        in_bin = labels == b
-        observed[i, 0] = np.count_nonzero(y[in_bin])
-        observed[i, 1] = np.count_nonzero(in_bin) - observed[i, 0]
-    row_tot = observed.sum(axis=1, keepdims=True)
-    col_tot = observed.sum(axis=0, keepdims=True)
-    expected = row_tot * col_tot / n
+    observed = _bin_table(metric_labels, outcome)
+    expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0, keepdims=True) / observed.sum()
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
     return float(terms.sum())
@@ -345,8 +346,7 @@ def inconsistency_rate(d: Dataset, subset, bins: int = 10, labels=None) -> float
         if span > n:
             _, key = np.unique(key, return_inverse=True)
             span = int(key.max()) + 1
-    count = np.bincount(key, minlength=span)
-    pos = np.bincount(key[d.outcome], minlength=span)
+    count, pos = _class_counts(key, d.outcome)
     return int(np.minimum(pos, count - pos).sum()) / n
 
 

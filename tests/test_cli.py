@@ -214,6 +214,27 @@ _GOOD_CONFIG = {
 }
 
 
+@pytest.mark.parametrize(
+    "outputs",
+    [{"output": "missing/report.json"}, {"output_csv": "missing/cells.csv"},
+     {"output": "same.out", "output_csv": "same.out"}],
+    ids=["report-in-missing-dir", "csv-in-missing-dir", "report-is-csv"],
+)
+def test_experiment_bad_output_paths_exit_3_before_any_work(tmp_path, capsys, monkeypatch, outputs):
+    def never(spec):
+        raise AssertionError("the dataset was made before the output paths were checked")
+
+    monkeypatch.setattr("corrsel.harness.generate_synthetic", never)
+    outputs = {key: str(tmp_path / name) for key, name in outputs.items()}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_GOOD_CONFIG, **outputs}), encoding="utf-8")
+    assert main(["experiment", str(path)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(outputs.get("output", outputs.get("output_csv"))) in lines[0]
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_experiment_one_row_dataset_exit_3(tmp_path):
     # every bootstrap draw of one row takes that row, so a split never has a
     # test side; run in a child process so a reseed loop fails the test
@@ -302,18 +323,21 @@ def test_usage_error_exit_2():
 
 
 @pytest.mark.parametrize(
-    "option, value",
-    [("--sp-t", "2"), ("--sp-t", "0"), ("--sp-t", "nan"), ("--sp-t", "x"),
-     ("--vif-t", "1"), ("--vif-t", "0.5"), ("--bins", "1"), ("--bins", "x")],
+    "command, option, value",
+    [pytest.param("select", o, v, id=f"{o}-{v}") for o, v in [
+        ("--sp-t", "2"), ("--sp-t", "0"), ("--sp-t", "nan"), ("--sp-t", "x"),
+        ("--vif-t", "1"), ("--vif-t", "0.5"), ("--bins", "1"), ("--bins", "x")]]
+    + [pytest.param("diagnose", o, v, id=f"diagnose{o}-{v}") for o, v in [
+        ("--sp-t", "nan"), ("--sp-t", "0"), ("--vif-t", "1"), ("--vif-t", "0.5")]],
 )
-def test_select_out_of_range_threshold_exit_2(clone_csv, capsys, option, value):
+def test_select_out_of_range_threshold_exit_2(clone_csv, capsys, command, option, value):
+    selector = ["--selector", "AutoSpearman"] if command == "select" else []
     with pytest.raises(SystemExit) as exc:
-        main(["select", str(clone_csv), "--outcome", "bug", "--selector", "AutoSpearman",
-              option, value])
+        main([command, str(clone_csv), "--outcome", "bug", *selector, option, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith("corrsel select: error: argument " + option)
+    assert err.strip().splitlines()[-1].startswith(f"corrsel {command}: error: argument {option}")
 
 
 # -- malformed CSVs: one error line, exit 2/3/4, never a traceback -----------------------

@@ -7,6 +7,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -471,6 +472,12 @@ def test_experiment_csv_cells(tmp_path):
     lines = (tmp_path / "cells.csv").read_text().strip().splitlines()
     assert lines[0].startswith("selector,sample,subset_size,metrics")
     assert len(lines) == 1 + 2 * 5  # header + selectors x samples
+    # both outputs are written atomically, with the mode a plain open gives
+    umask = os.umask(0)
+    os.umask(umask)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.csv", "report.json"]
+    for name in ("cells.csv", "report.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask
 
 
 def test_experiment_autospearman_flags_always_clean(tmp_path):

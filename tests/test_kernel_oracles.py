@@ -14,12 +14,14 @@ per bag draw, argsorted per batch) that preceded it. The batched IRLS behind
 replaced; a warm-started fit is checked against that loop bit for bit when it
 does not converge (it is refit cold) and within a stated tolerance when it
 does. ``inconsistency_rate``'s folded-key count is checked against the
-``np.unique(axis=0)`` grouping it replaced. ``vif_phase``, which forms the
-correlation matrix once, is checked against the phase that called
-``vif_scores`` on every pass; ``spearman_phase``, which sorts its pairs once
-and walks them, against the loop that took the strongest pair from a list
-it filtered after every removal; and ``load_csv``'s one-call parse against the
-per-cell loop that remains its error path.
+``np.unique(axis=0)`` grouping it replaced, and ``information_gain``'s and
+``chi_squared``'s one-table count bit for bit against their per-bin loops.
+``vif_phase``, which forms the correlation matrix once, is checked against
+the phase that called ``vif_scores`` on every pass; ``spearman_phase``,
+which sorts its pairs once and walks them, against the loop that took the
+strongest pair from a list it filtered after every removal; and
+``load_csv``'s one-call parse against the per-cell loop that remains its
+error path.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ from corrsel.classifiers import (
 from corrsel.data import Dataset, bootstrap_sample, load_csv, sigmoid
 from corrsel.errors import CorrselError, DimensionMismatch
 from corrsel.stats import (
+    DiscreteColumn,
     _vif_closed_form,
     _vif_lstsq,
+    chi_squared,
     discretize_equal_frequency,
     inconsistency_rate,
+    information_gain,
     rank_with_ties,
     spearman,
     spearman_matrix,
@@ -1119,8 +1124,8 @@ def test_warm_irls_stalled_fit_is_refit_cold():
     full = fit_logistic(d, d.metric_names)
     assert not full.converged and warm_start(full, subset) is None
     start = np.r_[full.intercept, full.coefficients[[0, 2, 3, 4]]]
-    [stalled], flags = classifiers._fit_stacked([(d, subset)], [start])
-    assert flags == [True] and stalled.converged
+    [stalled] = classifiers._fit_stacked([(d, subset)], [start])
+    assert not stalled.converged
     [m] = fit_logistic_batch([(d, subset)], starts=[start])
     assert _fields(m) == _reference_fit_logistic(d, subset)
     assert _fields(m) != _fields(stalled)
@@ -1219,6 +1224,60 @@ def test_inconsistency_rate_many_columns_recompress():
     for k in (1, 2, 3, 20, 40):
         names = list(d.metric_names[:k])
         assert inconsistency_rate(d, names, 10) == _reference_inconsistency_rate(d, names, 10)
+
+
+# -- IG and chi-squared: one bincount table vs a loop over the bins ----------------------
+
+def _reference_entropy(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def _reference_information_gain(labels: np.ndarray, y: np.ndarray) -> float:
+    n = y.size
+    h_outcome = _reference_entropy(np.array([np.count_nonzero(y), n - np.count_nonzero(y)]))
+    cond = 0.0
+    for b in np.unique(labels):
+        in_bin = labels == b
+        nb = int(np.count_nonzero(in_bin))
+        pos = int(np.count_nonzero(y[in_bin]))
+        cond += (nb / n) * _reference_entropy(np.array([pos, nb - pos]))
+    return max(0.0, h_outcome - cond)
+
+
+def _reference_chi_squared(labels: np.ndarray, y: np.ndarray) -> float:
+    uniq = np.unique(labels)
+    observed = np.zeros((uniq.size, 2))
+    for i, b in enumerate(uniq):
+        in_bin = labels == b
+        observed[i, 0] = np.count_nonzero(y[in_bin])
+        observed[i, 1] = np.count_nonzero(in_bin) - observed[i, 0]
+    expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0, keepdims=True) / y.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
+    return float(terms.sum())
+
+
+@st.composite
+def label_cases(draw):
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # one bin, a few tie-heavy bins, or many bins with gaps between the used ones
+    values = draw(st.sampled_from([[0], [0, 1, 2], [0, 3, 7], list(range(0, 40, 3))]))
+    labels = rng.choice(np.array(values, np.int64), size=n, p=rng.dirichlet(np.ones(len(values))))
+    y = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.4, 1.0]))  # single-class too
+    return DiscreteColumn(labels, np.array([])), y
+
+
+@PROPERTY
+@given(label_cases())
+def test_ig_and_chi_squared_match_the_per_bin_loop(case):
+    column, y = case
+    assert information_gain(column, y) == _reference_information_gain(column.labels, y)
+    assert chi_squared(column, y) == _reference_chi_squared(column.labels, y)
 
 
 # -- load_csv: one np.loadtxt call vs the per-cell loop ----------------------------------
