@@ -44,8 +44,8 @@ from .stats import (
     effective_bins,
     inconsistency_rate,
     information_gain,
-    spearman,
-    spearman_matrix,
+    spearman_matrix,  # unused here; bench/tracer.py binds corrsel.selectors.spearman_matrix
+    spearman_of,
 )
 
 
@@ -204,11 +204,8 @@ def select_cfs(train: Dataset, config: SelectorConfig = SelectorConfig()) -> Met
     weak correlation within the subset, scored by the standard merit formula."""
     _require_supervised(train)
     p = train.n_metrics
-    outcome01 = train.outcome.astype(np.float64)
-    corr_out = np.array(
-        [abs(spearman(train.rows[:, j], outcome01)) for j in range(p)]
-    )
-    corr_ff = np.abs(spearman_matrix(train).values)
+    rho = np.abs(spearman_of(np.column_stack([train.rows, train.outcome])))
+    corr_out, corr_ff = rho[:p, p], rho[:p, :p]
     best, _ = _best_first(
         p,
         lambda members: _cfs_merit(members, corr_out, corr_ff),

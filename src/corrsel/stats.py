@@ -5,10 +5,13 @@ Conventions that matter downstream:
 
 * Ties receive average ranks and Spearman is the Pearson correlation of the
   rank vectors (the 6*sum(d^2) shortcut is wrong under ties).
+* Every Spearman statistic comes from :func:`spearman_of`, whose rank Gram
+  is exact in float64: its bytes depend on no BLAS kernel and no row order,
+  and ``spearman`` equals the matching ``spearman_matrix`` entry bit for bit.
 * A constant column has no assertable monotone association, so its Spearman
   correlation with anything is defined as 0 rather than NaN.
-* Columns with bitwise-identical (or exactly reversed) rank vectors
-  correlate at exactly +/-1.0, so threshold comparisons at 1.0 behave.
+* Columns with identical (or exactly reversed) rank vectors correlate at
+  exactly +/-1.0, so threshold comparisons at 1.0 behave.
 * VIF is read off the diagonal of the inverse correlation matrix; under
   (numerically) perfect linear dependence it is reported as ``math.inf``,
   which orders above every finite score.
@@ -61,34 +64,18 @@ class DiscreteColumn:
     bin_edges: np.ndarray  # sorted interior edges
 
 
-def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
-    n = rx.size
-    cx = rx - rx.mean()
-    cy = ry - ry.mean()
-    sx = math.sqrt(float(cx @ cx))
-    sy = math.sqrt(float(cy @ cy))
-    if sx == 0.0 or sy == 0.0:  # checked first: two constants share a rank vector
-        return 0.0
-    if np.array_equal(rx, ry):
-        return 1.0
-    if np.array_equal(rx, (n + 1) - ry):
-        return -1.0
-    r = float(cx @ cy) / (sx * sy)
-    return max(-1.0, min(1.0, r))
-
-
 def rank_with_ties(values) -> np.ndarray:
     """Ranks 1..n; tied values get the average of the ranks they span."""
     return _rank_columns(np.asarray(values, dtype=np.float64).reshape(-1))
 
 
 def spearman(x, y) -> float:
-    """Rank correlation in [-1, 1]; 0 when either input is constant."""
+    """Rank correlation in [-1, 1]; 0 when either input is constant or empty."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise LengthMismatch(f"{x.shape} vs {y.shape}")
-    return _rank_correlation(rank_with_ties(x), rank_with_ties(y))
+    return float(spearman_of(np.column_stack([x.reshape(-1), y.reshape(-1)]))[0, 1])
 
 
 def _rank_columns(x: np.ndarray) -> np.ndarray:
@@ -115,34 +102,42 @@ def _rank_columns(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _rho_from_gram(gram: np.ndarray) -> np.ndarray:
+    """Spearman matrix from the Gram matrix of doubled centred ranks, one
+    entry at a time: unit diagonal, 0 against a constant column, exact +/-1
+    for identical or reversed rank vectors."""
+    ss = np.diag(gram)
+    scale = np.sqrt(np.outer(ss, ss))
+    varying = scale != 0.0
+    rho = np.clip(gram / np.where(varying, scale, 1.0), -1.0, 1.0)  # a constant's Gram row is 0
+    rho[varying & (gram == ss) & (gram == ss[:, None])] = 1.0
+    rho[varying & (gram == -ss) & (gram == -ss[:, None])] = -1.0
+    np.fill_diagonal(rho, 1.0)
+    return rho
+
+
+def spearman_of(cols: np.ndarray) -> np.ndarray:
+    """Spearman correlation matrix of the columns of ``cols``, with the
+    conventions of :func:`_rho_from_gram`.
+
+    The doubled centred ranks c = 2r - (n + 1) are integers of magnitude at
+    most n - 1, so in a block of at most 2**53 / (n - 1)**2 rows every
+    partial sum of c^T c is an integer float64 holds exactly, in any order.
+    Blocks (one up to about 208,000 rows) are added in row order.
+    """
+    n, p = cols.shape
+    c = 2.0 * _rank_columns(cols) - (n + 1)
+    rows = max(1, 2**53 // max(1, (n - 1) ** 2))
+    gram = np.zeros((p, p))
+    for start in range(0, n, rows):
+        block = c[start:start + rows]
+        gram += block.T @ block
+    return _rho_from_gram(gram)
+
+
 def spearman_matrix(d: Dataset) -> CorrelationMatrix:
     """Pairwise Spearman over all metric columns; symmetric, unit diagonal."""
-    p = d.n_metrics
-    n = d.n_modules
-    ranks = _rank_columns(d.rows)
-    centered = ranks - ranks.mean(axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
-    constant = norms == 0.0
-    safe = np.where(constant, 1.0, norms)
-    z = centered / safe
-    c = np.clip(z.T @ z, -1.0, 1.0)
-    lower = np.tril_indices(p, -1)
-    c[lower] = c.T[lower]
-    # exact +/-1 for identical or reversed rank vectors, 0 for constants
-    varying = np.flatnonzero(~constant).tolist()
-    groups: dict[bytes, list[int]] = {}
-    for j in varying:
-        groups.setdefault(ranks[:, j].tobytes(), []).append(j)
-    for members in groups.values():
-        c[np.ix_(members, members)] = 1.0
-    for j in varying:
-        mirrored = groups.get(((n + 1) - ranks[:, j]).tobytes())
-        if mirrored:
-            c[j, mirrored] = -1.0
-    c[constant, :] = 0.0
-    c[:, constant] = 0.0
-    np.fill_diagonal(c, 1.0)
-    return CorrelationMatrix(d.metric_names, c)
+    return CorrelationMatrix(d.metric_names, spearman_of(d.rows))
 
 
 def ols_r_squared(target, predictors) -> float:

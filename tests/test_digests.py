@@ -172,7 +172,7 @@ def test_cells_csv_digest_is_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
-SELECT_TRACE_GOLDEN = "0aa9afd5ff7140c4abca1e43290421180f563e358498db09b6ee3cab704a484b"
+SELECT_TRACE_GOLDEN = "90e55b3651f030ef54a40a90085ed12905a2fec6903f9500c1c42336bc64f0e0"
 
 
 def _write_trace_csv(path) -> None:

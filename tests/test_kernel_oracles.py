@@ -2,9 +2,13 @@
 
 ``vif_scores`` reads VIFs off diag(R^-1) and is checked against
 ``_vif_lstsq``, the one-regression-per-metric path it falls back to.
-``spearman_matrix`` ranks all columns at once and is checked bit for bit
-against the pair-by-pair construction it replaced and against ``spearman``;
-the column rank kernel, which ``rank_with_ties`` runs on one column, is
+``spearman_matrix`` and ``spearman`` share one kernel, the exact integer Gram
+of doubled centred ranks. It is checked against the normalised z^T z
+construction it replaced, kept as the oracle: equal on every exact +/-1 and 0,
+and within 1e-12 elsewhere. Its bytes are checked to be the same under a row
+permutation, equal to its formula on a Gram summed in int64 without BLAS (also
+over several row blocks), and, entry by entry, equal to ``spearman`` on the
+pair. The column rank kernel, which ``rank_with_ties`` runs on one column, is
 checked bit for bit against the one-column ranker it replaced.
 The level-wise random forest is checked against the depth-first grower it
 replaced, kept here as the reference, and its distinct-row growth from one
@@ -248,7 +252,7 @@ def test_vif_phase_declined_passes_go_to_vif_scores(monkeypatch):
     assert kept == _vif_phase_per_pass(d, d.metric_names, 5.0)[0]
 
 
-# -- Spearman matrix: bit-equal to the pairwise construction -----------------------------
+# -- Spearman: the exact rank Gram vs the normalised construction -----------------------
 
 def _reference_ranks(values) -> np.ndarray:
     """The one-column ranker: average ranks 1..n from one stable argsort and
@@ -270,8 +274,10 @@ def _reference_ranks(values) -> np.ndarray:
     return ranks
 
 
-def _spearman_matrix_pairwise(d: Dataset) -> np.ndarray:
-    """The pair-by-pair construction ``spearman_matrix`` must reproduce exactly."""
+def _spearman_matrix_normalised(d: Dataset) -> np.ndarray:
+    """The construction the exact kernel replaced: z^T z of centred ranks
+    scaled to unit norm, through BLAS, with exact +/-1 for identical or
+    reversed rank vectors and 0 for constants set pair by pair."""
     p, n = d.n_metrics, d.n_modules
     ranks = np.column_stack([_reference_ranks(d.rows[:, j]) for j in range(p)])
     centered = ranks - ranks.mean(axis=0)
@@ -294,6 +300,15 @@ def _spearman_matrix_pairwise(d: Dataset) -> np.ndarray:
             c[j, i] = c[i, j]
     np.fill_diagonal(c, 1.0)
     return c
+
+
+def _exact_gram_rho(x: np.ndarray) -> np.ndarray:
+    """The kernel's elementwise formula on the Gram of doubled centred ranks
+    taken in int64, which numpy sums without BLAS."""
+    n = x.shape[0]
+    c = np.column_stack([_reference_ranks(x[:, j]) for j in range(x.shape[1])])
+    c = (2 * c).astype(np.int64) - (n + 1)
+    return stats._rho_from_gram((c.T @ c).astype(np.float64))
 
 
 @st.composite
@@ -320,25 +335,52 @@ def rank_designs(draw):
 
 @PROPERTY
 @given(rank_designs())
-def test_spearman_matrix_is_bit_equal_to_pairwise(x):
-    d = _dataset(x)
-    got = spearman_matrix(d).values
-    assert got.tobytes() == _spearman_matrix_pairwise(d).tobytes()
-    n, p = x.shape
-    ranks = [_reference_ranks(x[:, j]) for j in range(p)]
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            rho = spearman(x[:, i], x[:, j])
-            if np.ptp(x[:, i]) == 0 or np.ptp(x[:, j]) == 0:
-                assert got[i, j] == rho == 0.0
-            elif np.array_equal(ranks[i], ranks[j]):
-                assert got[i, j] == rho == 1.0
-            elif np.array_equal(ranks[i], (n + 1) - ranks[j]):
-                assert got[i, j] == rho == -1.0
-            else:
-                assert got[i, j] == pytest.approx(rho, abs=1e-12)
+def test_spearman_matrix_matches_the_normalised_construction(x):
+    got = spearman_matrix(_dataset(x)).values
+    want = _spearman_matrix_normalised(_dataset(x))
+    # the oracle's +/-1 and 0 are set exactly; a correlation that is exactly 0
+    # comes out of the exact Gram as 0 but may round to ~1e-17 in the oracle
+    exact = np.isin(want, (-1.0, 0.0, 1.0))
+    assert np.array_equal(got[exact], want[exact])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(rank_designs(), st.integers(0, 2**32 - 1))
+def test_spearman_matrix_bytes_are_exact(x, seed):
+    """The bytes depend on neither the row order nor the BLAS summation
+    order, and entry (i, j) on columns i and j alone."""
+    got = spearman_matrix(_dataset(x)).values
+    permuted = x[np.random.default_rng(seed).permutation(x.shape[0])]
+    assert spearman_matrix(_dataset(permuted)).values.tobytes() == got.tobytes()
+    assert got.tobytes() == _exact_gram_rho(x).tobytes()
+    p = x.shape[1]
+    pairs = [spearman(x[:, i], x[:, j]) for i in range(p) for j in range(p) if i != j]
+    assert np.array_equal(got[~np.eye(p, dtype=bool)], pairs)
+
+
+def test_spearman_matrix_bytes_are_exact_at_width():
+    # the size of the select-wide workload: 90 metrics x 500 rows, 30 latent factors
+    rng = np.random.default_rng(90)
+    x = rng.standard_normal((500, 30)) @ rng.standard_normal((30, 90))
+    x += 0.5 * rng.standard_normal(x.shape)
+    got = spearman_matrix(_dataset(x)).values
+    assert spearman_matrix(_dataset(x[::-1])).values.tobytes() == got.tobytes()
+    assert got.tobytes() == _exact_gram_rho(x).tobytes()
+
+
+def test_spearman_matrix_exact_over_several_row_blocks():
+    # 250,000 rows take two blocks of at most 2**53 / (n - 1)**2 rows
+    n = 250_000
+    assert 2**53 // (n - 1) ** 2 < n
+    rng = np.random.default_rng(25)
+    base = rng.standard_normal(n)
+    x = np.column_stack([base, base.copy(), -base, rng.standard_normal(n)])
+    got = spearman_matrix(_dataset(x)).values
+    sign = np.array([1.0, 1.0, -1.0])
+    assert np.array_equal(got[:3, :3], np.outer(sign, sign))
+    assert abs(got[0, 3]) < 0.01
+    assert got.tobytes() == _exact_gram_rho(x).tobytes()
 
 
 @PROPERTY

@@ -19,6 +19,7 @@ from corrsel.stats import (
     rank_with_ties,
     spearman,
     spearman_matrix,
+    spearman_of,
     vif_scores,
 )
 
@@ -367,3 +368,9 @@ def test_aic_useless_parameter_costs_two():
 def test_spearman_two_constants_is_zero():
     assert spearman([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]) == 0.0
     assert spearman([4.0], [4.0]) == 0.0
+
+
+def test_spearman_of_empty_inputs_is_zero():
+    # no "Mean of empty slice" warning, which the suite turns into an error
+    assert spearman([], []) == 0.0
+    assert np.array_equal(spearman_of(np.empty((0, 2))), np.eye(2))
