@@ -19,8 +19,7 @@ from corrsel import (
     SelectorConfig,
     SelectorId,
     SyntheticSpec,
-    consistency_across_samples,
-    consistency_across_selectors,
+    consistency,
     correlation_flags,
     generate_synthetic,
     run_selection_grid,
@@ -56,14 +55,14 @@ grid = run_selection_grid(data, selectors, B, config)
 
 print(f"\n{'technique':14} {'consistency':>11} {'kept in all':>11} {'kept in any':>11}")
 for sel in selectors:
-    res = consistency_across_samples(grid.for_selector(sel), sel)
+    res = consistency(grid.for_selector(sel))
     print(
         f"{sel.value:14} {res.percentage:10.1f}% {res.intersection_size:11d} {res.union_size:11d}"
     )
 
 # The same formula applied across techniques on one sample shows how little
 # the techniques agree with each other.
-agreement = consistency_across_selectors(grid.for_sample(0), 0)
+agreement = consistency(grid.for_sample(0))
 print(
     f"\nagreement among all {len(selectors)} techniques on sample 0: "
     f"{agreement.percentage:.1f}%"

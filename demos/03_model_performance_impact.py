@@ -42,9 +42,7 @@ for note in records:
 print(f"\n{'classifier':10} {'measure':8} {'median delta':>13} {'IQR':>18}")
 for clf in ("logistic", "forest"):
     for measure in ("AUC", "F", "MCC"):
-        vals = np.array(
-            [x.delta for x in deltas if x.classifier == clf and x.measure == measure]
-        )
+        vals = np.array(list(deltas[(SelectorId.AUTOSPEARMAN, clf, measure)].values()))
         q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75])
         print(f"{clf:10} {measure:8} {med:+12.2f}pp [{q1:+6.2f}, {q3:+6.2f}]")
 

@@ -25,8 +25,6 @@ from .classifiers import (
     fit_logistic_batch,
     fit_random_forest,
     importance,
-    predict_forest,
-    predict_logistic,
     score_rows,
 )
 from .data import (
@@ -46,10 +44,8 @@ from .harness import (
     CorrelationFlags,
     ExperimentConfig,
     ExperimentReport,
-    PerformanceDelta,
     SubsetCollection,
-    consistency_across_samples,
-    consistency_across_selectors,
+    consistency,
     correlation_flags,
     load_config,
     performance_deltas,

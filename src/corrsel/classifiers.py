@@ -489,37 +489,16 @@ def _forest_votes(m: ForestModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scores(model, x: np.ndarray) -> np.ndarray:
-    """Defect probability of each row of ``x`` (the model's metrics, in its
-    order): a logistic model's clamped inside (0, 1), a forest's vote
-    fraction."""
+def score_rows(model, d: Dataset) -> np.ndarray:
+    """Defect probability of every row of ``d``: a logistic model's clamped
+    inside (0, 1), a forest's fraction of trees voting defective (a multiple
+    of 1/ntree). The model's metrics are read from ``d`` by name."""
+    x = d.columns(model.metric_names)
     if isinstance(model, LogisticModel):
         return np.clip(sigmoid(model.intercept + x @ model.coefficients), _PROB_EPS, 1.0 - _PROB_EPS)
     if isinstance(model, ForestModel):
         return _forest_votes(model, x)
     raise DimensionMismatch(f"unsupported model type {type(model).__name__}")
-
-
-def _score_row(model, row) -> float:
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (len(model.metric_names),):
-        raise DimensionMismatch(f"row of length {row.size}, model has {len(model.metric_names)} metrics")
-    return float(_scores(model, row[None, :])[0])
-
-
-def predict_logistic(m: LogisticModel, row) -> float:
-    """Defect probability for one module, clamped inside (0, 1)."""
-    return _score_row(m, row)
-
-
-def predict_forest(m: ForestModel, row) -> float:
-    """Fraction of trees voting defective; always a multiple of 1/ntree."""
-    return _score_row(m, row)
-
-
-def score_rows(model, d: Dataset) -> np.ndarray:
-    """Defect probabilities for every row of ``d`` under either model type."""
-    return _scores(model, d.columns(model.metric_names))
 
 
 def importance(model, d: Dataset) -> ImportanceScores:

@@ -4,8 +4,9 @@ Four subcommands: ``select`` (run one technique on a CSV), ``diagnose``
 (Spearman matrix, VIF table, correlation flags), ``experiment`` (run a JSON
 config through the bootstrap harness), and ``synth`` (write a synthetic
 dataset to CSV). Exit codes: 0 success, 2 usage error, 3 data error,
-4 computation error. All randomness comes from --seed or config seeds;
-the default seed is a fixed constant, never the clock.
+4 computation error, 130 interrupted (Ctrl-C). All randomness comes from
+--seed or config seeds; the default seed is a fixed constant, never the
+clock.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_COMPUTE = 4
+EXIT_INTERRUPTED = 130
 
 
 def _param(field: str):
@@ -235,6 +237,9 @@ def main(argv=None) -> int:
         if isinstance(exc, UnsupportedSelector):
             return EXIT_USAGE
         return EXIT_COMPUTE if isinstance(exc, ComputationError) else EXIT_DATA
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -21,8 +21,10 @@ import io
 import json
 import math
 import os
+import signal
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -88,7 +90,6 @@ class SubsetCollection:
 
 @dataclass(frozen=True)
 class ConsistencyResult:
-    scope: tuple[str, object]  # ("across_samples", SelectorId) | ("across_selectors", int)
     percentage: float
     intersection_size: int
     union_size: int
@@ -100,13 +101,9 @@ class CorrelationFlags:
     has_multicollinearity: bool
 
 
-@dataclass(frozen=True)
-class PerformanceDelta:
-    selector: SelectorId
-    classifier: str  # "logistic" | "forest"
-    measure: str  # "AUC" | "F" | "MCC"
-    sample_index: int
-    delta: float  # percentage points, selected minus all-metrics
+def _check_classifiers(classifiers) -> None:
+    if not set(classifiers) <= set(_CLASSIFIERS):
+        raise ConfigError(f"classifiers must be drawn from {list(_CLASSIFIERS)}, got {list(classifiers)}")
 
 
 @dataclass(frozen=True)
@@ -133,10 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate selectors: {[s.value for s in self.selectors]}")
         if self.bootstrap_count < 1:
             raise ConfigError("bootstrap_count must be >= 1")
-        if not set(self.classifiers) <= set(_CLASSIFIERS):
-            raise ConfigError(
-                f"classifiers must be drawn from {list(_CLASSIFIERS)}, got {list(self.classifiers)}"
-            )
+        _check_classifiers(self.classifiers)
 
 
 @dataclass
@@ -162,6 +156,7 @@ _worker_job = None
 def _start_worker(fn, tasks) -> None:
     global _worker_job
     _worker_job = (fn, tasks)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to answer
 
 
 def _run_task(i: int):
@@ -178,18 +173,34 @@ def _ordered_map(fn, tasks) -> list:
     caller's data as it is. The map runs in this process when there is one
     usable CPU or one task, when the platform cannot fork, or when this
     process is a daemon (which may not start children).
+
+    Each task is sent to a worker on its own. A worker that dies, say
+    killed by a signal, ends the map with a ComputationError. Workers ignore
+    SIGINT: on Ctrl-C, or when a task raises, the caller terminates the
+    workers and re-raises.
     """
     tasks = list(tasks)
     workers = min(_usable_cpus(), len(tasks))
     if workers > 1:
-        import multiprocessing  # here, so that commands which run no map do not pay its import
+        # imported here, so that commands which run no map do not pay for it
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
-            with multiprocessing.get_context("fork").Pool(workers, _start_worker, (fn, tasks)) as pool:
-                results = pool.map(_run_task, range(len(tasks)), chunksize=1)
-                pool.close()
-                pool.join()
-            return results
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, fork, _start_worker, (fn, tasks)) as pool:
+                try:
+                    futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+                    return [future.result() for future in futures]
+                except BrokenProcessPool:
+                    name = getattr(fn, "func", fn).__name__
+                    raise ComputationError(f"a worker died while mapping {name} over {len(tasks)} tasks") from None
+                except BaseException:
+                    # a task raised, or Ctrl-C: stop every worker now. Cancelling the
+                    # tasks not yet run would race the pool's clean-up of killed workers.
+                    for child in multiprocessing.active_children():
+                        child.terminate()
+                    raise
     return [fn(t) for t in tasks]
 
 
@@ -236,24 +247,17 @@ def run_selection_grid(
     return SubsetCollection(subsets, failures, selectors, base_seed, tuple(splits))
 
 
-def _consistency(subsets: list[MetricSubset], scope) -> ConsistencyResult:
+def consistency(subsets: list[MetricSubset]) -> ConsistencyResult:
+    """100 * |intersection| / |union| of the subsets: one technique's across
+    the samples, or one sample's across the techniques. Subsets that are all
+    empty score 0."""
     sets = [set(s) for s in subsets]
     if not sets:
         raise ConfigError("consistency needs at least one subset")
     inter = set.intersection(*sets)
     union = set.union(*sets)
     pct = 100.0 * len(inter) / len(union) if union else 0.0
-    return ConsistencyResult(scope, pct, len(inter), len(union))
-
-
-def consistency_across_samples(subsets: list[MetricSubset], selector=None) -> ConsistencyResult:
-    """100 * |intersection| / |union| over one technique's per-sample subsets."""
-    return _consistency(subsets, ("across_samples", selector))
-
-
-def consistency_across_selectors(subsets_one_sample: list[MetricSubset], sample_index=None) -> ConsistencyResult:
-    """Same formula over the per-technique subsets of a single sample."""
-    return _consistency(subsets_one_sample, ("across_selectors", sample_index))
+    return ConsistencyResult(pct, len(inter), len(union))
 
 
 def correlation_flags(
@@ -284,23 +288,6 @@ def _flag_cells(grid: SubsetCollection, sp_t: float, vif_t: float) -> dict[tuple
     }
 
 
-def _intercept_only_scores(train: Dataset, test: Dataset) -> np.ndarray:
-    rate = float(np.count_nonzero(train.outcome)) / train.n_modules
-    return np.full(test.n_modules, rate)
-
-
-def _fit_and_score(classifier: str, train: Dataset, subset, test: Dataset, seed: int) -> np.ndarray:
-    if not subset:
-        return _intercept_only_scores(train, test)
-    if classifier == "logistic":
-        model = fit_logistic(train, subset)
-    elif classifier == "forest":
-        model = fit_random_forest(train, subset, seed=seed)
-    else:
-        raise ConfigError(f"unknown classifier {classifier!r}")
-    return score_rows(model, test)
-
-
 def _measures(scores: np.ndarray, outcome: np.ndarray) -> dict[str, float]:
     """F and MCC at the 0.5 cut, and AUC when both classes are present."""
     cm = confusion_at(scores, outcome)
@@ -319,21 +306,33 @@ def _subset_key(subset) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _cell_measures(clf: str, split: BootstrapSplit, subset: tuple[str, ...], base_seed: int, j: int):
-    """The measures of one model fit on sample j's training rows and scored
-    on its test rows, or the ComputationError its fit raised. A forest's
-    seed is keyed on the sample and the subset, not on who picked it."""
-    seed = derive_seed(base_seed, j, 202, _subset_key(subset))
+def _cell_measures(grid: SubsetCollection, cell: tuple[int, str, tuple[str, ...]]):
+    """The measures of the cell (sample j, classifier, ordered subset): a
+    model fit on sample j's training rows and scored on its test rows, or
+    the ComputationError its fit raised. An empty subset scores every row at
+    the training defect rate. A forest's seed is keyed on the sample and the
+    subset, not on who picked it."""
+    j, clf, subset = cell
+    train, test = grid.splits[j].train, grid.splits[j].test
     try:
-        scores = _fit_and_score(clf, split.train, subset, split.test, seed)
+        if not subset:
+            scores = np.full(test.n_modules, np.count_nonzero(train.outcome) / train.n_modules)
+        elif clf == "logistic":
+            scores = score_rows(fit_logistic(train, subset), test)
+        else:
+            seed = derive_seed(grid.base_seed, j, 202, _subset_key(subset))
+            scores = score_rows(fit_random_forest(train, subset, seed=seed), test)
     except ComputationError as exc:
         return exc
-    return _measures(scores, split.test.outcome)
+    return _measures(scores, test.outcome)
 
 
 def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
     """Per-sample performance differences of the grid's subsets, selected
-    minus all metrics.
+    minus all metrics, in percentage points: ``({(selector, classifier,
+    measure): {sample: delta}}, records)``, samples in ascending order.
+    A classifier other than "logistic" or "forest" raises ConfigError
+    before any fit.
 
     Both models of a pair are fit on the grid's bootstrap training sample and
     scored on its test rows; training data is never re-balanced or
@@ -346,6 +345,7 @@ def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
     seed is derived from the sample and the subset's names, so a selector
     that keeps every metric, in order, gets deltas of exactly zero.
     """
+    _check_classifiers(classifiers)
     cells = []  # distinct (sample, classifier, ordered subset), baselines first
     for j, split in enumerate(grid.splits):
         for clf in classifiers:
@@ -357,17 +357,13 @@ def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
             )
     cells = list(dict.fromkeys(cells))
 
-    def measure(cell):
-        j, clf, subset = cell
-        return _cell_measures(clf, grid.splits[j], subset, grid.base_seed, j)
-
     # a forest cell grows 100 trees; a logistic cell is one IRLS fit of a few
     # milliseconds, less than starting the workers costs, so it runs here
     forests = [cell for cell in cells if cell[1] == "forest"]
-    measured = dict(zip(forests, _ordered_map(measure, forests)))  # measures, or the fit's error
-    measured.update((cell, measure(cell)) for cell in cells if cell[1] != "forest")
+    measured = dict(zip(forests, _ordered_map(partial(_cell_measures, grid), forests)))  # measures, or the fit's error
+    measured.update((cell, _cell_measures(grid, cell)) for cell in cells if cell[1] != "forest")
 
-    deltas: list[PerformanceDelta] = []
+    deltas: dict[tuple[SelectorId, str, str], dict[int, float]] = {}
     records: list[str] = []
     for j, split in enumerate(grid.splits):
         for clf in classifiers:
@@ -385,11 +381,9 @@ def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
                 if isinstance(vals, ComputationError):
                     records.append(f"sample {j} {clf} {sel.value}: {type(vals).__name__}: {vals}")
                     continue
-                deltas.extend(
-                    PerformanceDelta(sel, clf, m, j, 100.0 * (vals[m] - base_vals[m]))
-                    for m in _MEASURES
-                    if m in vals
-                )
+                for m in _MEASURES:
+                    if m in vals:
+                        deltas.setdefault((sel, clf, m), {})[j] = 100.0 * (vals[m] - base_vals[m])
     return deltas, records
 
 
@@ -522,9 +516,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     grid = run_selection_grid(d, selectors, B, cfg.selector_config)
     flags = _flag_cells(grid, cfg.selector_config.sp_t, cfg.selector_config.vif_t)
     deltas, records = performance_deltas(grid, cfg.classifiers)
-    by_cell: dict[tuple[SelectorId, str, str], dict[int, float]] = {}
-    for x in deltas:
-        by_cell.setdefault((x.selector, x.classifier, x.measure), {})[x.sample_index] = x.delta
 
     warnings: list[str] = []
     across_samples = {}
@@ -533,7 +524,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if not subsets:
             warnings.append(f"{sel.value}: no successful samples")
             continue
-        res = consistency_across_samples(subsets, sel)
+        res = consistency(subsets)
         if res.union_size == 0:
             warnings.append(f"{sel.value}: all selected subsets empty; consistency defined 0")
         across_samples[sel.value] = {
@@ -545,7 +536,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     across_selectors = []
     for j in range(B):
         subsets = grid.for_sample(j)
-        across_selectors.append(consistency_across_selectors(subsets, j).percentage if subsets else None)
+        across_selectors.append(consistency(subsets).percentage if subsets else None)
 
     flag_rows = {}
     for sel in selectors:
@@ -558,7 +549,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         }
 
     delta_stats = {
-        f"{sel.value}|{clf}|{m}": _quartiles(list(by_cell.get((sel, clf, m), {}).values()))
+        f"{sel.value}|{clf}|{m}": _quartiles(list(deltas.get((sel, clf, m), {}).values()))
         for sel in selectors
         for clf in cfg.classifiers
         for m in _MEASURES
@@ -586,7 +577,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.output:
         write_report(report, cfg.output)
     if cfg.output_csv:
-        _write_cells_csv(cfg, grid, flags, by_cell)
+        _write_cells_csv(cfg, grid, flags, deltas)
     return report
 
 
@@ -613,7 +604,7 @@ def write_report(report: ExperimentReport, path: str) -> None:
     _write_atomic(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _write_cells_csv(cfg, grid: SubsetCollection, flags, by_cell) -> None:
+def _write_cells_csv(cfg, grid: SubsetCollection, flags, deltas) -> None:
     """One row per (selector, sample) cell: its subset, flags and deltas."""
     delta_keys = [(clf, m) for clf in cfg.classifiers for m in _MEASURES]
     columns = ["selector", "sample", "subset_size", "metrics", "has_collinearity", "has_multicollinearity"]
@@ -624,7 +615,7 @@ def _write_cells_csv(cfg, grid: SubsetCollection, flags, by_cell) -> None:
         for j in range(grid.sample_count):
             subset = grid.subsets[(sel, j)]
             cell_flags = flags.get((sel, j))
-            deltas = [by_cell.get((sel, clf, m), {}).get(j) for clf, m in delta_keys]
+            cell_deltas = [deltas.get((sel, clf, m), {}).get(j) for clf, m in delta_keys]
             writer.writerow(
                 [
                     sel.value,
@@ -634,6 +625,6 @@ def _write_cells_csv(cfg, grid: SubsetCollection, flags, by_cell) -> None:
                     "" if cell_flags is None else int(cell_flags.has_collinearity),
                     "" if cell_flags is None else int(cell_flags.has_multicollinearity),
                 ]
-                + ["" if x is None else format(x, ".6f") for x in deltas]
+                + ["" if x is None else format(x, ".6f") for x in cell_deltas]
             )
     _write_atomic(cfg.output_csv, text.getvalue())

@@ -25,7 +25,7 @@ from corrsel.data import Dataset, SyntheticSpec, bootstrap_sample, generate_synt
 from corrsel.errors import EmptyTestSet
 from corrsel.evaluation import ConfusionMatrix, auc, f_measure, mcc
 from corrsel.harness import (
-    consistency_across_samples,
+    consistency,
     correlation_flags,
     performance_deltas,
     run_selection_grid,
@@ -132,7 +132,7 @@ def test_criterion_3_consistency_superiority(selection_grid):
     with criterion(3, "AutoSpearman across-sample consistency strictly greatest, gap >= 10"):
         start = time.time()
         pct = {
-            sel: consistency_across_samples(selection_grid.for_selector(sel), sel).percentage
+            sel: consistency(selection_grid.for_selector(sel)).percentage
             for sel in _GRID_SELECTORS
         }
         auto = pct[SelectorId.AUTOSPEARMAN]
@@ -173,7 +173,7 @@ def test_criterion_5_performance_impact_bound():
         grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], 30, SelectorConfig(base_seed=5))
         deltas, _ = performance_deltas(grid, ("logistic", "forest"))
         for clf in ("logistic", "forest"):
-            vals = [abs(x.delta) for x in deltas if x.classifier == clf and x.measure == "AUC"]
+            vals = [abs(x) for x in deltas[(SelectorId.AUTOSPEARMAN, clf, "AUC")].values()]
             assert len(vals) == 30
             med = float(np.median(vals))
             assert med <= 5.0, f"{clf}: median |AUC delta| {med} > 5"
@@ -327,11 +327,11 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 
 def test_criterion_10_consistency_formula_suite():
     with criterion(10, "consistency set arithmetic + exhaustive monotone appension"):
-        assert consistency_across_samples([["a", "b", "c"], ["b", "c", "d"]]).percentage == 50.0
-        assert consistency_across_samples(
+        assert consistency([["a", "b", "c"], ["b", "c", "d"]]).percentage == 50.0
+        assert consistency(
             [["a", "b"], ["a", "c"], ["a"]]
         ).percentage == pytest.approx(100 / 3, abs=1e-9)
-        assert consistency_across_samples([["a"], ["b"]]).percentage == 0.0
+        assert consistency([["a"], ["b"]]).percentage == 0.0
 
         universe = ["a", "b", "c", "d"]
         all_subsets = [
@@ -340,9 +340,9 @@ def test_criterion_10_consistency_formula_suite():
         count = 0
         for size in (1, 2, 3):
             for family in itertools.product(all_subsets, repeat=size):
-                base = consistency_across_samples(list(family)).percentage
+                base = consistency(list(family)).percentage
                 for extra in all_subsets:
-                    appended = consistency_across_samples(list(family) + [extra]).percentage
+                    appended = consistency(list(family) + [extra]).percentage
                     assert appended <= base + 1e-12
                     count += 1
         assert count == (16 + 16**2 + 16**3) * 16

@@ -10,18 +10,21 @@ from corrsel.classifiers import (
     fit_logistic,
     fit_random_forest,
     importance,
-    predict_forest,
-    predict_logistic,
     score_rows,
 )
 from corrsel.data import Dataset
-from corrsel.errors import ConfigError, DegenerateOutcome, DimensionMismatch, MissingColumn
+from corrsel.errors import ConfigError, DegenerateOutcome, MissingColumn
 from corrsel.evaluation import auc
 
 
 def _dataset(cols: dict[str, np.ndarray], outcome) -> Dataset:
     names = tuple(cols)
     return Dataset(names, np.column_stack([cols[n] for n in names]), np.asarray(outcome, bool))
+
+
+def _one_row(names, row) -> Dataset:
+    """A one-row dataset of the given metric values, to score a model on."""
+    return Dataset(tuple(names), np.asarray(row, dtype=float)[None, :], np.zeros(1, bool))
 
 
 def _logistic_fixture(seed=0, n=200, beta=(1.0, -0.5)):
@@ -102,27 +105,25 @@ def test_affine_equivariance():
     assert m_scale.coefficients[0] == pytest.approx(m.coefficients[0] / 4.0, abs=1e-6)
     row = np.array([0.3, -0.2])
     scaled_row = row * np.array([4.0, 1.0])
-    assert predict_logistic(m_scale, scaled_row) == pytest.approx(
-        predict_logistic(m, row), abs=1e-8
+    assert score_rows(m_scale, _one_row(m.metric_names, scaled_row))[0] == pytest.approx(
+        score_rows(m, _one_row(m.metric_names, row))[0], abs=1e-8
     )
 
 
 def test_predict_logistic_basics():
     d = _logistic_fixture(5)
-    m = fit_logistic(d, list(d.metric_names))
     zero = fit_logistic(d, [])
-    assert 0 < predict_logistic(zero, np.array([])) < 1
-    with pytest.raises(DimensionMismatch):
-        predict_logistic(m, np.array([1.0]))
+    assert 0 < score_rows(zero, _one_row(d.metric_names, d.rows[0]))[0] < 1
 
 
 def test_predict_logistic_hand_values():
     from corrsel.classifiers import LogisticModel
 
+    row = _one_row(["a"], [2.0])  # a zero-metric model reads no column
     m = LogisticModel((), 0.0, np.array([]), 0.0, True, 0, (0.0,))
-    assert predict_logistic(m, np.array([])) == 0.5
+    assert score_rows(m, row)[0] == 0.5
     m3 = LogisticModel((), math.log(3), np.array([]), 0.0, True, 0, (0.0,))
-    assert predict_logistic(m3, np.array([])) == pytest.approx(0.75, abs=1e-12)
+    assert score_rows(m3, row)[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_negating_model_flips_probability():
@@ -130,8 +131,8 @@ def test_negating_model_flips_probability():
 
     m = LogisticModel(("a",), 0.7, np.array([-1.3]), 0.0, True, 0, (0.0,))
     neg = LogisticModel(("a",), -0.7, np.array([1.3]), 0.0, True, 0, (0.0,))
-    row = np.array([0.4])
-    assert predict_logistic(neg, row) == pytest.approx(1 - predict_logistic(m, row), abs=1e-12)
+    row = _one_row(["a"], [0.4])
+    assert score_rows(neg, row)[0] == pytest.approx(1 - score_rows(m, row)[0], abs=1e-12)
 
 
 # -- forest ----------------------------------------------------------------------
@@ -207,11 +208,8 @@ def test_unknown_metric_raises_missing_column():
 def test_predict_forest_vote_fraction():
     d = _logistic_fixture(9, n=60)
     m = fit_random_forest(d, list(d.metric_names), ntree=4, seed=11)
-    row = d.rows[0]
-    votes = predict_forest(m, row)
+    votes = score_rows(m, _one_row(d.metric_names, d.rows[0]))[0]
     assert votes in {0.0, 0.25, 0.5, 0.75, 1.0}
-    with pytest.raises(DimensionMismatch):
-        predict_forest(m, np.array([1.0]))
 
 
 # -- importance -------------------------------------------------------------------

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corrsel.cli import main
+from corrsel.harness import _usable_cpus
 from corrsel.data import load_csv
 from corrsel.stats import spearman
 
@@ -256,6 +260,90 @@ def test_experiment_one_row_dataset_exit_3(tmp_path):
     lines = done.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
     assert "2 rows" in lines[0]
+
+
+# A forest experiment, run by ``main`` in a child process in its own session,
+# whose cells of sample 1 first run ``{action}``. The test drives the child
+# from outside with a timeout, so a hang fails the test, not the suite.
+_PLANTED_CELL = """
+import os, signal, sys, time
+import corrsel.harness as harness
+from corrsel.cli import main
+
+caller, real = os.getpid(), harness._cell_measures
+
+def planted(grid, cell):
+    if cell[0] == 1:
+        {action}
+    return real(grid, cell)
+
+harness._cell_measures = planted
+sys.exit(main(["experiment", sys.argv[1]]))
+"""
+
+
+def _start_planted_experiment(tmp_path, action: str) -> subprocess.Popen:
+    cfg_path = tmp_path / "config.json"
+    config = {
+        "dataset": {
+            "base_metric_count": 4, "module_count": 120, "signal_coefficients": [1.5, 0, 0, 0],
+            "clone_groups": [[0, 1, 0.01]], "seed": 13,
+        },
+        "selectors": ["AutoSpearman"], "bootstrap_count": 4, "classifiers": ["forest"],
+    }
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.Popen(
+        [sys.executable, "-c", _PLANTED_CELL.format(action=action), str(cfg_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+
+
+def _finish(proc: subprocess.Popen, timeout: float) -> tuple[int, str, bool]:
+    """The child's exit code and stderr, and whether its session is empty
+    once it has exited. A child still running after ``timeout`` seconds
+    fails the test, and its whole session is killed."""
+    try:
+        _, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the experiment was still running after {timeout} s")
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return proc.returncode, err, True
+    os.killpg(proc.pid, signal.SIGKILL)
+    return proc.returncode, err, False
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or _usable_cpus() < 2,
+    reason="needs forked workers on two CPUs",
+)
+def test_experiment_worker_killed_exit_4(tmp_path):
+    proc = _start_planted_experiment(tmp_path, "if os.getpid() != caller: os.kill(os.getpid(), signal.SIGKILL)")
+    code, err, empty = _finish(proc, 60)
+    assert code == 4, err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: a worker died"), err
+    assert empty, "a process of the experiment outlived it"
+
+
+def test_experiment_interrupted_exit_130(tmp_path):
+    started = tmp_path / "started"
+    proc = _start_planted_experiment(tmp_path, f"open({str(started)!r}, 'w').close(); time.sleep(600)")
+    deadline = time.monotonic() + 60
+    while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if started.exists():
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C in a terminal does
+    code, err, empty = _finish(proc, 30)
+    assert started.exists(), err
+    assert code == 130, err
+    assert err.splitlines() == ["error: interrupted"]
+    assert empty, "a process of the experiment outlived it"
 
 
 def test_synth_negative_seed_exit_3(tmp_path, capsys):

@@ -20,8 +20,7 @@ from corrsel.errors import ConfigError, UnsupportedSelector
 from corrsel.harness import (
     ExperimentConfig,
     _config_echo,
-    consistency_across_samples,
-    consistency_across_selectors,
+    consistency,
     correlation_flags,
     load_config,
     performance_deltas,
@@ -56,31 +55,37 @@ def _clone_fixture(seed=0):
 # -- consistency formulas -----------------------------------------------------
 
 def test_consistency_identical_subsets():
-    res = consistency_across_samples([["a", "b"]] * 7)
+    res = consistency([["a", "b"]] * 7)
     assert res.percentage == 100.0
     assert res.intersection_size == 2
     assert res.union_size == 2
 
 
 def test_consistency_disjoint_subsets():
-    assert consistency_across_samples([["a"], ["b"], ["c"]]).percentage == 0.0
+    assert consistency([["a"], ["b"], ["c"]]).percentage == 0.0
 
 
 def test_consistency_partial_overlap():
-    res = consistency_across_samples([["a", "b", "c"], ["b", "c", "d"]])
+    res = consistency([["a", "b", "c"], ["b", "c", "d"]])
     assert res.percentage == 50.0
     assert res.intersection_size == 2
     assert res.union_size == 4
 
 
 def test_consistency_all_empty_defined_zero():
-    assert consistency_across_samples([[], []]).percentage == 0.0
+    res = consistency([[], []])
+    assert (res.percentage, res.intersection_size, res.union_size) == (0.0, 0, 0)
+
+
+def test_consistency_of_no_subsets_raises():
+    with pytest.raises(ConfigError, match="at least one subset"):
+        consistency([])
 
 
 def test_consistency_across_selectors_examples():
-    assert consistency_across_selectors([["a", "b"]] * 9).percentage == 100.0
-    assert consistency_across_selectors([["a"], [], ["a", "b"]]).percentage == 0.0
-    res = consistency_across_selectors([["a", "b"], ["a", "c"], ["a"]])
+    assert consistency([["a", "b"]] * 9).percentage == 100.0
+    assert consistency([["a"], [], ["a", "b"]]).percentage == 0.0
+    res = consistency([["a", "b"], ["a", "c"], ["a"]])
     assert res.percentage == pytest.approx(100 / 3, abs=1e-9)
 
 
@@ -92,15 +97,15 @@ def test_consistency_monotone_under_append_exhaustive():
     families = [[s] for s in all_subsets]
     families += [list(f) for f in itertools.product(all_subsets, repeat=2)]
     for family in families:
-        base = consistency_across_samples(family).percentage
+        base = consistency(family).percentage
         for extra in all_subsets:
-            appended = consistency_across_samples(family + [extra]).percentage
+            appended = consistency(family + [extra]).percentage
             assert appended <= base + 1e-12
 
 
 def test_consistency_copies_always_100():
     for b in (1, 2, 5):
-        assert consistency_across_samples([["x", "y"]] * b).percentage == 100.0
+        assert consistency([["x", "y"]] * b).percentage == 100.0
 
 
 # -- correlation flags -----------------------------------------------------------
@@ -220,8 +225,8 @@ def test_deltas_identity_selector_zero():
     full = {k: list(d.metric_names) for k in grid.subsets}
     grid = dataclasses.replace(grid, subsets=full, failures={})
     deltas, _ = performance_deltas(grid, ("logistic", "forest"))
-    assert {x.classifier for x in deltas} == {"logistic", "forest"}
-    assert all(x.delta == 0.0 for x in deltas)
+    assert {clf for _, clf, _ in deltas} == {"logistic", "forest"}
+    assert all(x == 0.0 for cell in deltas.values() for x in cell.values())
 
 
 def _shared_subset_grid(d):
@@ -255,9 +260,8 @@ def test_deltas_shared_subset_fits_one_forest(monkeypatch):
     a, b = d.metric_names[:2]
     # per sample: the all-metrics baseline plus one fit per distinct ordered subset
     assert fits == [d.metric_names, (a, b), d.metric_names, (a, b), (b, a)]
-    by = {(x.selector, x.sample_index, x.measure): x.delta for x in deltas}
     for m in ("AUC", "F", "MCC"):
-        assert by[(sels[0], 0, m)] == by[(sels[1], 0, m)]
+        assert deltas[(sels[0], "forest", m)][0] == deltas[(sels[1], "forest", m)][0]
     assert not any("forest" in r for r in records)
 
 
@@ -287,18 +291,28 @@ def test_deltas_failed_shared_fit_records_each_selector(monkeypatch):
         f"sample 0 forest {sels[1].value}: DegenerateOutcome: planted failure",
         f"sample 1 forest {sels[0].value}: DegenerateOutcome: planted failure",
     ]
-    assert {(x.selector, x.sample_index) for x in deltas} == {(sels[1], 1)}
+    assert {(sel, j) for (sel, _, _), cell in deltas.items() for j in cell} == {(sels[1], 1)}
 
 
 def test_deltas_empty_subset_auc_half():
-    from corrsel.evaluation import auc
-    from corrsel.harness import _intercept_only_scores
+    from corrsel.harness import _cell_measures
 
     d = _clone_fixture(10)
-    split = bootstrap_sample(d, derive_seed(5, 0))
-    scores = _intercept_only_scores(split.train, split.test)
-    assert len(set(scores.tolist())) == 1
-    assert auc(scores, split.test.outcome) == 0.5
+    grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], 1, SelectorConfig(base_seed=5))
+    for clf in ("logistic", "forest"):
+        assert _cell_measures(grid, (0, clf, ()))["AUC"] == 0.5
+
+
+def test_deltas_reject_an_unknown_classifier_before_any_fit(monkeypatch):
+    import corrsel.harness as harness
+
+    d = _clone_fixture(10)
+    grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], 2, SelectorConfig(base_seed=5))
+    fits = []
+    monkeypatch.setattr(harness, "fit_logistic", lambda *args, **kw: fits.append(args))
+    with pytest.raises(ConfigError, match="svm"):
+        performance_deltas(grid, ("logistic", "svm"))
+    assert fits == []
 
 
 def test_deltas_same_split_for_both_terms():
@@ -306,8 +320,9 @@ def test_deltas_same_split_for_both_terms():
     grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], 2, SelectorConfig(base_seed=2))
     deltas, records = performance_deltas(grid, ("logistic",))
     by_sample = {}
-    for x in deltas:
-        by_sample.setdefault(x.sample_index, []).append(x.measure)
+    for (_, _, m), cell in deltas.items():
+        for j in cell:
+            by_sample.setdefault(j, []).append(m)
     for measures in by_sample.values():
         assert sorted(measures) == ["AUC", "F", "MCC"]
 
@@ -606,7 +621,7 @@ def test_no_worker_outlives_its_experiment(tmp_path, monkeypatch):
     def broken(*args):
         raise RuntimeError("planted in a worker")
 
-    monkeypatch.setattr(harness, "_fit_and_score", broken)
+    monkeypatch.setattr(harness, "_cell_measures", broken)
     with pytest.raises(RuntimeError, match="planted in a worker"):
         run_experiment(load_config(_smoke_config(tmp_path, bootstrap_count=3, output=None)))
     assert multiprocessing.active_children() == []

@@ -56,7 +56,6 @@ from corrsel.classifiers import (
     fit_logistic_batch,
     fit_random_forest,
     importance,
-    predict_forest,
     score_rows,
     warm_start,
 )
@@ -721,7 +720,8 @@ def test_forest_batched_scores_equal_per_row_walk(case):
     want = np.array([walk(row) for row in probe])
     got = score_rows(m, Dataset(d.metric_names, probe, np.zeros(probe.shape[0], bool)))
     assert got.tobytes() == want.tobytes()
-    assert [predict_forest(m, row) for row in probe[:5]] == want[:5].tolist()
+    one_row = [score_rows(m, Dataset(d.metric_names, row[None, :], np.zeros(1, bool)))[0] for row in probe[:5]]
+    assert one_row == want[:5].tolist()
 
 
 def test_forest_splits_adjacent_floats():
