@@ -19,7 +19,6 @@ from .autospearman import (
 )
 from .classifiers import (
     ForestModel,
-    ImportanceScores,
     LogisticModel,
     fit_logistic,
     fit_logistic_batch,
@@ -43,7 +42,6 @@ from .harness import (
     ConsistencyResult,
     CorrelationFlags,
     ExperimentConfig,
-    ExperimentReport,
     SubsetCollection,
     consistency,
     correlation_flags,
@@ -68,7 +66,6 @@ from .selectors import (
 from .stats import (
     UNBOUNDED,
     CorrelationMatrix,
-    DiscreteColumn,
     VifReport,
     aic,
     chi_squared,

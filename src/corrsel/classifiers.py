@@ -41,11 +41,6 @@ class LogisticModel:
     ll_trace: tuple[float, ...]  # accepted log-likelihood sequence
 
 
-@dataclass(frozen=True)
-class ImportanceScores:
-    scores: dict[str, float]
-
-
 #: Working-set budget of one batched logistic fit, in design cells: models
 #: are fit max(1, _IRLS_CELLS // (n * k)) at a time for an n x k design.
 _IRLS_CELLS = 50_000
@@ -501,8 +496,8 @@ def score_rows(model, d: Dataset) -> np.ndarray:
     raise DimensionMismatch(f"unsupported model type {type(model).__name__}")
 
 
-def importance(model, d: Dataset) -> ImportanceScores:
-    """Metric importance for either classifier.
+def importance(model, d: Dataset) -> dict[str, float]:
+    """Metric name -> importance, for either classifier.
 
     Logistic: |coefficient| times the sample standard deviation of the
     metric, i.e. the standardized coefficient magnitude. Forest: total
@@ -514,7 +509,7 @@ def importance(model, d: Dataset) -> ImportanceScores:
             col = d.column(name)
             sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
             scores[name] = abs(float(coef)) * sd
-        return ImportanceScores(scores)
+        return scores
     if isinstance(model, ForestModel):
         inner = model.feature >= 0
         acc = np.bincount(
@@ -523,5 +518,5 @@ def importance(model, d: Dataset) -> ImportanceScores:
         total = acc.sum()
         if total > 0:
             acc = acc / total
-        return ImportanceScores(dict(zip(model.metric_names, acc.tolist())))
+        return dict(zip(model.metric_names, acc.tolist()))
     raise DimensionMismatch(f"unsupported model type {type(model).__name__}")

@@ -4,9 +4,9 @@ Four subcommands: ``select`` (run one technique on a CSV), ``diagnose``
 (Spearman matrix, VIF table, correlation flags), ``experiment`` (run a JSON
 config through the bootstrap harness), and ``synth`` (write a synthetic
 dataset to CSV). Exit codes: 0 success, 2 usage error, 3 data error,
-4 computation error, 130 interrupted (Ctrl-C). All randomness comes from
---seed or config seeds; the default seed is a fixed constant, never the
-clock.
+4 computation error, 130 interrupted (Ctrl-C), 141 broken pipe (stdout's
+reader has gone). All randomness comes from --seed or config seeds; the
+default seed is a fixed constant, never the clock.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .autospearman import AutoSpearmanParams, auto_spearman
@@ -29,6 +30,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_COMPUTE = 4
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _param(field: str):
@@ -163,15 +165,15 @@ def _cmd_experiment(args) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"config is not valid JSON: {exc}") from exc
     cfg = load_config(raw)
-    report = run_experiment(cfg)
+    payload = run_experiment(cfg)
     if cfg.output:
         print(f"report written to {cfg.output}")
     if cfg.output_csv:
         print(f"per-cell rows written to {cfg.output_csv}")
     print("consistency across samples (%):")
-    for sel, row in report.payload["consistency_across_samples"].items():
+    for sel, row in payload["consistency_across_samples"].items():
         print(f"  {sel:14} {row['percentage']:6.1f}")
-    stats = report.payload["performance_deltas"]
+    stats = payload["performance_deltas"]
     if stats:
         print("median performance delta (%pts, selected - all):")
         for key in sorted(stats):
@@ -231,7 +233,16 @@ def main(argv=None) -> int:
         "synth": _cmd_synth,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # no error line: point stdout at the null device, so that the
+        # interpreter's last flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (DataError, ComputationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UnsupportedSelector):

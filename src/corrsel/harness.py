@@ -23,7 +23,7 @@ import math
 import os
 import signal
 import time
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -131,14 +131,6 @@ class ExperimentConfig:
         if self.bootstrap_count < 1:
             raise ConfigError("bootstrap_count must be >= 1")
         _check_classifiers(self.classifiers)
-
-
-@dataclass
-class ExperimentReport:
-    payload: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _usable_cpus() -> int:
@@ -491,19 +483,22 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Full pipeline: grid, consistency, correlation flags, performance deltas.
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Full pipeline: grid, consistency, correlation flags, performance
+    deltas; returns the report's payload.
 
     The report echoes its configuration and seeds, so an identical re-run
     reproduces it byte for byte apart from the timestamp field. Its output
-    paths are checked before any work runs.
+    paths are checked before any work runs: each must resolve, through any
+    symlinks, to a regular file or a new one in an existing directory.
     """
     outputs = [path for path in (cfg.output, cfg.output_csv) if path]
-    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+    resolved = [os.path.realpath(path) for path in outputs]
+    if len(set(resolved)) < len(resolved):
         raise ConfigError(f"output and output_csv name the same file {cfg.output!r}")
-    for path in outputs:
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
+    for path, real in zip(outputs, resolved):
+        if (os.path.exists(real) and not os.path.isfile(real)) or not os.path.isdir(os.path.dirname(real)):
+            raise ConfigError(f"cannot write {path!r}: not a regular file in an existing directory")
     if isinstance(cfg.dataset, SyntheticSpec):
         d = generate_synthetic(cfg.dataset)
         dataset_id = f"synthetic(seed={cfg.dataset.seed})"
@@ -572,20 +567,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "records": records,
         "warnings": warnings,
     }
-    report = ExperimentReport(payload)
-
     if cfg.output:
-        write_report(report, cfg.output)
+        write_report(payload, cfg.output)
     if cfg.output_csv:
         _write_cells_csv(cfg, grid, flags, deltas)
-    return report
+    return payload
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over
-    ``path``, so ``path`` never holds a partial file. The file gets the
-    mode ``open`` would give it, where ``tempfile.mkstemp``'s is owner-only."""
-    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    """Write ``text`` to a temp file beside the file ``path`` resolves to,
+    then rename it over that file, so it never holds a partial file and a
+    symlink at ``path`` still points to it. The file gets the mode ``open``
+    would give it, where ``tempfile.mkstemp``'s is owner-only."""
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -597,9 +592,9 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_report(report: ExperimentReport, path: str) -> None:
+def write_report(payload: dict, path: str) -> None:
     """Atomic write: the timestamp rides outside the deterministic payload."""
-    doc = dict(report.payload)
+    doc = dict(payload)
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     _write_atomic(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 

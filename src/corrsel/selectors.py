@@ -37,7 +37,6 @@ from .errors import (
 from .evaluation import auc
 from .seeding import DEFAULT_SEED, derive_seed
 from .stats import (
-    DiscreteColumn,
     aic,
     chi_squared,
     discretize_equal_frequency,
@@ -122,15 +121,16 @@ def _in_column_order(train: Dataset, names) -> MetricSubset:
 
 # -- ranking filters ---------------------------------------------------------
 
-def _discretized(train: Dataset, config: SelectorConfig) -> list[DiscreteColumn]:
-    """Every metric of ``train`` binned at :func:`effective_bins` of ``config.bins``."""
+def _discretized(train: Dataset, config: SelectorConfig) -> np.ndarray:
+    """The n x p labels of every metric of ``train``, binned at
+    :func:`effective_bins` of ``config.bins``."""
     bins = effective_bins(config.bins, train.n_modules)
-    return [discretize_equal_frequency(train.column(name), bins) for name in train.metric_names]
+    return np.column_stack([discretize_equal_frequency(train.column(name), bins) for name in train.metric_names])
 
 
 def _discrete_scores(train: Dataset, config: SelectorConfig, scorer) -> dict[str, float]:
-    columns = _discretized(train, config)
-    return {name: scorer(col, train.outcome) for name, col in zip(train.metric_names, columns)}
+    labels = _discretized(train, config)
+    return {name: scorer(labels[:, i], train.outcome) for i, name in enumerate(train.metric_names)}
 
 
 def _apply_cutoff(train: Dataset, scores: dict[str, float], config: SelectorConfig) -> MetricSubset:
@@ -221,7 +221,7 @@ def select_consistency(train: Dataset, config: SelectorConfig = SelectorConfig()
     _require_supervised(train)
     p = train.n_metrics
     names = train.metric_names
-    labels = np.column_stack([c.labels for c in _discretized(train, config)])  # once per call
+    labels = _discretized(train, config)  # once per call
     target = inconsistency_rate(train, names, labels=labels) + 1e-9
 
     n = train.n_modules
@@ -281,7 +281,7 @@ def select_rfe(
             model = fit_random_forest(
                 train, current, ntree=config.rfe_ntree, seed=derive_seed(seed, 1, len(current))
             )
-        scores = importance(model, train).scores
+        scores = importance(model, train)
         # lowest importance leaves; ``current`` keeps column order, so
         # scanning it reversed drops the later column on ties
         drop = min(reversed(current), key=scores.__getitem__)

@@ -54,15 +54,6 @@ class CorrelationMatrix:
 class VifReport:
     scores: dict[str, float]  # metric name -> VIF >= 1, math.inf if unbounded
 
-    def is_unbounded(self, name: str) -> bool:
-        return math.isinf(self.scores[name])
-
-
-@dataclass(frozen=True)
-class DiscreteColumn:
-    labels: np.ndarray  # integers in [0, bins)
-    bin_edges: np.ndarray  # sorted interior edges
-
 
 def rank_with_ties(values) -> np.ndarray:
     """Ranks 1..n; tied values get the average of the ranks they span."""
@@ -249,8 +240,9 @@ def effective_bins(bins: int, n: int) -> int:
     return max(2, min(bins, n))
 
 
-def discretize_equal_frequency(values, bins: int) -> DiscreteColumn:
-    """Bin by empirical quantiles; duplicate edges merge (fewer effective bins).
+def discretize_equal_frequency(values, bins: int) -> np.ndarray:
+    """Bin labels (int64, in [0, bins)) by empirical quantiles; duplicate
+    edges merge (fewer effective bins).
 
     Intervals are half-open, closed on the left, with the last bin closed,
     so equal values always share a label.
@@ -263,8 +255,7 @@ def discretize_equal_frequency(values, bins: int) -> DiscreteColumn:
     qs = np.quantile(v, np.arange(1, bins) / bins)
     edges = np.unique(qs)
     edges = edges[edges > v.min()]  # an edge at the minimum would leave bin 0 empty
-    labels = np.searchsorted(edges, v, side="right")
-    return DiscreteColumn(labels=labels.astype(np.int64), bin_edges=edges)
+    return np.searchsorted(edges, v, side="right").astype(np.int64)
 
 
 def _class_counts(labels: np.ndarray, outcome) -> tuple[np.ndarray, np.ndarray]:
@@ -276,10 +267,10 @@ def _class_counts(labels: np.ndarray, outcome) -> tuple[np.ndarray, np.ndarray]:
     return count, np.bincount(labels[y], minlength=count.size)
 
 
-def _bin_table(metric_labels: DiscreteColumn, outcome) -> np.ndarray:
+def _bin_table(metric_labels: np.ndarray, outcome) -> np.ndarray:
     """The bins-by-2 (defective, clean) count table of the bins in use,
     in ascending bin order."""
-    count, pos = _class_counts(metric_labels.labels, outcome)
+    count, pos = _class_counts(metric_labels, outcome)
     used = count > 0
     return np.column_stack([pos[used], count[used] - pos[used]])
 
@@ -293,7 +284,7 @@ def _entropies(table: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1)
 
 
-def information_gain(metric_labels: DiscreteColumn, outcome) -> float:
+def information_gain(metric_labels: np.ndarray, outcome) -> float:
     """H(outcome) minus outcome entropy conditional on the bin, in bits."""
     table = _bin_table(metric_labels, outcome)
     rows = table.sum(axis=1)
@@ -305,7 +296,7 @@ def information_gain(metric_labels: DiscreteColumn, outcome) -> float:
     return max(0.0, float(h_outcome - cond))
 
 
-def chi_squared(metric_labels: DiscreteColumn, outcome) -> float:
+def chi_squared(metric_labels: np.ndarray, outcome) -> float:
     """Sum of (O-E)^2/E over the bins-by-2 contingency table; E=0 cells add 0."""
     observed = _bin_table(metric_labels, outcome)
     expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0, keepdims=True) / observed.sum()
@@ -329,7 +320,7 @@ def inconsistency_rate(d: Dataset, subset, bins: int = 10, labels=None) -> float
         return 0.0
     if labels is None:
         bins = effective_bins(bins, n)
-        columns = [discretize_equal_frequency(d.column(name), bins).labels for name in subset]
+        columns = [discretize_equal_frequency(d.column(name), bins) for name in subset]
     else:
         columns = [labels[:, d.metric_names.index(name)] for name in subset]
     key = np.zeros(n, np.int64)

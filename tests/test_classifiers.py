@@ -219,7 +219,7 @@ def test_logistic_importance_zero_coefficient():
 
     d = _logistic_fixture(10)
     m = LogisticModel(("m0", "m1"), 0.1, np.array([0.0, 2.0]), -1.0, True, 1, (0.0,))
-    scores = importance(m, d).scores
+    scores = importance(m, d)
     assert scores["m0"] == 0.0
     assert scores["m1"] > 0
 
@@ -227,7 +227,7 @@ def test_logistic_importance_zero_coefficient():
 def test_logistic_importance_standardized():
     d = _logistic_fixture(11)
     m = fit_logistic(d, list(d.metric_names))
-    scores = importance(m, d).scores
+    scores = importance(m, d)
     for i, name in enumerate(m.metric_names):
         expected = abs(m.coefficients[i]) * d.column(name).std(ddof=1)
         assert scores[name] == pytest.approx(expected, abs=1e-12)
@@ -236,7 +236,7 @@ def test_logistic_importance_standardized():
 def test_forest_importance_normalized():
     d = _logistic_fixture(12, n=150)
     m = fit_random_forest(d, list(d.metric_names), ntree=30, seed=13)
-    scores = importance(m, d).scores
+    scores = importance(m, d)
     assert set(scores) == set(m.metric_names)
     assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -248,8 +248,8 @@ def test_forest_importance_clone_shares():
     y = rng.random(400) < 1 / (1 + np.exp(-2 * x))
     solo = _dataset({"x": x, "noise": noise}, y)
     dup = _dataset({"x": x, "x2": x.copy(), "noise": noise}, y)
-    solo_scores = importance(fit_random_forest(solo, ["x", "noise"], 100, seed=15), solo).scores
-    dup_scores = importance(fit_random_forest(dup, ["x", "x2", "noise"], 100, seed=15), dup).scores
+    solo_scores = importance(fit_random_forest(solo, ["x", "noise"], 100, seed=15), solo)
+    dup_scores = importance(fit_random_forest(dup, ["x", "x2", "noise"], 100, seed=15), dup)
     combined = dup_scores["x"] + dup_scores["x2"]
     assert combined == pytest.approx(solo_scores["x"], rel=0.2)
 

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -237,6 +238,57 @@ def test_experiment_bad_output_paths_exit_3_before_any_work(tmp_path, capsys, mo
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert repr(outputs.get("output", outputs.get("output_csv"))) in lines[0]
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_experiment_writes_through_output_symlinks(tmp_path, capsys):
+    # the report's link points to a file not yet made, the CSV's to an old file
+    (tmp_path / "out").mkdir()
+    report_target, csv_target = tmp_path / "out" / "report.json", tmp_path / "out" / "cells.csv"
+    csv_target.write_text("old\n", encoding="utf-8")
+    report_link, csv_link = tmp_path / "report.json", tmp_path / "cells.csv"
+    report_link.symlink_to(report_target)
+    csv_link.symlink_to(csv_target)
+    path = tmp_path / "config.json"
+    config = {**_GOOD_CONFIG, "output": str(report_link), "output_csv": str(csv_link)}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", str(path)]) == 0
+    assert report_link.is_symlink() and csv_link.is_symlink()
+    assert json.loads(report_target.read_text(encoding="utf-8"))["schema_version"] == 1
+    assert csv_target.read_text(encoding="utf-8").startswith("selector,sample,")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["cells.csv", "report.json"]
+
+
+def test_experiment_special_file_output_exit_3_before_any_work(tmp_path, capsys, monkeypatch):
+    def never(spec):
+        raise AssertionError("the dataset was made before the output paths were checked")
+
+    monkeypatch.setattr("corrsel.harness.generate_synthetic", never)
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_GOOD_CONFIG, "output": str(fifo)}), encoding="utf-8")
+    assert main(["experiment", str(path)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and repr(str(fifo)) in lines[0]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_select_to_a_closed_pipe_exit_141_silently(clone_csv):
+    # the pipe's read end is closed before the child starts, as when the
+    # reader of ``corrsel select ... | head`` has already exited
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "corrsel.cli", "select", str(clone_csv), "--outcome", "bug",
+             "--selector", "AutoSpearman", "--json"],
+            env={**os.environ, "PYTHONPATH": str(src)}, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_experiment_one_row_dataset_exit_3(tmp_path):

@@ -1,7 +1,7 @@
 """Golden digests of canonical experiment payloads.
 
-Each case pins the SHA-256 of ``run_experiment(cfg).payload`` serialised as
-canonical JSON (sorted keys, compact separators). A change that moves any
+Each case pins the SHA-256 of the payload ``run_experiment(cfg)`` returns,
+serialised as canonical JSON (sorted keys, compact separators). A change that moves any
 byte of a report -- a selection, a split, a performance delta, a record --
 fails here. If a change is meant to move them, re-baseline the digests once,
 on purpose, and say why in CHANGES.md.
@@ -13,7 +13,11 @@ CSV carries no config, so its digest is taken from a temporary file.
 Payloads carry subsets, not traces, so AutoSpearman's removal order is pinned
 by a digest of ``corrsel select --selector AutoSpearman --json`` on a fixed
 CSV whose exact, reversed, tied and noisy clones put many pairs at or above
-``sp_t``.
+``sp_t``. That trace's statistics move in their last digits from one BLAS
+kernel to another, and its VIF phase removes nothing, so the VIF phase's
+decisions -- what it removes, in what order -- are pinned apart from their
+statistics on two wide synthetic CSVs whose VIF phases remove 10 and 12
+metrics.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 import pytest
 
 from corrsel.cli import main
+from corrsel.data import SyntheticSpec, generate_synthetic, write_csv
 from corrsel.harness import load_config, run_experiment
 
 _PLANTED = {
@@ -151,7 +156,7 @@ GOLDEN = {
 
 
 def payload_digest(raw: dict) -> str:
-    payload = run_experiment(load_config(raw)).payload
+    payload = run_experiment(load_config(raw))
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -214,3 +219,30 @@ def test_select_trace_digest_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(json.loads(out)["trace"]) == 14
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SELECT_TRACE_GOLDEN
+
+
+#: dataset seed -> (VIF-phase removals, SHA-256 of the decisions)
+VIF_DECISIONS_GOLDEN = {
+    3: (10, "fcfed842e7d835763afb6b37970d668406f64b823f53fe64f0a1bf4e9f6e7bec"),
+    11: (12, "edaca8208d322c82ee889afcb37eabe01744ed7f87de82fe3e1d43523e526c31"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VIF_DECISIONS_GOLDEN))
+def test_vif_phase_decisions_digest_is_pinned(tmp_path, capsys, seed):
+    # 15 base metrics with 5 clones each at noise sd 1.2, 500 rows
+    spec = SyntheticSpec(15, 500, (0.5,) * 5 + (0.0,) * 10, tuple((k, 5, 1.2) for k in range(15)), seed=seed)
+    path = tmp_path / "wide.csv"
+    write_csv(generate_synthetic(spec), str(path), "bug")
+    code = main(["select", str(path), "--outcome", "bug", "--selector", "AutoSpearman", "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    # the selection and each step's decision, without its statistic
+    decisions = {
+        "selected": doc["selected"],
+        "trace": [[step["phase"], step["removed"], step["kept"]] for step in doc["trace"]],
+    }
+    removals, expected = VIF_DECISIONS_GOLDEN[seed]
+    assert sum(phase == "vif" for phase, _, _ in decisions["trace"]) == removals
+    canonical = json.dumps(decisions, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == expected

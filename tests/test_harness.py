@@ -350,7 +350,7 @@ def _smoke_config(tmp_path, **overrides):
 
 def test_run_experiment_smoke(tmp_path):
     cfg = load_config(_smoke_config(tmp_path))
-    report = run_experiment(cfg)
+    run_experiment(cfg)
     path = tmp_path / "report.json"
     assert path.exists()
     doc = json.loads(path.read_text())
@@ -399,11 +399,15 @@ def test_report_validates_against_schema(tmp_path):
     jsonschema.validate(doc, schema)
 
 
+def _canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
 def test_experiment_rerun_identical_payload(tmp_path):
     cfg = load_config(_smoke_config(tmp_path))
     r1 = run_experiment(cfg)
     r2 = run_experiment(cfg)
-    assert r1.to_json() == r2.to_json()
+    assert _canonical(r1) == _canonical(r2)
 
 
 # the golden configs, and one that sets rfe_sizes
@@ -423,7 +427,7 @@ def test_experiment_echo_reproduces(tmp_path):
         cfg2 = load_config(echoed)
         assert cfg2 == cfg, name
         r2 = run_experiment(cfg2)
-        assert r1.to_json() == r2.to_json(), name
+        assert _canonical(r1) == _canonical(r2), name
 
 
 def test_selector_config_null_or_left_out_loads_to_the_same_echo(tmp_path):
@@ -466,9 +470,9 @@ def test_experiment_runs_the_thresholds_of_its_selector_config(tmp_path):
         dataset=spec, bootstrap_count=2, classifiers=("logistic",),
         output_csv=str(tmp_path / "cells.csv"), selector_config=config,
     )
-    report = run_experiment(cfg)
-    assert report.payload["config"]["sp_t"] == 0.5
-    assert "sp_t" not in report.payload["config"]["selector_config"]
+    payload = run_experiment(cfg)
+    assert payload["config"]["sp_t"] == 0.5
+    assert "sp_t" not in payload["config"]["selector_config"]
     d = generate_synthetic(spec)
     with open(tmp_path / "cells.csv", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -497,8 +501,7 @@ def test_experiment_csv_cells(tmp_path):
 
 def test_experiment_autospearman_flags_always_clean(tmp_path):
     cfg = load_config(_smoke_config(tmp_path))
-    report = run_experiment(cfg)
-    flags = report.payload["correlation_flags"]["AutoSpearman"]
+    flags = run_experiment(cfg)["correlation_flags"]["AutoSpearman"]
     assert flags["collinearity_pct"] == 0.0
     assert flags["multicollinearity_pct"] == 0.0
 
@@ -525,10 +528,8 @@ def test_load_config_checks_the_selectors_after_the_dataset_and_before_the_setti
 
 
 def test_write_report_atomic(tmp_path):
-    from corrsel.harness import ExperimentReport
-
     path = tmp_path / "out.json"
-    write_report(ExperimentReport({"schema_version": 1}), str(path))
+    write_report({"schema_version": 1}, str(path))
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == 1
     assert not list(tmp_path.glob("*.tmp"))
@@ -546,9 +547,9 @@ def _run_on(workers, obj, monkeypatch):
     import corrsel.harness as harness
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
-    report = run_experiment(load_config(obj))
+    payload = run_experiment(load_config(obj))
     with open(obj["output_csv"], "rb") as fh:
-        return report.to_json(), fh.read()
+        return _canonical(payload), fh.read()
 
 
 def _rare_positive_config(tmp_path):
@@ -644,4 +645,4 @@ def test_experiment_in_a_daemonic_process_runs_serially(tmp_path, monkeypatch):
     assert proc.exitcode == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     del doc["timestamp"]
-    assert doc == run_experiment(load_config(obj)).payload
+    assert doc == run_experiment(load_config(obj))

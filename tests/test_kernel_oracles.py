@@ -62,7 +62,6 @@ from corrsel.classifiers import (
 from corrsel.data import Dataset, bootstrap_sample, load_csv, sigmoid
 from corrsel.errors import CorrselError, DimensionMismatch
 from corrsel.stats import (
-    DiscreteColumn,
     _vif_closed_form,
     _vif_lstsq,
     chi_squared,
@@ -672,7 +671,7 @@ def test_forest_with_one_metric_matches_reference_bit_for_bit(case):
         _accumulate_decrease(tree, acc)
     if acc.sum() > 0:
         acc = acc / acc.sum()
-    assert importance(m, d).scores == {"m0": float(acc[0])}
+    assert importance(m, d) == {"m0": float(acc[0])}
 
 
 @PROPERTY
@@ -1214,7 +1213,7 @@ def _reference_inconsistency_rate(d: Dataset, subset, bins: int) -> float:
         return 0.0
     eff_bins = max(2, min(bins, d.n_modules))
     labels = np.column_stack(
-        [discretize_equal_frequency(d.column(name), eff_bins).labels for name in subset]
+        [discretize_equal_frequency(d.column(name), eff_bins) for name in subset]
     )
     _, inverse = np.unique(labels, axis=0, return_inverse=True)
     inverse = inverse.ravel()
@@ -1253,7 +1252,7 @@ def test_inconsistency_rate_matches_unique_rows(case):
     if d.n_modules >= 2:
         eff_bins = max(2, min(bins, d.n_modules))
         labels = np.column_stack(
-            [discretize_equal_frequency(d.column(m), eff_bins).labels for m in d.metric_names]
+            [discretize_equal_frequency(d.column(m), eff_bins) for m in d.metric_names]
         )
         assert inconsistency_rate(d, subset, bins, labels) == want
 
@@ -1311,15 +1310,15 @@ def label_cases(draw):
     values = draw(st.sampled_from([[0], [0, 1, 2], [0, 3, 7], list(range(0, 40, 3))]))
     labels = rng.choice(np.array(values, np.int64), size=n, p=rng.dirichlet(np.ones(len(values))))
     y = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.4, 1.0]))  # single-class too
-    return DiscreteColumn(labels, np.array([])), y
+    return labels, y
 
 
 @PROPERTY
 @given(label_cases())
 def test_ig_and_chi_squared_match_the_per_bin_loop(case):
-    column, y = case
-    assert information_gain(column, y) == _reference_information_gain(column.labels, y)
-    assert chi_squared(column, y) == _reference_chi_squared(column.labels, y)
+    labels, y = case
+    assert information_gain(labels, y) == _reference_information_gain(labels, y)
+    assert chi_squared(labels, y) == _reference_chi_squared(labels, y)
 
 
 # -- load_csv: one np.loadtxt call vs the per-cell loop ----------------------------------
