@@ -29,12 +29,10 @@ from .classifiers import (
 from .data import (
     BootstrapSplit,
     Dataset,
-    DatasetSummary,
     SyntheticSpec,
     bootstrap_sample,
     generate_synthetic,
     load_csv,
-    summarize,
     write_csv,
 )
 from .evaluation import ConfusionMatrix, auc, confusion_at, f_measure, mcc

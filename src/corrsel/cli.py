@@ -183,16 +183,21 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _parse_clone_groups(text: str):
+def _parse_clone_groups(text: str, metrics: int):
+    """``src:count:sd`` triples, ``src`` 1-based in 1..``metrics``, as
+    :class:`SyntheticSpec` clone groups (0-based sources)."""
     groups = []
     if not text:
         return tuple(groups)
     for part in text.split(","):
         try:
             src, count, sd = part.strip().split(":")
-            groups.append((int(src) - 1, int(count), float(sd)))
+            src, count, sd = int(src), int(count), float(sd)
         except ValueError:
             raise DataError(f"bad clone group {part!r}, expected src:count:sd") from None
+        if not 1 <= src <= metrics:
+            raise DataError(f"clone source {src} out of range 1..{metrics}")
+        groups.append((src - 1, count, sd))
     return tuple(groups)
 
 
@@ -212,7 +217,7 @@ def _cmd_synth(args) -> int:
         base_metric_count=args.metrics,
         module_count=args.modules,
         signal_coefficients=tuple(coef),
-        clone_groups=_parse_clone_groups(args.clones),
+        clone_groups=_parse_clone_groups(args.clones, args.metrics),
         seed=args.seed,
     )
     d = generate_synthetic(spec)

@@ -120,14 +120,6 @@ class Dataset:
         return bool(self.outcome.any()) and not bool(self.outcome.all())
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    module_count: int
-    metric_count: int
-    defective_ratio: float  # percentage in [0, 100]
-    epv: float  # defective count / metric count
-
-
 @dataclass(frozen=True, eq=False)
 class BootstrapSplit:
     train: Dataset
@@ -339,17 +331,6 @@ def write_csv(d: Dataset, path, outcome_column: str) -> None:
             writer.writerow(
                 [repr(float(v)) for v in d.rows[i]] + ["1" if d.outcome[i] else "0"]
             )
-
-
-def summarize(d: Dataset) -> DatasetSummary:
-    """Exact module/metric counts, defective percentage, and events per variable."""
-    defective = int(np.count_nonzero(d.outcome))
-    return DatasetSummary(
-        module_count=d.n_modules,
-        metric_count=d.n_metrics,
-        defective_ratio=100.0 * defective / d.n_modules,
-        epv=defective / d.n_metrics,
-    )
 
 
 def bootstrap_sample(d: Dataset, seed: int) -> BootstrapSplit:

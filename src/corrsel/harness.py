@@ -22,6 +22,7 @@ import json
 import math
 import os
 import signal
+import stat
 import time
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial
@@ -104,6 +105,8 @@ class CorrelationFlags:
 def _check_classifiers(classifiers) -> None:
     if not set(classifiers) <= set(_CLASSIFIERS):
         raise ConfigError(f"classifiers must be drawn from {list(_CLASSIFIERS)}, got {list(classifiers)}")
+    if len(set(classifiers)) != len(classifiers):
+        raise ConfigError(f"duplicate classifiers: {list(classifiers)}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be a CSV path or a synthetic spec, got {self.dataset!r}")
         if isinstance(self.dataset, str) and not self.outcome_column:
             raise ConfigError("outcome_column is required with a dataset path")
+        if not self.selectors:
+            raise ConfigError("selectors must name at least one selector")
         if len(set(self.selectors)) != len(self.selectors):
             raise ConfigError(f"duplicate selectors: {[s.value for s in self.selectors]}")
         if self.bootstrap_count < 1:
@@ -577,13 +582,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` to a temp file beside the file ``path`` resolves to,
     then rename it over that file, so it never holds a partial file and a
-    symlink at ``path`` still points to it. The file gets the mode ``open``
-    would give it, where ``tempfile.mkstemp``'s is owner-only."""
+    symlink at ``path`` still points to it. A rewritten file keeps its
+    permission bits; a new one gets the mode ``open`` would give it, where
+    ``tempfile.mkstemp``'s is owner-only."""
     path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            if os.path.exists(path):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -40,7 +40,6 @@ from .stats import (
     aic,
     chi_squared,
     discretize_equal_frequency,
-    effective_bins,
     inconsistency_rate,
     information_gain,
     spearman_matrix,  # unused here; bench/tracer.py binds corrsel.selectors.spearman_matrix
@@ -122,9 +121,9 @@ def _in_column_order(train: Dataset, names) -> MetricSubset:
 # -- ranking filters ---------------------------------------------------------
 
 def _discretized(train: Dataset, config: SelectorConfig) -> np.ndarray:
-    """The n x p labels of every metric of ``train``, binned at
-    :func:`effective_bins` of ``config.bins``."""
-    bins = effective_bins(config.bins, train.n_modules)
+    """The n x p labels of every metric of ``train``, in ``config.bins``
+    bins, but at most one bin per row and never fewer than 2."""
+    bins = max(2, min(config.bins, train.n_modules))
     return np.column_stack([discretize_equal_frequency(train.column(name), bins) for name in train.metric_names])
 
 
@@ -219,26 +218,18 @@ def select_cfs(train: Dataset, config: SelectorConfig = SelectorConfig()) -> Met
 def select_consistency(train: Dataset, config: SelectorConfig = SelectorConfig()) -> MetricSubset:
     """Smallest subset whose inconsistency rate matches the full metric set."""
     _require_supervised(train)
-    p = train.n_metrics
     names = train.metric_names
     labels = _discretized(train, config)  # once per call
-    target = inconsistency_rate(train, names, labels=labels) + 1e-9
-
-    n = train.n_modules
-    pos = int(np.count_nonzero(train.outcome))
-    empty_rate = (n - max(pos, n - pos)) / n
-
-    cache: dict[tuple[int, ...], float] = {(): empty_rate}
+    cache: dict[tuple[int, ...], float] = {}
 
     def rate(members: tuple[int, ...]) -> float:
         if members not in cache:
-            cache[members] = inconsistency_rate(train, [names[i] for i in members], labels=labels)
+            cache[members] = inconsistency_rate(labels[:, list(members)], train.outcome)
         return cache[members]
 
-    _best_first(p, lambda m: -rate(m), config.stall_limit)
+    target = rate(tuple(range(len(names)))) + 1e-9
+    _best_first(len(names), lambda m: -rate(m), config.stall_limit)
     qualifying = [m for m, r in cache.items() if r <= target]
-    if not qualifying:
-        return list(names)
     best = min(qualifying, key=lambda m: (len(m), rate(m), m))
     return _in_column_order(train, [names[i] for i in best])
 

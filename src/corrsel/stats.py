@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import LengthMismatch, TooFewValues
+from .errors import DimensionMismatch, LengthMismatch, TooFewValues
 
 #: Auxiliary-regression R2 at or above this is treated as perfect dependence.
 PERFECT_FIT_R2 = 1.0 - 1e-10
@@ -234,12 +234,6 @@ def vif_scores(d: Dataset, subset) -> VifReport:
     return VifReport(dict(zip(subset, scores.tolist())))
 
 
-def effective_bins(bins: int, n: int) -> int:
-    """The bin count used for ``n`` values: ``bins``, but at most one bin per
-    value and never fewer than 2."""
-    return max(2, min(bins, n))
-
-
 def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     """Bin labels (int64, in [0, bins)) by empirical quantiles; duplicate
     edges merge (fewer effective bins).
@@ -305,34 +299,29 @@ def chi_squared(metric_labels: np.ndarray, outcome) -> float:
     return float(terms.sum())
 
 
-def inconsistency_rate(d: Dataset, subset, bins: int = 10, labels=None) -> float:
-    """Fraction of rows outside the majority outcome of their discretized pattern.
+def inconsistency_rate(labels: np.ndarray, outcome) -> float:
+    """Fraction of rows outside the majority outcome of their pattern.
 
-    ``labels`` may hold every metric's labels, in column order, binned at
-    :func:`effective_bins`, so a caller scoring many subsets bins once.
-    Patterns are folded into one integer key and counted exactly.
+    ``labels`` is an n x k integer matrix, one discretized metric per
+    column; with k = 0 every row shares one pattern. Patterns are folded
+    into one integer key and counted exactly.
     """
-    subset = list(subset)
-    if not subset:
-        raise TooFewValues("inconsistency_rate needs a nonempty subset")
-    n = d.n_modules
-    if n < 2:
-        return 0.0
-    if labels is None:
-        bins = effective_bins(bins, n)
-        columns = [discretize_equal_frequency(d.column(name), bins) for name in subset]
-    else:
-        columns = [labels[:, d.metric_names.index(name)] for name in subset]
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise DimensionMismatch(f"labels must be 2-D, got shape {labels.shape}")
+    n = labels.shape[0]
+    if n == 0:
+        raise TooFewValues("inconsistency_rate needs at least one row")
     key = np.zeros(n, np.int64)
     span = 1  # key < span; re-compressed to at most one value per row
-    for col in columns:
+    for col in labels.T:
         radix = int(col.max()) + 1
         key = key * radix + col
         span *= radix
         if span > n:
             _, key = np.unique(key, return_inverse=True)
             span = int(key.max()) + 1
-    count, pos = _class_counts(key, d.outcome)
+    count, pos = _class_counts(key, outcome)
     return int(np.minimum(pos, count - pos).sum()) / n
 
 

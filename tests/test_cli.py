@@ -166,6 +166,15 @@ def test_synth_bad_clone_spec_exit_3(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["0", "5"])
+def test_synth_clone_source_out_of_range_names_the_typed_value(tmp_path, capsys, source):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--out", str(out), "--metrics", "4", "--clones", f"{source}:1:0.1"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: clone source {source} out of range 1..4"]
+    assert not out.exists()
+
+
 def test_experiment_smoke_and_rerun_identical(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     config = {
@@ -440,6 +449,8 @@ def test_synth_negative_seed_exit_3(tmp_path, capsys):
         ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [0, math.inf, 0]}),
         ("dataset", {"base_metric_count": 3, "module_count": 60, "signal_coefficients": [1, 0, 0], "seed": -1}),
         ("vif_t", math.inf),  # JSON Infinity, which a report could not echo
+        ("selectors", []),
+        ("classifiers", ["logistic", "logistic"]),
     ],
 )
 def test_experiment_malformed_config_exit_3_before_any_work(tmp_path, capsys, monkeypatch, field, value):

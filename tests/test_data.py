@@ -9,7 +9,6 @@ from corrsel.data import (
     bootstrap_sample,
     generate_synthetic,
     load_csv,
-    summarize,
     write_csv,
 )
 from corrsel.errors import (
@@ -172,37 +171,6 @@ def test_project_keeps_order_and_values():
     sub = d.project(["c", "a"])
     assert sub.metric_names == ("c", "a")
     assert sub.rows[:, 0].tolist() == d.column("c").tolist()
-
-
-def test_summarize_counts_exact():
-    rng = np.random.default_rng(1)
-    outcome = np.zeros(100, bool)
-    outcome[:50] = True
-    d = Dataset(tuple(f"m{i}" for i in range(10)), rng.standard_normal((100, 10)), outcome)
-    s = summarize(d)
-    assert s.module_count == 100
-    assert s.metric_count == 10
-    assert s.defective_ratio == 50.0
-    assert s.epv == 5.0
-
-
-def test_summarize_large_project_counts():
-    # 885 modules, 20 metrics, 407 defective: ratio rounds to 46, epv 20.35
-    rng = np.random.default_rng(2)
-    outcome = np.zeros(885, bool)
-    outcome[:407] = True
-    d = Dataset(tuple(f"m{i}" for i in range(20)), rng.standard_normal((885, 20)), outcome)
-    s = summarize(d)
-    assert round(s.defective_ratio) == 46
-    assert s.epv == 407 / 20
-    assert abs(s.epv - 885 * (s.defective_ratio / 100) / 20) < 1e-9
-
-
-def test_summarize_tolerates_single_class():
-    d = Dataset(tuple(f"m{i}" for i in range(5)), np.random.default_rng(3).standard_normal((10, 5)), np.zeros(10, bool))
-    s = summarize(d)
-    assert s.defective_ratio == 0.0
-    assert s.epv == 0.0
 
 
 def test_bootstrap_split_structure():

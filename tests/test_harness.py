@@ -315,6 +315,17 @@ def test_deltas_reject_an_unknown_classifier_before_any_fit(monkeypatch):
     assert fits == []
 
 
+def test_deltas_reject_a_repeated_classifier_before_any_fit(monkeypatch):
+    import corrsel.harness as harness
+
+    grid = run_selection_grid(_clone_fixture(10), [SelectorId.AUTOSPEARMAN], 1, SelectorConfig(base_seed=5))
+    fits = []
+    monkeypatch.setattr(harness, "fit_logistic", lambda *args, **kw: fits.append(args))
+    with pytest.raises(ConfigError, match="duplicate classifiers"):
+        performance_deltas(grid, ("logistic", "logistic"))
+    assert fits == []
+
+
 def test_deltas_same_split_for_both_terms():
     d = _clone_fixture(11)
     grid = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], 2, SelectorConfig(base_seed=2))
@@ -497,6 +508,17 @@ def test_experiment_csv_cells(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.csv", "report.json"]
     for name in ("cells.csv", "report.json"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask
+
+
+def test_experiment_rerun_keeps_the_outputs_modes(tmp_path):
+    cfg = load_config(_smoke_config(tmp_path, bootstrap_count=1, output_csv=str(tmp_path / "cells.csv")))
+    run_experiment(cfg)
+    for name in ("cells.csv", "report.json"):
+        os.chmod(tmp_path / name, 0o600)
+    run_experiment(cfg)
+    for name in ("cells.csv", "report.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.csv", "report.json"]
 
 
 def test_experiment_autospearman_flags_always_clean(tmp_path):

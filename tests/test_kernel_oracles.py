@@ -17,9 +17,10 @@ per bag draw, argsorted per batch) that preceded it. The batched IRLS behind
 ``fit_logistic`` is checked bit for bit against the one-model IRLS loop it
 replaced; a warm-started fit is checked against that loop bit for bit when it
 does not converge (it is refit cold) and within a stated tolerance when it
-does. ``inconsistency_rate``'s folded-key count is checked against the
-``np.unique(axis=0)`` grouping it replaced, and ``information_gain``'s and
-``chi_squared``'s one-table count bit for bit against their per-bin loops.
+does. ``inconsistency_rate``'s folded-key count over a label matrix (zero
+columns and one row included) is checked against the ``np.unique(axis=0)``
+grouping it replaced, and ``information_gain``'s and ``chi_squared``'s
+one-table count bit for bit against their per-bin loops.
 ``vif_phase``, which forms the correlation matrix once, is checked against
 the phase that called ``vif_scores`` on every pass; ``spearman_phase``,
 which sorts its pairs once and walks them, against the loop that took the
@@ -1208,22 +1209,22 @@ def test_sigmoid_matches_two_branch_form():
 
 # -- inconsistency rate: folded integer keys vs np.unique(axis=0) ------------------------
 
-def _reference_inconsistency_rate(d: Dataset, subset, bins: int) -> float:
-    if d.n_modules < 2:
-        return 0.0
-    eff_bins = max(2, min(bins, d.n_modules))
-    labels = np.column_stack(
-        [discretize_equal_frequency(d.column(name), eff_bins) for name in subset]
-    )
+def _reference_inconsistency_rate(labels: np.ndarray, y: np.ndarray) -> float:
     _, inverse = np.unique(labels, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     mismatched = 0
     for g in range(inverse.max() + 1):
         in_group = inverse == g
         count = int(np.count_nonzero(in_group))
-        pos = int(np.count_nonzero(d.outcome[in_group]))
+        pos = int(np.count_nonzero(y[in_group]))
         mismatched += count - max(pos, count - pos)
-    return mismatched / d.n_modules
+    return mismatched / y.size
+
+
+def _con_labels(x: np.ndarray, bins: int) -> np.ndarray:
+    """Each column's labels as CON bins them: at most one bin per row, never fewer than 2."""
+    eff_bins = max(2, min(bins, x.shape[0]))
+    return np.column_stack([discretize_equal_frequency(col, eff_bins) for col in x.T])
 
 
 @st.composite
@@ -1237,34 +1238,28 @@ def pattern_cases(draw):
     if p > 1 and draw(st.booleans()):
         x[:, 1] = x[:, 0]
     y = rng.random(n) < 0.4
-    bins = draw(st.sampled_from([2, 3, 10, n, n + 5]))
-    d = Dataset(tuple(f"m{i}" for i in range(p)), x, y)
-    subset = draw(st.permutations(d.metric_names).map(lambda names: list(names[: max(1, len(names) - 1)])))
-    return d, subset, max(2, bins)
+    bins = max(2, draw(st.sampled_from([2, 3, 10, n, n + 5])))
+    # one row cannot be binned; its integer values serve as labels
+    labels = _con_labels(x, bins) if n >= 2 else x.astype(np.int64)
+    k = draw(st.integers(0, p))
+    columns = list(draw(st.permutations(range(p)))[:k])
+    return labels[:, columns], y
 
 
 @PROPERTY
 @given(pattern_cases())
 def test_inconsistency_rate_matches_unique_rows(case):
-    d, subset, bins = case
-    want = _reference_inconsistency_rate(d, subset, bins)
-    assert inconsistency_rate(d, subset, bins) == want
-    if d.n_modules >= 2:
-        eff_bins = max(2, min(bins, d.n_modules))
-        labels = np.column_stack(
-            [discretize_equal_frequency(d.column(m), eff_bins) for m in d.metric_names]
-        )
-        assert inconsistency_rate(d, subset, bins, labels) == want
+    labels, y = case
+    assert inconsistency_rate(labels, y) == _reference_inconsistency_rate(labels, y)
 
 
 def test_inconsistency_rate_many_columns_recompress():
     # 40 ten-bin columns span 10**40 patterns, far past an int64 key
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((300, 40))
-    d = Dataset(tuple(f"m{i}" for i in range(40)), x, rng.random(300) < 0.3)
+    labels = _con_labels(rng.standard_normal((300, 40)), 10)
+    y = rng.random(300) < 0.3
     for k in (1, 2, 3, 20, 40):
-        names = list(d.metric_names[:k])
-        assert inconsistency_rate(d, names, 10) == _reference_inconsistency_rate(d, names, 10)
+        assert inconsistency_rate(labels[:, :k], y) == _reference_inconsistency_rate(labels[:, :k], y)
 
 
 # -- IG and chi-squared: one bincount table vs a loop over the bins ----------------------

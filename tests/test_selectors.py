@@ -20,7 +20,7 @@ from corrsel.selectors import (
     select_stepwise,
 )
 from corrsel.selectors import _cfs_merit
-from corrsel.stats import inconsistency_rate, spearman, spearman_matrix
+from corrsel.stats import discretize_equal_frequency, inconsistency_rate, spearman, spearman_matrix
 
 
 def _dataset(cols: dict[str, np.ndarray], outcome) -> Dataset:
@@ -167,9 +167,11 @@ def test_consistency_rate_contract():
         r = np.random.default_rng(seed)
         d = _dataset({f"m{i}": r.standard_normal(80) for i in range(4)}, r.random(80) < 0.5)
         subset = select_consistency(d)
-        full_rate = inconsistency_rate(d, list(d.metric_names), 10)
+        labels = np.column_stack([discretize_equal_frequency(d.column(m), 10) for m in d.metric_names])
+        full_rate = inconsistency_rate(labels, d.outcome)
         if subset:
-            assert inconsistency_rate(d, subset, 10) <= full_rate + 1e-9
+            columns = [d.metric_names.index(m) for m in subset]
+            assert inconsistency_rate(labels[:, columns], d.outcome) <= full_rate + 1e-9
 
 
 def test_consistency_never_adds_duplicate():

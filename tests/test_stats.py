@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corrsel.data import Dataset
-from corrsel.errors import LengthMismatch, TooFewValues
+from corrsel.errors import DimensionMismatch, LengthMismatch, TooFewValues
 from corrsel.stats import (
     UNBOUNDED,
     aic,
@@ -320,12 +320,18 @@ def test_chi_squared_hand_table():
 
 # -- inconsistency rate ---------------------------------------------------------
 
+def _labels(d: Dataset, names, bins: int) -> np.ndarray:
+    """The metrics' labels as CON bins them: at most one bin per row, never fewer than 2."""
+    eff_bins = max(2, min(bins, d.n_modules))
+    return np.column_stack([discretize_equal_frequency(d.column(name), eff_bins) for name in names])
+
+
 def test_inconsistency_pure_patterns_zero():
     d = _dataset(
         {"a": np.array([1.0, 1.0, 5.0, 5.0])},
         outcome=np.array([True, True, False, False]),
     )
-    assert inconsistency_rate(d, ["a"], bins=2) == 0.0
+    assert inconsistency_rate(_labels(d, ["a"], 2), d.outcome) == 0.0
 
 
 def test_inconsistency_single_pattern_half():
@@ -333,24 +339,40 @@ def test_inconsistency_single_pattern_half():
         {"a": np.full(6, 2.0)},
         outcome=np.array([True, True, True, False, False, False]),
     )
-    assert inconsistency_rate(d, ["a"], bins=2) == 0.5
+    assert inconsistency_rate(_labels(d, ["a"], 2), d.outcome) == 0.5
 
 
 def test_inconsistency_unique_rows_zero():
     rng = np.random.default_rng(17)
     d = _dataset({f"m{i}": rng.standard_normal(30) for i in range(3)}, outcome=rng.random(30) < 0.5)
-    assert inconsistency_rate(d, list(d.metric_names), bins=30) == 0.0
+    assert inconsistency_rate(_labels(d, d.metric_names, 30), d.outcome) == 0.0
 
 
 def test_inconsistency_monotone_under_refinement():
     rng = np.random.default_rng(18)
     d = _dataset({f"m{i}": rng.standard_normal(60) for i in range(4)}, outcome=rng.random(60) < 0.5)
     names = list(d.metric_names)
-    prev = inconsistency_rate(d, names[:1], bins=3)
+    prev = inconsistency_rate(_labels(d, names[:1], 3), d.outcome)
     for k in range(2, 5):
-        cur = inconsistency_rate(d, names[:k], bins=3)
+        cur = inconsistency_rate(_labels(d, names[:k], 3), d.outcome)
         assert cur <= prev + 1e-12
         prev = cur
+
+
+def test_inconsistency_no_columns_is_the_minority_fraction():
+    outcome = np.array([True, False, False, True, False])
+    assert inconsistency_rate(np.zeros((5, 0), np.int64), outcome) == 2 / 5
+    assert inconsistency_rate(np.zeros((1, 0), np.int64), outcome[:1]) == 0.0
+
+
+def test_inconsistency_rejects_bad_label_shapes():
+    outcome = np.array([True, False, True])
+    with pytest.raises(DimensionMismatch):
+        inconsistency_rate(np.array([0, 1, 0]), outcome)
+    with pytest.raises(TooFewValues):
+        inconsistency_rate(np.zeros((0, 2), np.int64), outcome[:0])
+    with pytest.raises(LengthMismatch):
+        inconsistency_rate(np.zeros((4, 1), np.int64), outcome)
 
 
 # -- AIC -----------------------------------------------------------------------
