@@ -26,12 +26,12 @@ Conventions pinned here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
+from .errors import ConfigError
 from .stats import correlation_of, spearman_matrix, vif_from_correlation, vif_scores
 
 #: Selector outputs are plain ordered lists of metric names.
@@ -47,9 +47,9 @@ class AutoSpearmanParams:
 
     def __post_init__(self):
         if not 0.0 < self.sp_t <= 1.0:
-            raise ValueError("sp_t must be in (0, 1]")
+            raise ConfigError(f"sp_t must be in (0, 1], got {self.sp_t!r}")
         if not self.vif_t > 1.0:
-            raise ValueError("vif_t must be > 1")
+            raise ConfigError(f"vif_t must be > 1, got {self.vif_t!r}")
 
 
 @dataclass(frozen=True)
@@ -64,38 +64,28 @@ class TraceStep:
 class EliminationTrace:
     steps: tuple[TraceStep, ...] = field(default_factory=tuple)
 
-    def removed_metrics(self) -> list[str]:
-        return [s.removed for s in self.steps]
-
-    def to_json_obj(self) -> list[dict]:
-        out = []
-        for s in self.steps:
-            stat = "inf" if math.isinf(s.statistic) else s.statistic
-            out.append(
-                {"phase": s.phase, "removed": s.removed, "kept": s.kept, "statistic": stat}
-            )
-        return out
-
 
 def spearman_phase(d: Dataset, sp_t: float = AutoSpearmanParams.sp_t):
     """Pairwise Spearman elimination; returns (kept subset, trace).
 
     Constant columns are removed first. The correlation matrix is computed
-    once; while any pair of survivors has |rho| >= sp_t, the strongest pair
-    is resolved by keeping the member whose mean |rho| against the other
-    metrics (excluding the pair itself) is smaller.
+    once (each rho reads its own two columns only, so the survivors' rows are
+    cut from the full matrix); while any pair of survivors has |rho| >= sp_t,
+    the strongest pair is resolved by keeping the member whose mean |rho|
+    against the other metrics (excluding the pair itself) is smaller.
 
     A removal only deletes pairs and never changes a |rho|, so the pairs are
     sorted once and walked in order, skipping any pair with a removed member.
     """
+    AutoSpearmanParams(sp_t=sp_t)
     constant = np.all(d.rows == d.rows[0], axis=0)
     steps = [TraceStep("spearman", n, None, 0.0) for n, c in zip(d.metric_names, constant) if c]
-    names = [n for n, c in zip(d.metric_names, constant) if not c]
+    keep = np.flatnonzero(~constant)
+    names = [d.metric_names[i] for i in keep]
     if not names:
         return [], EliminationTrace(tuple(steps))
     p = len(names)
-    filtered = d if p == d.n_metrics else d.project(names)
-    corr = np.abs(spearman_matrix(filtered).values)
+    corr = np.abs(spearman_matrix(d).values[np.ix_(keep, keep)])
 
     # strongest pair first: nonzero lists pairs in row-major order, which the
     # stable sort keeps among equal |rho|, so ties go smallest (i, j) first
@@ -128,6 +118,7 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
     survivors from its principal submatrix, and hands the pass to
     :func:`vif_scores` whenever that closed form declines.
     """
+    AutoSpearmanParams(vif_t=vif_t)
     current = list(start)
     position = {m: i for i, m in enumerate(d.metric_names)}
     at = {m: k for k, m in enumerate(current)}

@@ -74,7 +74,6 @@ class ForestModel:
     vote: np.ndarray
     decrease: np.ndarray
     ntree: int
-    mtry: int
     seed: int
     metric_names: tuple[str, ...]
 
@@ -455,7 +454,7 @@ def fit_random_forest(
         roots.append(base + np.arange(len(rngs), dtype=np.int32))
         base += batches[-1][0].size
     arrays = [np.concatenate(column) for column in zip(*batches)]
-    return ForestModel(np.concatenate(roots), *arrays, ntree, mtry, seed, subset)
+    return ForestModel(np.concatenate(roots), *arrays, ntree, seed, subset)
 
 
 def _forest_votes(m: ForestModel, x: np.ndarray) -> np.ndarray:

@@ -95,6 +95,10 @@ def _fmt_stat(v: float) -> str:
     return "inf" if math.isinf(v) else f"{v:.4f}"
 
 
+def _json_stat(v: float):
+    return "inf" if math.isinf(v) else v
+
+
 def _cmd_select(args) -> int:
     selector = parse_selector(args.selector)
     d = load_csv(args.dataset, args.outcome)
@@ -107,7 +111,7 @@ def _cmd_select(args) -> int:
     if args.as_json:
         doc = {"selected": subset}
         if trace is not None:
-            doc["trace"] = trace.to_json_obj()
+            doc["trace"] = [{**vars(s), "statistic": _json_stat(s.statistic)} for s in trace.steps]
         print(json.dumps(doc, indent=2))
         return EXIT_OK
     for name in subset:
@@ -133,7 +137,7 @@ def _cmd_diagnose(args) -> int:
                 {
                     "metrics": names,
                     "spearman": [[round(float(v), 12) for v in row] for row in corr.values],
-                    "vif": {k: ("inf" if math.isinf(v) else v) for k, v in vifs.scores.items()},
+                    "vif": {k: _json_stat(v) for k, v in vifs.scores.items()},
                     "has_collinearity": flags.has_collinearity,
                     "has_multicollinearity": flags.has_multicollinearity,
                 },
@@ -180,6 +184,11 @@ def _cmd_experiment(args) -> int:
             med = stats[key]["median"]
             if med is not None:
                 print(f"  {key:32} {med:+7.2f}")
+    for warning in payload["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
+    if payload["failures"]:
+        cells = len(cfg.selectors) * cfg.bootstrap_count
+        print(f"warning: {len(payload['failures'])} of {cells} grid cells failed", file=sys.stderr)
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
 """Performance measures: rank-based AUC, F-measure, MCC, and the confusion
-matrix at a probability cutoff (default 0.5, predicted defective only when
-strictly above it).
+matrix at the probability cutoff ``CUTOFF`` (a module predicted defective
+only when its score is strictly above it).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import numpy as np
 from .errors import LengthMismatch, SingleClass
 from .stats import rank_with_ties
 
+CUTOFF = 0.5
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -20,10 +22,6 @@ class ConfusionMatrix:
     fp: int
     tn: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 def auc(scores, labels) -> float:
@@ -46,13 +44,13 @@ def auc(scores, labels) -> float:
     return u / (pos * neg)
 
 
-def confusion_at(scores, labels, threshold: float = 0.5) -> ConfusionMatrix:
-    """Counts with 'defective' predicted iff score is strictly above threshold."""
+def confusion_at(scores, labels) -> ConfusionMatrix:
+    """Counts with 'defective' predicted iff score is strictly above ``CUTOFF``."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=bool)
     if s.shape != y.shape:
         raise LengthMismatch(f"{s.shape} scores vs {y.shape} labels")
-    pred = s > threshold
+    pred = s > CUTOFF
     return ConfusionMatrix(
         tp=int(np.count_nonzero(pred & y)),
         fp=int(np.count_nonzero(pred & ~y)),

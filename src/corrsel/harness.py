@@ -65,19 +65,10 @@ class SubsetCollection:
     base_seed: int
     splits: tuple[BootstrapSplit, ...]
 
-    @property
-    def sample_count(self) -> int:
-        return len(self.splits)
-
-    @property
-    def split_seeds(self) -> tuple[int, ...]:
-        """The seed each sample's split was drawn at."""
-        return tuple(split.seed for split in self.splits)
-
     def for_selector(self, sel: SelectorId) -> list[MetricSubset]:
         return [
             self.subsets[(sel, j)]
-            for j in range(self.sample_count)
+            for j in range(len(self.splits))
             if self.subsets[(sel, j)] is not None
         ]
 
@@ -174,7 +165,8 @@ def _ordered_map(fn, tasks) -> list:
     Each task is sent to a worker on its own. A worker that dies, say
     killed by a signal, ends the map with a ComputationError. Workers ignore
     SIGINT: on Ctrl-C, or when a task raises, the caller terminates the
-    workers and re-raises.
+    workers and re-raises; child processes it started before the map are
+    left alone.
     """
     tasks = list(tasks)
     workers = min(_usable_cpus(), len(tasks))
@@ -185,6 +177,7 @@ def _ordered_map(fn, tasks) -> list:
 
         if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
             fork = multiprocessing.get_context("fork")
+            before = set(multiprocessing.active_children())
             with ProcessPoolExecutor(workers, fork, _start_worker, (fn, tasks)) as pool:
                 try:
                     futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
@@ -193,9 +186,9 @@ def _ordered_map(fn, tasks) -> list:
                     name = getattr(fn, "func", fn).__name__
                     raise ComputationError(f"a worker died while mapping {name} over {len(tasks)} tasks") from None
                 except BaseException:
-                    # a task raised, or Ctrl-C: stop every worker now. Cancelling the
+                    # a task raised, or Ctrl-C: stop this map's workers now. Cancelling the
                     # tasks not yet run would race the pool's clean-up of killed workers.
-                    for child in multiprocessing.active_children():
+                    for child in set(multiprocessing.active_children()) - before:
                         child.terminate()
                     raise
     return [fn(t) for t in tasks]
@@ -263,8 +256,10 @@ def correlation_flags(
     """Strictly-above-threshold collinearity and multicollinearity checks.
 
     Unlike the eliminator (which compares with >=), these diagnostic flags
-    use strict > on both thresholds. Empty and singleton subsets flag false.
+    use strict > on both thresholds, which are checked as the eliminator's
+    are. Empty and singleton subsets flag false.
     """
+    AutoSpearmanParams(sp_t, vif_t)
     subset = list(subset)
     if len(subset) < 2:
         return CorrelationFlags(False, False)
@@ -334,7 +329,7 @@ def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
     Both models of a pair are fit on the grid's bootstrap training sample and
     scored on its test rows; training data is never re-balanced or
     re-sampled. Samples whose test set has one class are skipped for AUC
-    (recorded), but still counted for F and MCC.
+    (recorded once per sample), but still counted for F and MCC.
 
     Each (sample, classifier, ordered subset) is fit and scored once, a
     forest as one task of :func:`_ordered_map`: the all-metrics baseline
@@ -363,13 +358,13 @@ def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
     deltas: dict[tuple[SelectorId, str, str], dict[int, float]] = {}
     records: list[str] = []
     for j, split in enumerate(grid.splits):
+        if not split.test.has_both_classes():
+            records.append(f"sample {j}: single-class test set, AUC skipped")
         for clf in classifiers:
             base_vals = measured[(j, clf, split.train.metric_names)]
             if isinstance(base_vals, ComputationError):
                 records.append(f"sample {j} {clf} all-metrics: {type(base_vals).__name__}: {base_vals}")
                 continue
-            if "AUC" not in base_vals:
-                records.append(f"sample {j}: single-class test set, AUC skipped")
             for sel in grid.selectors:
                 subset = grid.subsets[(sel, j)]
                 if subset is None:
@@ -563,7 +558,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "modules": d.n_modules,
             "metrics": d.n_metrics,
         },
-        "split_seeds": list(grid.split_seeds),
+        "split_seeds": [split.seed for split in grid.splits],
         "consistency_across_samples": across_samples,
         "consistency_across_selectors": across_selectors,
         "correlation_flags": flag_rows,
@@ -615,7 +610,7 @@ def _write_cells_csv(cfg, grid: SubsetCollection, flags, deltas) -> None:
     writer = csv.writer(text)
     writer.writerow(columns + [f"delta_{clf}_{m}" for clf, m in delta_keys])
     for sel in cfg.selectors:
-        for j in range(grid.sample_count):
+        for j in range(len(grid.splits)):
             subset = grid.subsets[(sel, j)]
             cell_flags = flags.get((sel, j))
             cell_deltas = [deltas.get((sel, clf, m), {}).get(j) for clf, m in delta_keys]

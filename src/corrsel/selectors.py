@@ -92,10 +92,7 @@ class SelectorConfig:
             object.__setattr__(self, "rfe_sizes", tuple(self.rfe_sizes) or None)
         if self.bins < 2:
             raise ConfigError("bins must be >= 2")
-        try:
-            AutoSpearmanParams(self.sp_t, self.vif_t)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        AutoSpearmanParams(self.sp_t, self.vif_t)
         if self.ranking_rule not in ("positive", "top_k"):
             raise ConfigError(f"unknown ranking_rule {self.ranking_rule!r}")
         if self.ranking_rule == "top_k" and (self.ranking_top_k or 0) < 1:
@@ -172,7 +169,7 @@ def _best_first(p: int, score_fn, stall_limit: int):
 
     Expands the highest-scoring open node; stops after ``stall_limit``
     consecutive expansions that fail to improve on the best score seen.
-    Returns the best-scoring subset visited; the first one found wins ties.
+    Returns the best-scoring subset visited, as sorted indices; the first wins ties.
     """
     start: tuple[int, ...] = ()
     best, best_score = start, score_fn(start)
@@ -210,7 +207,7 @@ def select_cfs(train: Dataset, config: SelectorConfig = SelectorConfig()) -> Met
         lambda members: _cfs_merit(members, corr_out, corr_ff),
         config.stall_limit,
     )
-    return _in_column_order(train, [train.metric_names[i] for i in best])
+    return [train.metric_names[i] for i in best]
 
 
 # -- consistency-based -------------------------------------------------------
@@ -231,7 +228,7 @@ def select_consistency(train: Dataset, config: SelectorConfig = SelectorConfig()
     _best_first(len(names), lambda m: -rate(m), config.stall_limit)
     qualifying = [m for m, r in cache.items() if r <= target]
     best = min(qualifying, key=lambda m: (len(m), rate(m), m))
-    return _in_column_order(train, [names[i] for i in best])
+    return [names[i] for i in best]
 
 
 # -- recursive feature elimination -------------------------------------------
@@ -313,7 +310,7 @@ def select_rfe(
         mean_auc[size] = float(np.mean(vals)) if vals else 0.5
 
     best_size = max(sizes, key=lambda s: (mean_auc[s], -s))
-    return _in_column_order(train, path[best_size])
+    return path[best_size]
 
 
 # -- stepwise regression ------------------------------------------------------

@@ -12,7 +12,9 @@ from corrsel.autospearman import (
     spearman_phase,
     vif_phase,
 )
-from corrsel.data import Dataset, SyntheticSpec, generate_synthetic
+from corrsel.cli import main
+from corrsel.data import Dataset, SyntheticSpec, generate_synthetic, write_csv
+from corrsel.errors import ConfigError
 from corrsel.stats import spearman_matrix, vif_scores
 
 
@@ -161,10 +163,31 @@ def test_params_defaults():
     p = AutoSpearmanParams()
     assert p.sp_t == 0.7
     assert p.vif_t == 5.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AutoSpearmanParams(sp_t=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AutoSpearmanParams(vif_t=1.0)
+
+
+@pytest.mark.parametrize("thresholds", [{"sp_t": 2.0}, {"sp_t": float("nan")}, {"vif_t": float("nan")}])
+def test_params_out_of_range_raise_config_error(thresholds):
+    with pytest.raises(ConfigError):
+        AutoSpearmanParams(**thresholds)
+
+
+@pytest.mark.parametrize(
+    "phase, threshold",
+    [("spearman", 0.0), ("spearman", 1.5), ("spearman", float("nan")), ("vif", 0.5), ("vif", float("nan"))],
+)
+def test_phases_reject_out_of_range_thresholds(phase, threshold):
+    # an unchecked threshold would keep one metric (sp_t = 0) or none (vif_t < 1)
+    rng = np.random.default_rng(7)
+    d = _dataset({f"m{i}": rng.standard_normal(50) for i in range(3)})
+    with pytest.raises(ConfigError, match="must be"):
+        if phase == "spearman":
+            spearman_phase(d, sp_t=threshold)
+        else:
+            vif_phase(d, list(d.metric_names), vif_t=threshold)
 
 
 def test_auto_spearman_fixed_point():
@@ -195,7 +218,7 @@ def test_auto_spearman_planted_clone_groups():
 def test_auto_spearman_partition_and_trace():
     d = _random_synthetic(11)
     subset, trace = auto_spearman(d)
-    removed = trace.removed_metrics()
+    removed = [s.removed for s in trace.steps]
     assert len(set(removed)) == len(removed)
     assert set(removed) | set(subset) == set(d.metric_names)
     assert set(removed) & set(subset) == set()
@@ -244,13 +267,13 @@ def test_phase_one_threshold_monotone():
         assert sizes == sorted(sizes)
 
 
-def test_trace_json_serializable():
+def test_trace_json_serializable(tmp_path, capsys):
     rng = np.random.default_rng(19)
     a = rng.standard_normal(80)
     b = rng.standard_normal(80)
     d = _dataset({"a": a, "b": b, "c": a + b, "d": a.copy()})
-    _, trace = auto_spearman(d)
-    doc = json.dumps(trace.to_json_obj())
-    steps = json.loads(doc)
+    write_csv(d, tmp_path / "d.csv", "bug")
+    assert main(["select", str(tmp_path / "d.csv"), "--outcome", "bug", "--selector", "AutoSpearman", "--json"]) == 0
+    steps = json.loads(capsys.readouterr().out)["trace"]
     assert all(set(s) == {"phase", "removed", "kept", "statistic"} for s in steps)
     assert any(s["statistic"] == "inf" or s["statistic"] == 1.0 for s in steps)

@@ -206,6 +206,29 @@ def test_experiment_smoke_and_rerun_identical(tmp_path, capsys):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
+def test_experiment_reports_failed_cells_on_stderr(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    rows = ["m1,m2,m3,m4,m5,bug"] + [
+        ",".join(f"{v:.4f}" for v in row) + f",{i % 2}" for i, row in enumerate(rng.standard_normal((40, 5)))
+    ]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = {
+        "dataset": str(tmp_path / "data.csv"),
+        "outcome_column": "bug",
+        "selectors": ["RFE-LR"],
+        "bootstrap_count": 2,
+        "selector_config": {"rfe_sizes": [100]},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", str(tmp_path / "config.json")]) == 0
+    captured = capsys.readouterr()
+    assert "consistency across samples" in captured.out
+    assert captured.err.splitlines() == [
+        "warning: RFE-LR: no successful samples",
+        "warning: 2 of 2 grid cells failed",
+    ]
+
+
 def test_experiment_bad_config_exit_3(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

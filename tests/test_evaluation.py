@@ -96,7 +96,8 @@ def test_confusion_total():
     rng = np.random.default_rng(3)
     s = rng.random(30)
     y = rng.random(30) < 0.5
-    assert confusion_at(s, y).total == 30
+    cm = confusion_at(s, y)
+    assert cm.tp + cm.fp + cm.tn + cm.fn == 30
 
 
 # -- F-measure -----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from corrsel.errors import ConfigError, UnsupportedSelector
 from corrsel.harness import (
     ExperimentConfig,
     _config_echo,
+    _usable_cpus,
     consistency,
     correlation_flags,
     load_config,
@@ -134,6 +136,13 @@ def test_flags_strictly_above_threshold():
     assert not correlation_flags(["a", "b"], d, sp_t=1.0).has_collinearity
 
 
+@pytest.mark.parametrize("thresholds", [{"sp_t": float("nan"), "vif_t": float("nan")}, {"sp_t": 0.0}, {"vif_t": 1.0}])
+def test_flags_reject_out_of_range_thresholds(thresholds):
+    # NaN thresholds would flag nothing at all
+    with pytest.raises(ConfigError):
+        correlation_flags(["m1", "m2"], _clone_fixture(2), **thresholds)
+
+
 def test_flags_independent_columns_clean():
     rng = np.random.default_rng(4)
     d = Dataset(
@@ -153,14 +162,14 @@ def test_grid_shape_and_determinism():
     g2 = run_selection_grid(d, sels, B=3, config=SelectorConfig(base_seed=11))
     assert set(g1.subsets) == {(s, j) for s in sels for j in range(3)}
     assert g1.subsets == g2.subsets
-    assert g1.split_seeds == g2.split_seeds
+    assert [s.seed for s in g1.splits] == [s.seed for s in g2.splits]
     assert not g1.failures
 
 
 def test_grid_b_one():
     d = _clone_fixture(6)
     g = run_selection_grid(d, [SelectorId.AUTOSPEARMAN], B=1, config=SelectorConfig(base_seed=1))
-    assert g.sample_count == 1
+    assert len(g.splits) == 1
     assert len(g.for_selector(SelectorId.AUTOSPEARMAN)) == 1
 
 
@@ -170,8 +179,8 @@ def test_grid_takes_its_seeds_from_the_config(seed):
     sels = [SelectorId.AUTOSPEARMAN, SelectorId.IG]
     grid = run_selection_grid(d, sels, 3, SelectorConfig(base_seed=seed))
     assert grid.base_seed == seed
-    assert grid.split_seeds == tuple(derive_seed(seed, j) for j in range(3))
-    assert grid.sample_count == len(grid.splits) == 3
+    assert [s.seed for s in grid.splits] == [derive_seed(seed, j) for j in range(3)]
+    assert len(grid.splits) == 3
 
 
 def test_grid_rejects_bad_b():
@@ -292,6 +301,15 @@ def test_deltas_failed_shared_fit_records_each_selector(monkeypatch):
         f"sample 1 forest {sels[0].value}: DegenerateOutcome: planted failure",
     ]
     assert {(sel, j) for (sel, _, _), cell in deltas.items() for j in cell} == {(sels[1], 1)}
+
+
+def test_deltas_record_a_single_class_test_set_once_per_sample():
+    # sample 1's four test rows are all clean
+    d = generate_synthetic(SyntheticSpec(3, 12, (3.0, 0.0, 0.0), (), seed=5))
+    grid = run_selection_grid(d, [SelectorId.IG], 3, SelectorConfig(base_seed=2))
+    assert not grid.splits[1].test.has_both_classes()
+    _, records = performance_deltas(grid, ("logistic", "forest"))
+    assert records == ["sample 1: single-class test set, AUC skipped"]
 
 
 def test_deltas_empty_subset_auc_half():
@@ -648,6 +666,28 @@ def test_no_worker_outlives_its_experiment(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="planted in a worker"):
         run_experiment(load_config(_smoke_config(tmp_path, bootstrap_count=3, output=None)))
     assert multiprocessing.active_children() == []
+
+
+@FORK
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_a_failing_map_leaves_the_callers_own_children_running():
+    import corrsel.harness as harness
+
+    own = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+    own.start()
+    try:
+        def failing(t):
+            raise RuntimeError("planted in a task")
+
+        with pytest.raises(RuntimeError, match="planted in a task"):
+            harness._ordered_map(failing, range(4))
+        own.join(0.5)
+        assert own.exitcode is None
+        assert multiprocessing.active_children() == [own]
+    finally:
+        own.terminate()
+        own.join(10)
+    assert not own.is_alive()
 
 
 def _experiment_in_daemon(obj):

@@ -438,7 +438,7 @@ def test_auto_spearman_postcondition_when_metrics_outnumber_rows(seed, n, sp_t):
     params = AutoSpearmanParams(sp_t=sp_t)
     kept, trace = auto_spearman(d, params)
     assert kept
-    assert sorted(kept + trace.removed_metrics()) == sorted(d.metric_names)
+    assert sorted(kept + [s.removed for s in trace.steps]) == sorted(d.metric_names)
     corr = np.abs(spearman_matrix(d.project(kept)).values)
     assert np.all(corr[np.triu_indices(len(kept), k=1)] < sp_t)
     scores = vif_scores(d, kept).scores.values()

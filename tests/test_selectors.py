@@ -307,6 +307,25 @@ def test_selector_outputs_are_valid_subsets():
         assert set(subset) <= set(d.metric_names)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_subset_selectors_return_names_in_column_order(seed):
+    # every selector but the two rankings returns its subset in column order;
+    # rounded columns give ties, and a near-clone gives correlated pairs
+    rng = np.random.default_rng(seed)
+    n, p = 60, int(rng.integers(4, 7))
+    x = rng.standard_normal((n, p))
+    x[:, 1] = np.round(x[:, 1])
+    x[:, p - 1] = x[:, 0] + 0.1 * rng.standard_normal(n)
+    y = rng.random(n) < 1 / (1 + np.exp(-x @ rng.normal(0, 1.5, p)))
+    d = Dataset(tuple(f"m{i}" for i in rng.permutation(p)), x, y)
+    config = SelectorConfig(rfe_resamples=2, rfe_ntree=10, bins=4)
+    for sel in SelectorId:
+        if sel in (SelectorId.IG, SelectorId.CHISQ):
+            continue
+        subset = select(sel, d, config, seed=seed)
+        assert subset == [m for m in d.metric_names if m in subset], sel
+
+
 def test_selectors_deterministic():
     d = _signal_fixture(25, n=150, noise_metrics=3)
     config = SelectorConfig(rfe_resamples=3, rfe_ntree=20)
