@@ -4,7 +4,9 @@ wrapper selectors consume.
 
 Both fitters are deterministic: the logistic fit has no randomness and the
 forest derives one generator stream per tree from (seed, tree index), so
-each tree depends only on its own stream, never on how trees are batched.
+each tree depends only on its own stream. Trees grow in batches sized by a
+working-set bound, and a batch numbers its nodes tree by tree, so no byte
+of a forest, its importance included, depends on how trees are batched.
 """
 
 from __future__ import annotations
@@ -45,14 +47,19 @@ class LogisticModel:
 #: are fit max(1, _IRLS_CELLS // (n * k)) at a time for an n x k design.
 _IRLS_CELLS = 50_000
 
-#: Working-set budget of one forest batch, in (bag row, metric) cells. Trees
-#: are grown max(1, _BATCH_CELLS // (n * p)) at a time and scored in blocks
-#: of max(1, _BATCH_CELLS // ntree) rows, so temporaries scale with it, not
-#: with ntree.
-_BATCH_CELLS = 20_000
+#: Working-set budget of forest growth and scoring, in (bag row, metric)
+#: cells, each about 8 bytes while a batch of trees grows: trees are grown
+#: max(1, _BATCH_CELLS // (n * p)) at a time. A cut search holds about
+#: _CUT_COST cells' bytes per (node row, candidate metric) and scoring about
+#: _VOTE_COST per (tree, row) pair, so each runs in chunks of the budget
+#: divided by its cost. No result depends on the budget.
+_BATCH_CELLS = 120_000
+_CUT_COST = 15
+_VOTE_COST = 5
 
-#: Low half of a packed (bag count << 32) + defective count. A batch's bag
-#: rows number far fewer than 2**31, so neither half of a sum overflows.
+#: Low half of a packed (bag count << 32) + defective count. One cumulative
+#: sum runs over every bag row of a batch, max(n, _BATCH_CELLS // p) of
+#: them, far fewer than 2**31, so neither half of a sum overflows.
 _LOW = (1 << 32) - 1
 
 
@@ -271,19 +278,19 @@ def fit_logistic(d: Dataset, subset, start=None, memo: dict | None = None) -> Lo
     return fit_logistic_batch([(d, subset)], [start], memo)[0]
 
 
-def _best_cuts(seq, xb, packed, starts, widths, size, pos, feats):
+def _best_cuts(seq, x, row, packed, starts, widths, size, pos, feats):
     """Lowest weighted-Gini cut of each node over its candidate metrics.
 
     Node k owns positions ``starts[k]:starts[k] + widths[k]`` of every row
     of ``seq`` (distinct bag rows sorted by metric f within each node, in
-    row f), holds ``size[k]`` bag rows counted with their bag counts,
-    ``pos[k]`` of them defective, and tries the metrics ``feats[k]`` in
-    order. ``packed[r]`` is row r's bag count << 32 plus its defective
-    count, so one cumulative sum gives both of a cut's left counts. Ties go
-    to the earlier candidate, then to the earlier cut. Returns, per node:
-    the weighted child Gini (inf when no candidate has a cut), the metric,
-    the midpoint threshold, and the left child's distinct rows, size and
-    defects.
+    row f; bag row b is row ``row[b]`` of ``x``), holds ``size[k]`` bag
+    rows counted with their bag counts, ``pos[k]`` of them defective, and
+    tries the metrics ``feats[k]`` in order. ``packed[r]`` is row r's bag
+    count << 32 plus its defective count, so one cumulative sum gives both
+    of a cut's left counts. Ties go to the earlier candidate, then to the
+    earlier cut. Returns, per node: the weighted child Gini (inf when no
+    candidate has a cut), the metric, the midpoint threshold, and the left
+    child's distinct rows, size and defects.
     """
     k_count = feats.shape[0]
     node = np.repeat(np.arange(k_count), widths)
@@ -291,7 +298,7 @@ def _best_cuts(seq, xb, packed, starts, widths, size, pos, feats):
     at = np.arange(node.size) + np.repeat(starts - first, widths)
     f = feats.T[:, node]
     rows = seq[f, at]
-    v = xb[rows, f]
+    v = x[row[rows], f]
     cum = np.cumsum(packed[rows], axis=1)
     before = cum[:, first] - packed[rows[:, first]]
     s, i = np.nonzero((v[:, :-1] != v[:, 1:]) & (node[:-1] == node[1:]))
@@ -329,6 +336,63 @@ def _best_cuts(seq, xb, packed, starts, widths, size, pos, feats):
     return score, feature, threshold, w_left, n_left, pos_left
 
 
+def _chunked_cuts(seq, x, row, packed, starts, widths, size, pos, feats):
+    """:func:`_best_cuts` over runs of consecutive nodes, each run holding
+    about _BATCH_CELLS // _CUT_COST (node row, candidate metric) cells."""
+    run = (np.cumsum(widths) - widths) * feats.shape[1] // max(1, _BATCH_CELLS // _CUT_COST)
+    edges = np.flatnonzero(run[1:] != run[:-1]) + 1
+    if not edges.size:
+        return _best_cuts(seq, x, row, packed, starts, widths, size, pos, feats)
+    parts = zip(*(np.split(a, edges) for a in (starts, widths, size, pos, feats)))
+    cuts = [_best_cuts(seq, x, row, packed, *part) for part in parts]
+    return tuple(np.concatenate(c) for c in zip(*cuts))
+
+
+def _is_open(pos, size):
+    """Whether a node of ``size`` bag rows, ``pos`` of them defective, is
+    split further: it holds both classes."""
+    return (pos > 0) & (pos < size)
+
+
+def _distinct_bag_rows(y: np.ndarray, presort: np.ndarray, rngs):
+    """Each generator's bag, the first draw from it, kept as the distinct
+    rows it drew: returns the row of x behind each distinct bag row, its
+    packed bag and defective counts, ``seq`` (row f: each tree's distinct
+    bag rows in presorted order of metric f), and each tree's distinct row
+    and defective counts. A tree whose bag holds one class keeps no rows."""
+    p, n = presort.shape
+    t_count = len(rngs)
+    # a cumulative sum of packed counts runs over every bag row of the batch
+    assert t_count * n < 1 << 31, "a batch's bag rows must fit in one half of _LOW"
+    bag = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    pos = y[bag].sum(axis=1)
+    count = np.bincount((bag + (np.arange(t_count) * n)[:, None]).ravel(), minlength=t_count * n)
+    # [t, r]: tree t drew row r, and its root is open
+    drawn = (count > 0).reshape(t_count, n) & _is_open(pos, n)[:, None]
+    cell = np.flatnonzero(drawn)
+    row = cell % n
+    packed = (count[cell] << 32) + count[cell] * y[row]
+    ids_of = (np.cumsum(drawn) - 1).astype(np.int32).reshape(t_count, n)
+    seq = np.empty((p, cell.size), np.int32)
+    for f in range(p):
+        seq[f] = ids_of[:, presort[f]][drawn[:, presort[f]]]
+    return row, packed, seq, np.count_nonzero(drawn, axis=1), pos
+
+
+def _partition(seq, status, feat, starts, width, left_w, to_left, to_right):
+    """``seq`` holding the rows of each open child: the rows each node sends
+    left where ``to_left``, then those it sends right where ``to_right``,
+    all left children first; every other row drops out. The partition is
+    stable, so every node's rows stay sorted."""
+    node = np.repeat(np.arange(width.size), width)
+    chosen = seq[np.maximum(feat, 0)[node], np.arange(node.size)]
+    goes_left = np.arange(node.size) - starts[node] < left_w[node]
+    status[chosen] = np.where(goes_left, to_left[node], 2 * to_right[node])
+    st = status[seq]
+    p = seq.shape[0]
+    return np.concatenate([seq[st == 1].reshape(p, -1), seq[st == 2].reshape(p, -1)], axis=1)
+
+
 def _grow_batch(x: np.ndarray, y: np.ndarray, presort: np.ndarray, rngs, mtry: int, base: int):
     """Grow one tree per generator to purity, every node of a depth at once.
 
@@ -337,92 +401,82 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, presort: np.ndarray, rngs, mtry: i
     row order from ``presort`` (row f of it: the rows stably sorted by metric
     f). At each depth the tree draws, in one call, a random metric order for
     each of its open nodes; a node tries the first ``mtry`` metrics and, when
-    none of them has a cut, the rest in index order. Returns the batch's node
-    arrays (feature, threshold, left, right, vote, decrease), numbered from
-    ``base``; nodes base..base+T-1 are the roots.
+    none of them has a cut, the rest in index order. Returns the batch's
+    roots and node arrays (feature, threshold, left, right, vote, decrease),
+    numbered from ``base`` tree by tree, each tree's nodes depth by depth:
+    the arrays of a forest grown one tree per batch, however many trees
+    share this one.
     """
-    n, p = x.shape
+    p = x.shape[1]
     t_count = len(rngs)
-    bag = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-    offset = np.arange(t_count) * n
-    count = np.bincount((bag + offset[:, None]).ravel(), minlength=t_count * n)
-    drawn = count > 0  # at t * n + r: tree t drew row r
-    cell = np.flatnonzero(drawn)
-    xb = x[cell % n]
-    packed = (count[cell] << 32) + count[cell] * y[cell % n]
-    # seq[f]: each tree's distinct rows in presorted order of metric f; a
-    # level's stable partition keeps every node's rows sorted
-    ids_of = (np.cumsum(drawn) - 1).astype(np.int32)
-    flat = (presort[:, None, :] + offset[None, :, None]).reshape(p, -1)
-    seq = ids_of[flat][drawn[flat]].reshape(p, -1)
-    status = np.zeros(cell.size, np.int8)
+    row, packed, seq, width, pos = _distinct_bag_rows(y, presort, rngs)
+    status = np.zeros(row.size, np.int8)
 
-    cap = t_count * (2 * n - 1)
-    feature = np.full(cap, -1, np.int32)
-    threshold = np.zeros(cap)
-    left = np.full(cap, -1, np.int32)
-    right = np.full(cap, -1, np.int32)
-    vote = np.zeros(cap, bool)
-    decrease = np.zeros(cap)
-
-    ids = np.arange(t_count)
+    levels = []  # per depth: the tree and node arrays of its nodes
     tree = np.arange(t_count)
-    width = np.count_nonzero(drawn.reshape(t_count, n), axis=1)
-    size = np.full(t_count, n)
-    pos = y[bag].sum(axis=1)
-    next_id = t_count
-    while ids.size:
-        vote[ids] = pos * 2 > size
-        open_ = (pos > 0) & (pos < size) & (size > 1)
-        if not open_.all():
-            seq = seq[:, np.repeat(open_, width)]
-            ids, tree, width, size, pos = ids[open_], tree[open_], width[open_], size[open_], pos[open_]
-            if not ids.size:
+    size = np.full(t_count, y.size)
+    next_id = t_count  # nodes are numbered depth by depth while they grow
+    while tree.size:
+        k_count = tree.size
+        feature = np.full(k_count, -1, np.int32)
+        threshold = np.zeros(k_count)
+        left = np.full(k_count, -1, np.int32)
+        right = np.full(k_count, -1, np.int32)
+        decrease = np.zeros(k_count)
+        levels.append((tree, feature, threshold, left, right, pos * 2 > size, decrease))
+        at = np.flatnonzero(_is_open(pos, size))  # each open node's place in this depth
+        if at.size < k_count:
+            # seq holds the open nodes' rows alone
+            tree, width, size, pos = tree[at], width[at], size[at], pos[at]
+            if not at.size:
                 break
         starts = np.cumsum(width) - width
 
         counts = np.bincount(tree, minlength=t_count)
-        u = np.empty((ids.size, p))
+        u = np.empty((at.size, p))
         u[np.argsort(tree, kind="stable")] = np.concatenate(
             [rngs[t].random((c, p)) for t, c in enumerate(counts) if c]
         )
         order = u.argsort(axis=1)
-        cuts = _best_cuts(seq, xb, packed, starts, width, size, pos, order[:, :mtry])
+        cuts = _chunked_cuts(seq, x, row, packed, starts, width, size, pos, order[:, :mtry])
         miss = np.flatnonzero(cuts[0] == np.inf)
         if miss.size and mtry < p:
             rest = np.sort(order[miss, mtry:], axis=1)
-            alts = _best_cuts(seq, xb, packed, starts[miss], width[miss], size[miss], pos[miss], rest)
+            alts = _chunked_cuts(seq, x, row, packed, starts[miss], width[miss], size[miss], pos[miss], rest)
             for out, alt in zip(cuts, alts):
                 out[miss] = alt
         score, feat, thr, left_w, left_n, left_pos = cuts
 
-        split = np.flatnonzero(score < np.inf)
+        cut = score < np.inf
+        split = np.flatnonzero(cut)
         j_count = split.size
-        sid = ids[split]
+        sid = at[split]
         q = pos[split] / size[split]
         feature[sid] = feat[split]
         threshold[sid] = thr[split]
         decrease[sid] = size[split] * (2.0 * q * (1.0 - q)) - score[split]
-        left[sid] = base + next_id + np.arange(j_count)
-        right[sid] = base + next_id + j_count + np.arange(j_count)
-
-        # move split nodes' rows to their children, all left children first;
-        # rows of nodes that stay leaves drop out
-        node = np.repeat(np.arange(ids.size), width)
-        chosen = seq[np.maximum(feat, 0)[node], np.arange(node.size)]
-        goes = np.where(np.arange(node.size) - starts[node] < left_w[node], 1, 2).astype(np.int8)
-        goes[score[node] == np.inf] = 0
-        status[chosen] = goes
-        st = status[seq]
-        seq = np.concatenate([seq[st == 1].reshape(p, -1), seq[st == 2].reshape(p, -1)], axis=1)
-
-        ids = next_id + np.arange(2 * j_count)
+        left[sid] = next_id + np.arange(j_count)
+        right[sid] = next_id + j_count + np.arange(j_count)
         next_id += 2 * j_count
+
+        to_left = cut & _is_open(left_pos, left_n)
+        to_right = cut & _is_open(pos - left_pos, size - left_n)
+        seq = _partition(seq, status, feat, starts, width, left_w, to_left, to_right)
         tree = np.concatenate([tree[split], tree[split]])
         width = np.concatenate([left_w[split], width[split] - left_w[split]])
         size = np.concatenate([left_n[split], size[split] - left_n[split]])
         pos = np.concatenate([left_pos[split], pos[split] - left_pos[split]])
-    return tuple(a[:next_id].copy() for a in (feature, threshold, left, right, vote, decrease))
+
+    # renumber tree-major: a stable sort by tree keeps each tree's depth order
+    tree, feature, threshold, left, right, vote, decrease = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    renumber = np.empty(order.size, np.int32)
+    renumber[order] = base + np.arange(order.size, dtype=np.int32)
+    for child in (left, right):
+        inner = child >= 0
+        child[inner] = renumber[child[inner]]
+    arrays = tuple(a[order] for a in (feature, threshold, left, right, vote, decrease))
+    return (renumber[:t_count], *arrays)
 
 
 def fit_random_forest(
@@ -447,14 +501,13 @@ def fit_random_forest(
     presort = np.argsort(x, axis=0, kind="stable").T
     streams = np.random.SeedSequence(seed).spawn(ntree)
     per_batch = max(1, _BATCH_CELLS // (n * p))
-    batches, roots, base = [], [], 0
+    batches, base = [], 0
     for lo in range(0, ntree, per_batch):
         rngs = [np.random.default_rng(s) for s in streams[lo:lo + per_batch]]
         batches.append(_grow_batch(x, y, presort, rngs, mtry, base))
-        roots.append(base + np.arange(len(rngs), dtype=np.int32))
-        base += batches[-1][0].size
+        base += batches[-1][1].size
     arrays = [np.concatenate(column) for column in zip(*batches)]
-    return ForestModel(np.concatenate(roots), *arrays, ntree, seed, subset)
+    return ForestModel(*arrays, ntree, seed, subset)
 
 
 def _forest_votes(m: ForestModel, x: np.ndarray) -> np.ndarray:
@@ -464,7 +517,7 @@ def _forest_votes(m: ForestModel, x: np.ndarray) -> np.ndarray:
     """
     r_count = x.shape[0]
     out = np.empty(r_count)
-    step = max(1, _BATCH_CELLS // m.ntree)
+    step = max(1, _BATCH_CELLS // (_VOTE_COST * m.ntree))
     for lo in range(0, r_count, step):
         block = x[lo:lo + step]
         r = block.shape[0]

@@ -174,16 +174,21 @@ def _cmd_experiment(args) -> int:
         print(f"report written to {cfg.output}")
     if cfg.output_csv:
         print(f"per-cell rows written to {cfg.output_csv}")
-    print("consistency across samples (%):")
-    for sel, row in payload["consistency_across_samples"].items():
-        print(f"  {sel:14} {row['percentage']:6.1f}")
+    rows = payload["consistency_across_samples"]
+    if rows:
+        print("consistency across samples (%):")
+        for sel, row in rows.items():
+            print(f"  {sel:14} {row['percentage']:6.1f}")
+    else:
+        print("consistency across samples (%): none, no selector succeeded on any sample")
     stats = payload["performance_deltas"]
-    if stats:
+    medians = {key: stats[key]["median"] for key in sorted(stats) if stats[key]["median"] is not None}
+    if medians:
         print("median performance delta (%pts, selected - all):")
-        for key in sorted(stats):
-            med = stats[key]["median"]
-            if med is not None:
-                print(f"  {key:32} {med:+7.2f}")
+        for key, med in medians.items():
+            print(f"  {key:32} {med:+7.2f}")
+    else:
+        print("median performance delta (%pts, selected - all): none, no sample has a delta")
     for warning in payload["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     if payload["failures"]:

@@ -11,10 +11,17 @@ Everything is seeded: the per-sample split seed is derived from
 selector index) and each performance forest from (base_seed, sample index,
 its subset's names), so a report re-runs bit-for-bit from its echoed
 configuration.
+
+An experiment draws its splits, then runs on one pool of forked workers:
+each sample's grid and each distinct forest cell is a task, submitted as
+soon as its inputs exist, while this process fits the logistic cells and
+computes the flags. Results are kept by task, so no output depends on the
+worker count or on the order in which tasks finish.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
@@ -24,8 +31,8 @@ import os
 import signal
 import stat
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from functools import partial
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -136,62 +143,128 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# set in each forked worker of an ordered map: the (function, tasks) it runs,
-# inherited through fork, so a task crosses the process boundary as its index
+# set in each forked worker of a pool: the grid and selector settings of its
+# experiment, inherited through fork, so a task crosses the process boundary
+# as its key
 _worker_job = None
 
 
-def _start_worker(fn, tasks) -> None:
+def _start_worker(job) -> None:
     global _worker_job
-    _worker_job = (fn, tasks)
+    _worker_job = job
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to answer
 
 
-def _run_task(i: int):
-    fn, tasks = _worker_job
-    return fn(tasks[i])
+def _task(grid: SubsetCollection, config: SelectorConfig | None, key):
+    """The task ``key`` of an experiment: sample j's grid cells for the key
+    j, a cell's measures for the key (sample, classifier, ordered subset)."""
+    if isinstance(key, int):
+        return _sample_cells(grid, config, key)
+    return _cell_measures(grid, key)
 
 
-def _ordered_map(fn, tasks) -> list:
-    """``[fn(t) for t in tasks]``, run on forked workers, one per usable CPU.
+def _run_task(key):
+    return _task(*_worker_job, key)
 
-    Results come back in task order, so what is built from them does not
-    depend on the worker count; only results and a task's exception are
-    pickled. Workers fork, so they start without an import and see the
-    caller's data as it is. The map runs in this process when there is one
-    usable CPU or one task, when the platform cannot fork, or when this
-    process is a daemon (which may not start children).
 
-    Each task is sent to a worker on its own. A worker that dies, say
-    killed by a signal, ends the map with a ComputationError. Workers ignore
-    SIGINT: on Ctrl-C, or when a task raises, the caller terminates the
-    workers and re-raises; child processes it started before the map are
-    left alone.
+class _Tasks:
+    """Tasks submitted by key, whose results come back keyed as they finish.
+
+    With no ``executor`` a task runs when it is submitted, in this process.
     """
-    tasks = list(tasks)
-    workers = min(_usable_cpus(), len(tasks))
+
+    def __init__(self, grid, config, executor=None):
+        self._job = (grid, config)
+        self._executor = executor
+        self._pending = {}  # future -> key
+        self._finished = collections.deque()  # (key, result)
+
+    def submit(self, key) -> None:
+        if self._executor is None:
+            self._finished.append((key, _task(*self._job, key)))
+        else:
+            self._pending[self._executor.submit(_run_task, key)] = key
+
+    def finished(self):
+        """``(key, result)`` of each task as it finishes, tasks submitted
+        meanwhile included, until none is left."""
+        while self._finished or self._pending:
+            if not self._finished:
+                from concurrent.futures import FIRST_COMPLETED, wait
+
+                done, _ = wait(self._pending, return_when=FIRST_COMPLETED)
+                self._finished.extend((self._pending.pop(f), f.result()) for f in done)
+            yield self._finished.popleft()
+
+
+@contextmanager
+def _pool(grid: SubsetCollection, config: SelectorConfig | None, most: int):
+    """The :class:`_Tasks` of one experiment, run on forked workers, one per
+    usable CPU and at most ``most``.
+
+    Workers fork at the first submitted task and inherit ``grid`` and
+    ``config`` as they are then, so a task is sent as its key and only
+    results and a task's exception are pickled. The tasks run in this
+    process when fewer than two workers would start, when the platform
+    cannot fork, or when this process is a daemon (which may not start
+    children).
+
+    A worker that dies, say killed by a signal, ends the pool with a
+    ComputationError. Workers ignore SIGINT: on Ctrl-C, or when a task or
+    the caller raises, the caller terminates the workers and re-raises;
+    child processes it started before the pool are left alone.
+    """
+    workers = min(_usable_cpus(), most)
     if workers > 1:
-        # imported here, so that commands which run no map do not pay for it
+        # imported here, so that commands which start no pool do not pay for it
         import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
             fork = multiprocessing.get_context("fork")
             before = set(multiprocessing.active_children())
-            with ProcessPoolExecutor(workers, fork, _start_worker, (fn, tasks)) as pool:
+            with ProcessPoolExecutor(workers, fork, _start_worker, ((grid, config),)) as executor:
                 try:
-                    futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
-                    return [future.result() for future in futures]
+                    yield _Tasks(grid, config, executor)
                 except BrokenProcessPool:
-                    name = getattr(fn, "func", fn).__name__
-                    raise ComputationError(f"a worker died while mapping {name} over {len(tasks)} tasks") from None
+                    raise ComputationError("a worker died while running the experiment's tasks") from None
                 except BaseException:
-                    # a task raised, or Ctrl-C: stop this map's workers now. Cancelling the
-                    # tasks not yet run would race the pool's clean-up of killed workers.
+                    # a task or the caller raised, or Ctrl-C: stop this pool's workers now.
+                    # Cancelling the tasks not yet run would race the pool's clean-up of
+                    # killed workers.
                     for child in set(multiprocessing.active_children()) - before:
                         child.terminate()
                     raise
-    return [fn(t) for t in tasks]
+            return
+    yield _Tasks(grid, config)
+
+
+def _sample_cells(grid: SubsetCollection, config: SelectorConfig, j: int) -> list[tuple[MetricSubset | None, str | None]]:
+    """Each selector's subset of sample j, or why it failed, in selector
+    order. The selectors share one logistic fit memo, dropped when the
+    sample is done; a memo hit is the fit a fresh call would make, so no
+    cell depends on the cells run before it."""
+    memo: dict = {}
+    cells = []
+    for i, sel in enumerate(grid.selectors):
+        try:
+            subset = select(sel, grid.splits[j].train, config, derive_seed(grid.base_seed, j, i), memo)
+            cells.append((subset, None))
+        except CorrselError as exc:
+            cells.append((None, f"{type(exc).__name__}: {exc}"))
+    return cells
+
+
+def _plan(d: Dataset, selectors, B: int, config: SelectorConfig) -> SubsetCollection:
+    """The grid before any selector runs: its B bootstrap splits, sample
+    j's seeded from (``config.base_seed``, j), and no subsets."""
+    if B < 1:
+        raise ConfigError("bootstrap_count must be >= 1")
+    if d.n_modules < 2:
+        # every draw would take the only row, so no split ever has a test side
+        raise DataError(f"bootstrap samples need at least 2 rows, got {d.n_modules}")
+    splits = tuple(bootstrap_sample(d, derive_seed(config.base_seed, j)) for j in range(B))
+    return SubsetCollection({}, {}, tuple(selectors), config.base_seed, splits)
 
 
 def run_selection_grid(
@@ -200,41 +273,11 @@ def run_selection_grid(
     """Apply every selector to each of B bootstrap training samples.
 
     Sample j's split seed is derived from (``config.base_seed``, j) and its
-    cell of selector i from (``config.base_seed``, j, i).
-
-    Each sample is one task of :func:`_ordered_map`. The selectors of one
-    sample share one logistic fit memo, dropped when the sample is done; a
-    memo hit is the fit a fresh call would make, so no cell depends on the
-    cells run before it. Per-cell failures are recorded, never fatal; the
-    grid stays complete.
+    cell of selector i from (``config.base_seed``, j, i). Each sample is one
+    task of :func:`_run_cells`. Per-cell failures are recorded, never fatal;
+    the grid stays complete.
     """
-    if B < 1:
-        raise ConfigError("bootstrap_count must be >= 1")
-    if d.n_modules < 2:
-        # every draw would take the only row, so no split ever has a test side
-        raise DataError(f"bootstrap samples need at least 2 rows, got {d.n_modules}")
-    selectors = tuple(selectors)
-    base_seed = config.base_seed
-    splits = [bootstrap_sample(d, derive_seed(base_seed, j)) for j in range(B)]
-
-    def sample_cells(j: int) -> list[tuple[MetricSubset | None, str | None]]:
-        memo: dict = {}
-        cells = []
-        for i, sel in enumerate(selectors):
-            try:
-                cells.append((select(sel, splits[j].train, config, derive_seed(base_seed, j, i), memo), None))
-            except CorrselError as exc:
-                cells.append((None, f"{type(exc).__name__}: {exc}"))
-        return cells
-
-    subsets: dict[tuple[SelectorId, int], MetricSubset | None] = {}
-    failures: dict[tuple[SelectorId, int], str] = {}
-    for j, cells in enumerate(_ordered_map(sample_cells, range(B))):
-        for sel, (subset, failure) in zip(selectors, cells):
-            subsets[(sel, j)] = subset
-            if failure is not None:
-                failures[(sel, j)] = failure
-    return SubsetCollection(subsets, failures, selectors, base_seed, tuple(splits))
+    return _run_cells(_plan(d, selectors, B, config), (), config)[0]
 
 
 def consistency(subsets: list[MetricSubset]) -> ConsistencyResult:
@@ -269,15 +312,6 @@ def correlation_flags(
     scores = vif_scores(train, subset).scores
     has_multi = any(v > vif_t for v in scores.values())
     return CorrelationFlags(has_coll, has_multi)
-
-
-def _flag_cells(grid: SubsetCollection, sp_t: float, vif_t: float) -> dict[tuple[SelectorId, int], CorrelationFlags]:
-    """Correlation flags of each selected subset on its own training sample."""
-    return {
-        (sel, j): correlation_flags(subset, grid.splits[j].train, sp_t, vif_t)
-        for (sel, j), subset in grid.subsets.items()
-        if subset is not None
-    }
 
 
 def _measures(scores: np.ndarray, outcome: np.ndarray) -> dict[str, float]:
@@ -319,42 +353,76 @@ def _cell_measures(grid: SubsetCollection, cell: tuple[int, str, tuple[str, ...]
     return _measures(scores, test.outcome)
 
 
-def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
-    """Per-sample performance differences of the grid's subsets, selected
-    minus all metrics, in percentage points: ``({(selector, classifier,
-    measure): {sample: delta}}, records)``, samples in ascending order.
-    A classifier other than "logistic" or "forest" raises ConfigError
-    before any fit.
+def _run_cells(grid: SubsetCollection, classifiers, config: SelectorConfig | None = None, flag: bool = False):
+    """Run an experiment's cells on one :func:`_pool`: ``(grid, measured,
+    flags)``.
 
-    Both models of a pair are fit on the grid's bootstrap training sample and
-    scored on its test rows; training data is never re-balanced or
-    re-sampled. Samples whose test set has one class are skipped for AUC
-    (recorded once per sample), but still counted for F and MCC.
+    With ``config``, ``grid`` is a plan (:func:`_plan`): each sample's
+    selectors run as one task, and the grid comes back with their subsets.
+    Without it, ``grid``'s subsets are given. Each distinct (sample,
+    classifier, ordered subset) cell is measured once, as soon as its
+    subset is known: an all-metrics cell at once, a selector's when its
+    sample's task returns. A forest cell is a task; a logistic cell is one
+    IRLS fit of a few milliseconds, less than sending it costs, so it runs
+    here while the workers grow forests, as do the correlation flags of
+    each selected subset at ``config``'s thresholds when ``flag`` is set.
 
-    Each (sample, classifier, ordered subset) is fit and scored once, a
-    forest as one task of :func:`_ordered_map`: the all-metrics baseline
-    and every selector that picked the subset share that model. A forest's
-    seed is derived from the sample and the subset's names, so a selector
-    that keeps every metric, in order, gets deltas of exactly zero.
+    ``measured`` maps each cell to its measures, or the ComputationError its
+    fit raised. Every result is kept by its key, so nothing built from them
+    depends on the worker count or on the order in which tasks finish.
     """
-    _check_classifiers(classifiers)
-    cells = []  # distinct (sample, classifier, ordered subset), baselines first
-    for j, split in enumerate(grid.splits):
-        for clf in classifiers:
-            cells.append((j, clf, split.train.metric_names))
-            cells.extend(
-                (j, clf, tuple(grid.subsets[(sel, j)]))
-                for sel in grid.selectors
-                if grid.subsets[(sel, j)] is not None
-            )
-    cells = list(dict.fromkeys(cells))
+    B = len(grid.splits)
+    forests = B * (1 + len(grid.selectors)) if "forest" in classifiers else 0
+    chosen: dict[int, list] = {}  # sample -> its grid cells
+    measured: dict = {}
+    flags: dict[tuple[SelectorId, int], CorrelationFlags] = {}
+    with _pool(grid, config, (0 if config is None else B) + forests) as tasks:
+        seen = set()
 
-    # a forest cell grows 100 trees; a logistic cell is one IRLS fit of a few
-    # milliseconds, less than starting the workers costs, so it runs here
-    forests = [cell for cell in cells if cell[1] == "forest"]
-    measured = dict(zip(forests, _ordered_map(partial(_cell_measures, grid), forests)))  # measures, or the fit's error
-    measured.update((cell, _cell_measures(grid, cell)) for cell in cells if cell[1] != "forest")
+        def measure(j: int, subsets) -> None:
+            for clf in classifiers:
+                for subset in [grid.splits[j].train.metric_names, *subsets]:
+                    cell = (j, clf, subset)
+                    if cell in seen:
+                        continue
+                    seen.add(cell)
+                    if clf == "forest":
+                        tasks.submit(cell)
+                    else:
+                        measured[cell] = _cell_measures(grid, cell)
 
+        if config is None:
+            for j in range(B):
+                measure(j, [tuple(s) for s in grid.for_sample(j)])
+        else:
+            for j in range(B):
+                tasks.submit(j)
+            for j in range(B):
+                measure(j, [])
+        for key, result in tasks.finished():
+            if not isinstance(key, int):
+                measured[key] = result
+                continue
+            chosen[key] = result
+            picked = [(sel, subset) for sel, (subset, _) in zip(grid.selectors, result) if subset is not None]
+            measure(key, [tuple(subset) for _, subset in picked])
+            if flag:
+                train = grid.splits[key].train
+                for sel, subset in picked:
+                    flags[(sel, key)] = correlation_flags(subset, train, config.sp_t, config.vif_t)
+    if config is not None:
+        cells = [((sel, j), cell) for j in range(B) for sel, cell in zip(grid.selectors, chosen[j])]
+        grid = replace(
+            grid,
+            subsets={key: subset for key, (subset, _) in cells},
+            failures={key: failure for key, (_, failure) in cells if failure is not None},
+        )
+    return grid, measured, flags
+
+
+def _deltas(grid: SubsetCollection, classifiers, measured: dict):
+    """The deltas and records of :func:`performance_deltas` from the
+    grid's ``measured`` cells."""
     deltas: dict[tuple[SelectorId, str, str], dict[int, float]] = {}
     records: list[str] = []
     for j, split in enumerate(grid.splits):
@@ -377,6 +445,29 @@ def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
                     if m in vals:
                         deltas.setdefault((sel, clf, m), {})[j] = 100.0 * (vals[m] - base_vals[m])
     return deltas, records
+
+
+def performance_deltas(grid: SubsetCollection, classifiers=_CLASSIFIERS):
+    """Per-sample performance differences of the grid's subsets, selected
+    minus all metrics, in percentage points: ``({(selector, classifier,
+    measure): {sample: delta}}, records)``, samples in ascending order.
+    A classifier other than "logistic" or "forest" raises ConfigError
+    before any fit.
+
+    Both models of a pair are fit on the grid's bootstrap training sample and
+    scored on its test rows; training data is never re-balanced or
+    re-sampled. Samples whose test set has one class are skipped for AUC
+    (recorded once per sample), but still counted for F and MCC.
+
+    Each (sample, classifier, ordered subset) is fit and scored once, by
+    :func:`_run_cells`, which submits every forest to one pool: the
+    all-metrics baseline and every selector that picked the subset share
+    that model. A forest's seed is derived from the sample and the subset's
+    names, so a selector that keeps every metric, in order, gets deltas of
+    exactly zero.
+    """
+    _check_classifiers(classifiers)
+    return _deltas(grid, classifiers, _run_cells(grid, classifiers)[1])
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -508,9 +599,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     selectors = cfg.selectors
     B = cfg.bootstrap_count
-    grid = run_selection_grid(d, selectors, B, cfg.selector_config)
-    flags = _flag_cells(grid, cfg.selector_config.sp_t, cfg.selector_config.vif_t)
-    deltas, records = performance_deltas(grid, cfg.classifiers)
+    plan = _plan(d, selectors, B, cfg.selector_config)
+    grid, measured, flags = _run_cells(plan, cfg.classifiers, cfg.selector_config, flag=True)
+    deltas, records = _deltas(grid, cfg.classifiers, measured)
 
     warnings: list[str] = []
     across_samples = {}

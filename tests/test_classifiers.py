@@ -205,6 +205,18 @@ def test_unknown_metric_raises_missing_column():
             call()
         assert info.value.column in {"nope", "m0"}
 
+def test_forest_batch_of_two_to_the_31_bag_rows_is_refused():
+    # one cumulative sum of packed counts runs over a batch's bag rows, so
+    # they must fit in one half of the packed integer; the largest batch the
+    # budget allows holds max(n, _BATCH_CELLS // p) of them
+    import corrsel.classifiers as classifiers
+
+    n = 2**20
+    with pytest.raises(AssertionError, match="one half of _LOW"):
+        classifiers._distinct_bag_rows(np.zeros(n, np.int8), np.zeros((1, n), np.intp), [None] * 2**11)
+    assert classifiers._BATCH_CELLS < 2**31
+
+
 def test_predict_forest_vote_fraction():
     d = _logistic_fixture(9, n=60)
     m = fit_random_forest(d, list(d.metric_names), ntree=4, seed=11)

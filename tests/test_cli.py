@@ -206,7 +206,8 @@ def test_experiment_smoke_and_rerun_identical(tmp_path, capsys):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_experiment_reports_failed_cells_on_stderr(tmp_path, capsys):
+def _every_cell_failing_config(tmp_path) -> str:
+    """A config whose every grid cell fails: RFE-LR asked for 100 metrics of 5."""
     rng = np.random.default_rng(5)
     rows = ["m1,m2,m3,m4,m5,bug"] + [
         ",".join(f"{v:.4f}" for v in row) + f",{i % 2}" for i, row in enumerate(rng.standard_normal((40, 5)))
@@ -220,12 +221,24 @@ def test_experiment_reports_failed_cells_on_stderr(tmp_path, capsys):
         "selector_config": {"rfe_sizes": [100]},
     }
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    assert main(["experiment", str(tmp_path / "config.json")]) == 0
+    return str(tmp_path / "config.json")
+
+
+def test_experiment_reports_failed_cells_on_stderr(tmp_path, capsys):
+    assert main(["experiment", _every_cell_failing_config(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert "consistency across samples" in captured.out
     assert captured.err.splitlines() == [
         "warning: RFE-LR: no successful samples",
         "warning: 2 of 2 grid cells failed",
+    ]
+
+
+def test_experiment_prints_one_line_for_each_empty_table(tmp_path, capsys):
+    assert main(["experiment", _every_cell_failing_config(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "consistency across samples (%): none, no selector succeeded on any sample",
+        "median performance delta (%pts, selected - all): none, no sample has a delta",
     ]
 
 

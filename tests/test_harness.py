@@ -37,7 +37,7 @@ from test_digests import GOLDEN
 
 @pytest.fixture
 def one_worker(monkeypatch):
-    """Run every ordered map in this process, where a spy sees its calls."""
+    """Run every task of a pool in this process, where a spy sees its calls."""
     import corrsel.harness as harness
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
@@ -639,16 +639,55 @@ def test_failing_cells_report_the_same_from_workers(tmp_path, monkeypatch):
 
 
 @FORK
-def test_ordered_map_runs_tasks_on_workers_in_task_order(monkeypatch):
+def test_report_and_cells_do_not_depend_on_the_order_tasks_finish(tmp_path, monkeypatch):
+    # sample 0's grid task sleeps on a worker, so later samples' forests finish first
     import corrsel.harness as harness
 
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    results = harness._ordered_map(lambda t: (t * t, os.getpid()), range(6))
-    assert [r for r, _ in results] == [t * t for t in range(6)]
-    assert os.getpid() not in {pid for _, pid in results}
+    obj = _smoke_config(
+        tmp_path, bootstrap_count=3, classifiers=["logistic", "forest"], output=None,
+        output_csv=str(tmp_path / "cells.csv"),
+    )
+    serial = _run_on(1, obj, monkeypatch)
+    caller, real_cells, real_finished = os.getpid(), harness._sample_cells, harness._Tasks.finished
+    order = []
+
+    def slow_first_sample(grid, config, j):
+        if j == 0 and os.getpid() != caller:
+            time.sleep(1.0)
+        return real_cells(grid, config, j)
+
+    def recorded(tasks):
+        for key, result in real_finished(tasks):
+            order.append(key)
+            yield key, result
+
+    monkeypatch.setattr(harness, "_sample_cells", slow_first_sample)
+    monkeypatch.setattr(harness._Tasks, "finished", recorded)
+    assert _run_on(2, obj, monkeypatch) == serial
+    # a later sample's forest cell finished before sample 0's grid task
+    assert any(not isinstance(key, int) and key[0] > 0 for key in order[:order.index(0)])
+
+
+@FORK
+def test_pool_runs_tasks_on_workers_by_key(monkeypatch):
+    import corrsel.harness as harness
+
+    grid = harness._plan(_clone_fixture(14), [SelectorId.IG], 1, SelectorConfig())
+    keys = [(t, "forest", ()) for t in range(6)]
+    monkeypatch.setattr(harness, "_cell_measures", lambda grid, cell: (cell[0] * cell[0], os.getpid()))
+
+    def run(workers):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+        with harness._pool(grid, None, len(keys)) as tasks:
+            for key in keys:
+                tasks.submit(key)
+            return dict(tasks.finished())
+
+    results = run(2)
+    assert {key: r for key, (r, _) in results.items()} == {key: key[0] ** 2 for key in keys}
+    assert os.getpid() not in {pid for _, pid in results.values()}
     assert multiprocessing.active_children() == []
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert {pid for _, pid in harness._ordered_map(lambda t: (t, os.getpid()), range(3))} == {os.getpid()}
+    assert {pid for _, pid in run(1).values()} == {os.getpid()}
 
 
 @FORK
@@ -670,17 +709,22 @@ def test_no_worker_outlives_its_experiment(tmp_path, monkeypatch):
 
 @FORK
 @pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")
-def test_a_failing_map_leaves_the_callers_own_children_running():
+def test_a_failing_pool_leaves_the_callers_own_children_running(monkeypatch):
     import corrsel.harness as harness
 
+    grid = harness._plan(_clone_fixture(14), [SelectorId.IG], 1, SelectorConfig())
     own = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
     own.start()
     try:
-        def failing(t):
+        def failing(grid, cell):
             raise RuntimeError("planted in a task")
 
+        monkeypatch.setattr(harness, "_cell_measures", failing)
         with pytest.raises(RuntimeError, match="planted in a task"):
-            harness._ordered_map(failing, range(4))
+            with harness._pool(grid, None, 4) as tasks:
+                for t in range(4):
+                    tasks.submit((t, "forest", ()))
+                list(tasks.finished())
         own.join(0.5)
         assert own.exitcode is None
         assert multiprocessing.active_children() == [own]
@@ -696,7 +740,7 @@ def _experiment_in_daemon(obj):
 
 @FORK
 def test_experiment_in_a_daemonic_process_runs_serially(tmp_path, monkeypatch):
-    # a daemonic process may not start children, so the maps run in it
+    # a daemonic process may not start children, so its tasks run in it
     import corrsel.harness as harness
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)

@@ -854,20 +854,16 @@ def _bag_grow_batch(x: np.ndarray, y: np.ndarray, rngs, mtry: int, base: int):
     return tuple(a[:next_id].copy() for a in (feature, threshold, left, right, vote, decrease))
 
 
-def _bag_forest_arrays(d: Dataset, ntree: int, seed: int, cells: int):
+def _bag_forest_arrays(d: Dataset, ntree: int, seed: int):
     """Node arrays of ``fit_random_forest`` on every metric of ``d``, grown
-    by the bag-position grower in batches of max(1, cells // (n * p))."""
+    by the bag-position grower one tree per batch."""
     x = d.rows
     y = d.outcome.astype(np.int8)
-    n, p = x.shape
-    mtry = max(1, int(math.isqrt(p)))
-    streams = np.random.SeedSequence(seed).spawn(ntree)
-    per_batch = max(1, cells // (n * p))
+    mtry = max(1, int(math.isqrt(x.shape[1])))
     batches, roots, base = [], [], 0
-    for lo in range(0, ntree, per_batch):
-        rngs = [np.random.default_rng(s) for s in streams[lo:lo + per_batch]]
-        batches.append(_bag_grow_batch(x, y, rngs, mtry, base))
-        roots.append(base + np.arange(len(rngs), dtype=np.int32))
+    for stream in np.random.SeedSequence(seed).spawn(ntree):
+        batches.append(_bag_grow_batch(x, y, [np.random.default_rng(stream)], mtry, base))
+        roots.append(np.array([base], dtype=np.int32))
         base += batches[-1][0].size
     return (np.concatenate(roots), *(np.concatenate(column) for column in zip(*batches)))
 
@@ -875,18 +871,41 @@ def _bag_forest_arrays(d: Dataset, ntree: int, seed: int, cells: int):
 _NODE_ARRAYS = ("trees", "feature", "threshold", "left", "right", "vote", "decrease")
 
 
+def _budgets(d: Dataset, ntree: int) -> tuple[int, ...]:
+    """Working-set budgets from one tree per batch, and one node per cut
+    search, to the whole forest in one batch."""
+    n, p = d.rows.shape
+    return (1, n * p * 3, classifiers._BATCH_CELLS, ntree * n * p)
+
+
 @PROPERTY
 @given(forest_cases())
 def test_forest_distinct_row_growth_is_byte_equal_to_bag_positions(case):
     d, m = case
-    n, p = d.rows.shape
-    for cells in (1, n * p * 3, classifiers._BATCH_CELLS):
+    want = _bag_forest_arrays(d, m.ntree, m.seed)
+    for cells in _budgets(d, m.ntree):
         with mock.patch.object(classifiers, "_BATCH_CELLS", cells):
             got = fit_random_forest(d, d.metric_names, ntree=m.ntree, seed=m.seed)
-        want = _bag_forest_arrays(d, m.ntree, m.seed, cells)
         for name, w in zip(_NODE_ARRAYS, want):
             g = getattr(got, name)
             assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), name
+
+
+@PROPERTY
+@given(forest_cases())
+def test_forest_bytes_do_not_depend_on_the_batch_budget(case):
+    # a batch numbers its nodes tree by tree, so importance sums every
+    # node's decrease in the one order a forest grown tree by tree has
+    d, m = case
+    grown = {}
+    for cells in _budgets(d, m.ntree):
+        with mock.patch.object(classifiers, "_BATCH_CELLS", cells):
+            f = fit_random_forest(d, d.metric_names, ntree=m.ntree, seed=m.seed)
+        scores = np.array(list(importance(f, d).values()))
+        grown[cells] = [getattr(f, name).tobytes() for name in _NODE_ARRAYS] + [scores.tobytes()]
+    one_tree_per_batch = grown.pop(1)
+    for cells, arrays in grown.items():
+        assert arrays == one_tree_per_batch, cells
 
 
 def test_forest_distinct_row_growth_on_tie_heavy_wide_data():
@@ -897,7 +916,7 @@ def test_forest_distinct_row_growth_on_tie_heavy_wide_data():
     y = rng.random(120) < 0.4
     d = Dataset(tuple(f"m{i}" for i in range(9)), x, y)
     got = fit_random_forest(d, d.metric_names, ntree=25, seed=77)
-    want = _bag_forest_arrays(d, 25, 77, classifiers._BATCH_CELLS)
+    want = _bag_forest_arrays(d, 25, 77)
     for name, w in zip(_NODE_ARRAYS, want):
         assert getattr(got, name).tobytes() == w.tobytes(), name
 
