@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch, LengthMismatch, TooFewValues
+from .errors import DataError, DimensionMismatch, LengthMismatch, TooFewValues
 
 #: Auxiliary-regression R2 at or above this is treated as perfect dependence.
 PERFECT_FIT_R2 = 1.0 - 1e-10
@@ -55,15 +55,29 @@ class VifReport:
     scores: dict[str, float]  # metric name -> VIF >= 1, math.inf if unbounded
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as float64, refused with ``DataError`` unless every entry is finite."""
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise DataError(f"{name} has a non-finite value")
+    return v
+
+
 def rank_with_ties(values) -> np.ndarray:
-    """Ranks 1..n; tied values get the average of the ranks they span."""
-    return _rank_columns(np.asarray(values, dtype=np.float64).reshape(-1))
+    """Ranks 1..n; tied values get the average of the ranks they span.
+
+    A NaN or infinite value raises ``DataError``.
+    """
+    return _rank_columns(_finite(values, "values").reshape(-1))
 
 
 def spearman(x, y) -> float:
-    """Rank correlation in [-1, 1]; 0 when either input is constant or empty."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Rank correlation in [-1, 1]; 0 when either input is constant or empty.
+
+    A NaN or infinite value in ``x`` or ``y`` raises ``DataError``.
+    """
+    x = _finite(x, "x")
+    y = _finite(y, "y")
     if x.shape != y.shape:
         raise LengthMismatch(f"{x.shape} vs {y.shape}")
     return float(spearman_of(np.column_stack([x.reshape(-1), y.reshape(-1)]))[0, 1])
@@ -71,26 +85,42 @@ def spearman(x, y) -> float:
 
 def _rank_columns(x: np.ndarray) -> np.ndarray:
     """Average ranks 1..n of every column of ``x`` at once, or of the vector
-    ``x``; tied values get the average of the ranks they span."""
+    ``x``; tied values get the average of the ranks they span.
+
+    ``x`` must be finite. Each rank is the mean position of its tie group,
+    which does not depend on how the sort orders equal values, so numpy's
+    default (unstable, and fastest) sort serves; 0.0 and -0.0 compare equal
+    and tie. Among NaNs an unstable sort's order would change the ranks,
+    which is why the public wrappers refuse them.
+
+    The columns are laid end to end in one flat array, each sorted within
+    its own span, so one pass over it finds the tie groups of every column
+    with few full-size temporaries.
+    """
     n = x.shape[0]
-    vector = x.ndim == 1  # plain indexing: the axis helpers cost more than a short vector's ranking
-    order = np.argsort(x, axis=0, kind="stable")
-    sx = x[order] if vector else np.take_along_axis(x, order, axis=0)
-    pos = np.arange(n) if vector else np.arange(n)[:, None]
-    starts = np.ones(x.shape, dtype=bool)  # a tie group starts at this sorted row
+    if x.size == 0:
+        return np.empty(x.shape)
+    cols = np.ascontiguousarray(x.T).reshape(-1, n)
+    offsets = np.arange(0, cols.size, n)[:, None]  # of each column in ``cols`` laid flat
+    order = np.argsort(cols, axis=1)
+    order += offsets
+    order = order.ravel()
+    sx = cols.ravel()[order]
+    starts = np.empty(sx.size, dtype=bool)  # a tie group starts at this sorted position
     starts[1:] = sx[1:] != sx[:-1]
-    ends = np.ones(x.shape, dtype=bool)  # a tie group ends at this sorted row
-    ends[:-1] = starts[1:]
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
-    last = np.minimum.accumulate(np.where(ends, pos, n)[::-1], axis=0)[::-1]
-    # 0-based positions first..last average to 1-based rank (first + last)/2 + 1,
-    # an exact half-integer
-    ranks = np.empty(x.shape, dtype=np.float64)
-    if vector:
-        ranks[order] = (first + last) / 2.0 + 1.0
-    else:
-        np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
-    return ranks
+    starts[::n] = True
+    first = np.flatnonzero(starts)
+    stop = np.append(first[1:], sx.size)  # one past each group's last position
+    size = stop - first
+    # flat positions first .. stop - 1 average to the 1-based (first + stop + 1) / 2;
+    # twice that, less twice the column's offset, is an exact integer
+    stop += first
+    stop += 1
+    ranks = np.empty(cols.shape)
+    ranks.ravel()[order] = np.repeat(stop, size)
+    ranks -= 2 * offsets
+    ranks /= 2.0
+    return ranks.reshape(x.shape[::-1]).T
 
 
 def _rho_from_gram(gram: np.ndarray) -> np.ndarray:
@@ -117,7 +147,9 @@ def spearman_of(cols: np.ndarray) -> np.ndarray:
     Blocks (one up to about 208,000 rows) are added in row order.
     """
     n, p = cols.shape
-    c = 2.0 * _rank_columns(cols) - (n + 1)
+    c = _rank_columns(cols)
+    c *= 2.0
+    c -= n + 1
     rows = max(1, 2**53 // max(1, (n - 1) ** 2))
     gram = np.zeros((p, p))
     for start in range(0, n, rows):
@@ -183,24 +215,28 @@ def correlation_of(cols: np.ndarray) -> np.ndarray | None:
     """
     if np.any(np.all(cols == cols[0], axis=0)):
         return None
-    centered = cols - cols.mean(axis=0)
-    z = centered / np.sqrt(np.einsum("ij,ij->j", centered, centered))
+    z = cols - cols.mean(axis=0)
+    z /= np.sqrt(np.einsum("ij,ij->j", z, z))
     return z.T @ z
 
 
-def vif_from_correlation(corr: np.ndarray) -> np.ndarray | None:
-    """VIF scores max(1, diag(R^-1)) of a correlation matrix, via Cholesky.
-
-    Returns None when the regression path must decide instead: an R that is
-    not numerically positive definite, or an inflation at or above
-    ``CLOSED_FORM_VIF_LIMIT``.
-    """
+def inverse_factor(corr: np.ndarray) -> np.ndarray | None:
+    """L^-1 for the Cholesky factor of R = L L^T, or None when R is not
+    numerically positive definite."""
     try:
         chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
         return None
+    return np.linalg.solve(chol, np.eye(corr.shape[0]))
+
+
+def vif_from_inverse_factor(inv_chol: np.ndarray) -> np.ndarray | None:
+    """VIF scores max(1, diag(R^-1)) from the inverse Cholesky factor of R.
+
+    Returns None when the regression path must decide instead: an inflation
+    that is not finite or is at or above ``CLOSED_FORM_VIF_LIMIT``.
+    """
     # R^-1 = L^-T L^-1, so its diagonal is the column sums of squares of L^-1
-    inv_chol = np.linalg.solve(chol, np.eye(corr.shape[0]))
     diag = np.einsum("ij,ij->j", inv_chol, inv_chol)
     if not np.all(np.isfinite(diag)) or diag.max() >= CLOSED_FORM_VIF_LIMIT:
         return None
@@ -210,7 +246,8 @@ def vif_from_correlation(corr: np.ndarray) -> np.ndarray | None:
 def _vif_closed_form(cols: np.ndarray) -> np.ndarray | None:
     """VIF scores of the columns from their correlation matrix, or None."""
     corr = correlation_of(cols)
-    return None if corr is None else vif_from_correlation(corr)
+    inv_chol = None if corr is None else inverse_factor(corr)
+    return None if inv_chol is None else vif_from_inverse_factor(inv_chol)
 
 
 def vif_scores(d: Dataset, subset) -> VifReport:

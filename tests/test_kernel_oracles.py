@@ -9,7 +9,8 @@ and within 1e-12 elsewhere. Its bytes are checked to be the same under a row
 permutation, equal to its formula on a Gram summed in int64 without BLAS (also
 over several row blocks), and, entry by entry, equal to ``spearman`` on the
 pair. The column rank kernel, which ``rank_with_ties`` runs on one column, is
-checked bit for bit against the one-column ranker it replaced.
+checked bit for bit against the one-column ranker it replaced, and against
+its own stable-sort version, which its unstable sort replaced.
 The level-wise random forest is checked against the depth-first grower it
 replaced, kept here as the reference, and its distinct-row growth from one
 presort node array for node array against the bag-position grower (one row
@@ -21,8 +22,9 @@ does. ``inconsistency_rate``'s folded-key count over a label matrix (zero
 columns and one row included) is checked against the ``np.unique(axis=0)``
 grouping it replaced, and ``information_gain``'s and ``chi_squared``'s
 one-table count bit for bit against their per-bin loops.
-``vif_phase``, which forms the correlation matrix once, is checked against
-the phase that called ``vif_scores`` on every pass; ``spearman_phase``,
+``vif_phase``, which factors the correlation matrix once and downdates its
+inverse per removal, is checked against the phase that called
+``vif_scores`` on every pass; ``spearman_phase``,
 which sorts its pairs once and walks them, against the loop that took the
 strongest pair from a list it filtered after every removal; and
 ``load_csv``'s one-call parse against the per-cell loop that remains its
@@ -154,7 +156,7 @@ def test_vif_constant_column_scores_one():
     assert vif_scores(_dataset(x), ["m0", "m1", "m2"]).scores["m1"] == 1.0
 
 
-# -- VIF phase: one correlation matrix vs vif_scores on every pass -----------------------
+# -- VIF phase: one downdated inverse vs vif_scores on every pass -----------------------
 
 def _vif_phase_per_pass(d: Dataset, start, vif_t: float):
     """The VIF phase as it was: ``vif_scores`` on the survivors, every pass."""
@@ -171,24 +173,71 @@ def _vif_phase_per_pass(d: Dataset, start, vif_t: float):
     return current, steps
 
 
+def _symmetric_tie_design(rng, others: int, swaps: int) -> np.ndarray:
+    """+/-1 metrics over 64 rows, each summing to 0, so every correlation is
+    an exact multiple of 1/64 and a principal submatrix of R equals a fresh
+    R bit for bit. The last two metrics, [u, v] and [v, u], trade places
+    when the two halves of the rows do, and every other metric is the same
+    on both halves, so the two have equal VIFs in exact arithmetic. u and v
+    differ from the first metric's half in ``swaps`` +/- pairs each, so the
+    first metric goes first and the tied pair follows."""
+    halves = [rng.permutation(np.repeat([1.0, -1.0], 16)) for _ in range(others)]
+
+    def near(w):
+        plus, minus = np.flatnonzero(w > 0), np.flatnonzero(w < 0)
+        w = w.copy()
+        w[rng.choice(plus, swaps, replace=False)] = -1.0
+        w[rng.choice(minus, swaps, replace=False)] = 1.0
+        return w
+
+    u, v = near(halves[0]), near(halves[0])
+    cols = [np.concatenate([w, w]) for w in halves] + [np.concatenate([u, v]), np.concatenate([v, u])]
+    return np.column_stack(cols)
+
+
+def _latent_design(rng, n: int, p: int, factors: int) -> np.ndarray:
+    """Each metric loads on 3 of ``factors`` latent factors, plus noise of sd 0.5."""
+    loadings = np.zeros((factors, p))
+    for j in range(p):
+        loadings[rng.choice(factors, 3, replace=False), j] = rng.standard_normal(3)
+    return rng.standard_normal((n, factors)) @ loadings + 0.5 * rng.standard_normal((n, p))
+
+
 @st.composite
 def vif_phase_cases(draw):
-    kind = draw(st.sampled_from(["correlated", "constant", "dependent", "near_limit"]))
-    n = draw(st.integers(12, 80))
-    p = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from([
+        "correlated", "constant", "dependent", "near_limit", "large_vif", "two_dependent",
+        "symmetric_tie", "latent",
+    ]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((n, p)) @ (rng.standard_normal((p, p)) + 1.5 * np.eye(p))
-    if kind == "constant":
-        x[:, draw(st.integers(0, p - 1))] = draw(st.sampled_from([0.0, 3.5]))
-    elif kind == "dependent" and p > 2:
-        x[:, -1] = x[:, :-1] @ rng.integers(-3, 4, p - 1)
-    elif kind == "near_limit" and p > 2:
-        # an auxiliary R2 near 1 - 1e-8: VIFs around CLOSED_FORM_VIF_LIMIT
-        sd = draw(st.sampled_from([3e-4, 1e-4, 3e-5, 1e-5]))
-        x[:, -1] = x[:, :-1] @ rng.standard_normal(p - 1)
-        x[:, -1] += sd * np.std(x[:, -1]) * rng.standard_normal(n)
-    names = [f"m{i}" for i in range(p)]
-    start = draw(st.permutations(names))[: draw(st.integers(1, p))]
+    if kind == "symmetric_tie":
+        # a tie at the top of a downdated pass: a close call
+        x = _symmetric_tie_design(rng, draw(st.integers(2, 5)), draw(st.integers(1, 3)))
+    elif kind == "latent":
+        x = _latent_design(rng, draw(st.integers(250, 400)), 200, 40)
+    else:
+        n = draw(st.integers(12, 80))
+        p = draw(st.integers(2, 9))
+        x = rng.standard_normal((n, p)) @ (rng.standard_normal((p, p)) + 1.5 * np.eye(p))
+        if kind == "constant":
+            x[:, draw(st.integers(0, p - 1))] = draw(st.sampled_from([0.0, 3.5]))
+        elif kind == "dependent" and p > 2:
+            x[:, -1] = x[:, :-1] @ rng.integers(-3, 4, p - 1)
+        elif kind == "two_dependent" and p > 4:
+            # two unbounded groups: the second declined pass comes after a removal
+            x[:, -1] = x[:, 0] - x[:, 1]
+            x[:, -2] = x[:, 2] + 2 * x[:, 3]
+        elif kind in ("near_limit", "large_vif") and p > 2:
+            # an auxiliary R2 near 1 - 1e-8 puts VIFs around CLOSED_FORM_VIF_LIMIT;
+            # one of 1 - 1e-3 .. 1e-6 removes a metric whose pivot reaches REFACTOR_PIVOT
+            sds = [3e-4, 1e-4, 3e-5, 1e-5] if kind == "near_limit" else [3e-2, 1e-2, 1e-3]
+            sd = draw(st.sampled_from(sds))
+            x[:, -1] = x[:, :-1] @ rng.standard_normal(p - 1)
+            x[:, -1] += sd * np.std(x[:, -1]) * rng.standard_normal(n)
+    names = [f"m{i}" for i in range(x.shape[1])]
+    start = draw(st.permutations(names))
+    if kind != "latent":
+        start = start[: draw(st.integers(1, len(names)))]
     return _dataset(x), list(start), draw(st.sampled_from([2.0, 5.0, 10.0]))
 
 
@@ -249,6 +298,60 @@ def test_vif_phase_declined_passes_go_to_vif_scores(monkeypatch):
     kept, trace = vif_phase(d, list(d.metric_names), 5.0)
     assert len(calls) == len(trace.steps) + 1
     assert kept == _vif_phase_per_pass(d, d.metric_names, 5.0)[0]
+
+
+def test_vif_phase_factors_once_when_well_conditioned(monkeypatch):
+    # 15 groups of 6 noisy copies of one base metric: VIFs of about 5 to 8
+    rng = np.random.default_rng(12)
+    x = np.repeat(rng.standard_normal((500, 15)), 6, axis=1) + 0.45 * rng.standard_normal((500, 90))
+    d = _dataset(x)
+    want = _vif_phase_per_pass(d, d.metric_names, 5.0)
+    factorisations = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorisations.append(a.shape) or cholesky(a))
+    kept, trace = vif_phase(d, list(d.metric_names), 5.0)
+    assert len(trace.steps) > 3
+    assert factorisations == [(90, 90)]
+    assert (kept, [s.removed for s in trace.steps]) == (want[0], [m for m, _ in want[1]])
+
+
+def test_vif_phase_factors_again_after_a_large_pivot_a_close_call_or_a_declined_pass(monkeypatch):
+    passes = []
+    monkeypatch.setattr(autospearman, "inverse_factor",
+                        lambda corr: passes.append(("factor", len(corr))) or stats.inverse_factor(corr))
+    monkeypatch.setattr(autospearman, "vif_scores",
+                        lambda data, subset: passes.append(("vif_scores", len(subset))) or vif_scores(data, subset))
+
+    def run(x, vif_t):
+        passes.clear()
+        d = _dataset(x)
+        kept, trace = vif_phase(d, list(d.metric_names), vif_t)
+        want = _vif_phase_per_pass(d, d.metric_names, vif_t)
+        assert (kept, [s.removed for s in trace.steps]) == (want[0], [m for m, _ in want[1]])
+        return [s.statistic for s in trace.steps]
+
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((80, 6))
+    x[:, 4] = x[:, 3] + 0.2 * rng.standard_normal(80)
+    x[:, 5] = x[:, :5] @ rng.standard_normal(5) + 0.01 * rng.standard_normal(80)
+    statistics = run(x, 5.0)
+    assert statistics[0] >= autospearman.REFACTOR_PIVOT > statistics[1] >= 5.0
+    # the large pivot is not downdated: the second pass factors again, the third downdates
+    assert passes == [("factor", 6), ("factor", 5)]
+
+    # the tied pair tops the second pass, downdated from the first: a close call
+    statistics = run(_symmetric_tie_design(np.random.default_rng(0), 4, 1), 2.0)
+    assert len(statistics) == 2
+    assert passes[:2] == [("factor", 6), ("factor", 5)]
+
+    # two unbounded groups: two declined passes, then one factorisation
+    x = rng.standard_normal((60, 7))
+    x[:, 6] = x[:, 0] - x[:, 1]
+    x[:, 5] = x[:, 2] + 2 * x[:, 3]
+    x[:, 4] = x[:, 3] + 0.3 * rng.standard_normal(60)
+    statistics = run(x, 5.0)
+    assert math.isinf(statistics[0]) and math.isinf(statistics[1]) and len(statistics) == 3
+    assert passes == [("factor", 7), ("vif_scores", 7), ("factor", 6), ("vif_scores", 6), ("factor", 5)]
 
 
 # -- Spearman: the exact rank Gram vs the normalised construction -----------------------
@@ -423,6 +526,48 @@ def test_rank_columns_match_rank_with_ties():
 @given(rank_designs())
 def test_rank_kernel_is_bit_equal_to_the_one_column_ranker(x):
     _assert_ranks_match_reference(x)
+
+
+def _stable_rank_columns(x: np.ndarray) -> np.ndarray:
+    """The column rank kernel as it was, on a stable argsort: the reference
+    for the kernel's default sort, which may order equal values either way."""
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    sx = np.take_along_axis(x, order, axis=0)
+    pos = np.arange(n)[:, None]
+    starts = np.ones(x.shape, dtype=bool)
+    starts[1:] = sx[1:] != sx[:-1]
+    ends = np.ones(x.shape, dtype=bool)
+    ends[:-1] = starts[1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[::-1], axis=0)[::-1]
+    ranks = np.empty(x.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
+    return ranks
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """One row, or tall to wide, of a few distinct values: small integers,
+    or 0.0 and -0.0 among +/-1."""
+    n, p = draw(st.sampled_from([
+        st.tuples(st.just(1), st.integers(1, 120)),
+        st.tuples(st.integers(60, 400), st.integers(1, 6)),
+        st.tuples(st.integers(2, 60), st.integers(2, 60)),
+        st.tuples(st.integers(2, 12), st.integers(60, 120)),
+    ]).flatmap(lambda shape: shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(-2, draw(st.sampled_from([1, 3, 8, 50])), (n, p)).astype(np.float64)
+    return rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), (n, p), p=[0.4, 0.4, 0.1, 0.1])
+
+
+@PROPERTY
+@given(tie_heavy_matrices())
+def test_rank_kernel_is_byte_equal_to_the_stable_sort_kernel(x):
+    want = _stable_rank_columns(x)
+    assert stats._rank_columns(x).tobytes() == want.tobytes()
+    assert stats._rank_columns(x[:, 0]).tobytes() == want[:, 0].tobytes()
 
 
 # -- AutoSpearman postcondition on wide data ---------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corrsel.data import Dataset
-from corrsel.errors import DimensionMismatch, LengthMismatch, TooFewValues
+from corrsel.errors import DataError, DimensionMismatch, LengthMismatch, TooFewValues
 from corrsel.stats import (
     UNBOUNDED,
     aic,
@@ -58,7 +58,23 @@ def test_rank_sum_exact():
         assert rank_with_ties(v).sum() == n * (n + 1) / 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rank_refuses_non_finite_values(bad):
+    # a NaN used to rank above every number: [nan, 1, nan, 0] ranked [3, 2, 4, 1]
+    with pytest.raises(DataError, match="values has a non-finite value"):
+        rank_with_ties([bad, 1.0, bad, 0.0])
+
+
 # -- spearman -----------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spearman_refuses_non_finite_values_naming_the_argument(bad):
+    # spearman([1, nan, 3, 4], [1, 2, 3, 4]) used to return 0.4
+    with pytest.raises(DataError, match="^x has a non-finite value$"):
+        spearman([1, bad, 3, 4], [1, 2, 3, 4])
+    with pytest.raises(DataError, match="^y has a non-finite value$"):
+        spearman([1, 2, 3, 4], [1, 2, bad, 4])
+
 
 def test_spearman_identity():
     assert spearman([1, 4, 9], [1, 4, 9]) == 1.0
