@@ -20,8 +20,8 @@ Conventions pinned here:
   Phase-1 keep-tie: smaller original column index wins. Phase-2 max-VIF
   tie (including several unbounded scores): the largest original column
   index is removed.
-* Constant columns are uninformative and break the VIF design matrix, so
-  they are removed before phase 1 with a trace entry at statistic 0.
+* Constant columns are uninformative, so they are removed before phase 1
+  with a trace entry at statistic 0.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .stats import (
-    correlation_of,
     inverse_factor,
     spearman_matrix,
+    standardized,
     vif_from_inverse_factor,
     vif_scores,
 )
@@ -136,13 +136,14 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
 
     Scores are recomputed after every removal; exactly one metric leaves
     per pass. Unbounded scores order above every finite score; VIF ties go
-    against the metric with the largest original column index.
+    against the metric with the largest original column index. Constant
+    metrics score 1, so they are set aside and kept in their places.
 
-    The correlation matrix R of ``start`` is formed once, and in the common
-    case factored once: P = R^-1 of the survivors comes from the Cholesky
-    factor of their principal submatrix of R, each pass reads its scores
-    off diag(P), and removing metric k downdates P in O(p^2) (the sweep
-    identity, Goodnight 1979): P <- P[-k, -k] - P[-k, k] P[k, -k] / P[k, k].
+    The correlation matrix R of the varying metrics is formed once, and in
+    the common case factored once: P = R^-1 of the survivors comes from the
+    Cholesky factor of their principal submatrix of R, each pass reads its
+    scores off diag(P), and removing metric k downdates P in O(p^2) (the
+    sweep identity, Goodnight 1979): P <- P[-k, -k] - P[-k, k] P[k, -k] / P[k, k].
     A factored pass scores exactly as the closed form of :func:`vif_scores`
     does on that submatrix. The survivors are factored again at the next
     pass after a removal whose pivot P[k, k] reaches ``REFACTOR_PIVOT``, at
@@ -152,25 +153,28 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
     per pass makes.
     """
     AutoSpearmanParams(vif_t=vif_t)
-    current = list(start)
+    cols = d.columns(start)
+    constant = np.all(cols == cols[0], axis=0)
+    current = [m for m, c in zip(start, constant) if not c]
     position = {m: i for i, m in enumerate(d.metric_names)}
     at = {m: k for k, m in enumerate(current)}
-    corr = correlation_of(d.columns(current)) if len(current) > 1 else None
+    z = standardized(cols[:, ~constant])
+    corr = z.T @ z
     # while downdating, P holds the survivors' R^-1 at rows and columns ``rows``
     # (in ``current`` order); a removed metric's row and column stay, at about 0
     inv = rows = None
     steps = []
-    while current:
+    while len(current) > 1:
         scores = factor = None  # factor: L^-1 when this pass factors R
         if inv is not None:
             scores = np.maximum(inv[rows, rows], 1.0)
             if _close_call(scores, vif_t):
                 scores = inv = None
-        if scores is None and corr is not None and len(current) > 1:
+        if scores is None:
             idx = [at[m] for m in current]
             factor = inverse_factor(corr[np.ix_(idx, idx)])
             scores = None if factor is None else vif_from_inverse_factor(factor)
-        if scores is None:  # R is undefined, or its closed form declined
+        if scores is None:  # the closed form declined
             factor = None
             report = vif_scores(d, current).scores
             scores = np.array([report[m] for m in current])
@@ -187,7 +191,8 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
         r = rows[k]
         inv -= np.outer(inv[r], inv[r] / inv[r, r])
         rows = np.delete(rows, k)
-    return current, EliminationTrace(tuple(steps))
+    kept = set(current)
+    return [m for m, c in zip(start, constant) if c or m in kept], EliminationTrace(tuple(steps))
 
 
 def auto_spearman(d: Dataset, params: AutoSpearmanParams = AutoSpearmanParams()):

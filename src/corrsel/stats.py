@@ -12,9 +12,10 @@ Conventions that matter downstream:
   correlation with anything is defined as 0 rather than NaN.
 * Columns with identical (or exactly reversed) rank vectors correlate at
   exactly +/-1.0, so threshold comparisons at 1.0 behave.
-* VIF is read off the diagonal of the inverse correlation matrix; under
-  (numerically) perfect linear dependence it is reported as ``math.inf``,
-  which orders above every finite score.
+* VIF is read off the diagonal of the inverse correlation matrix of the
+  varying metrics (one SVD of the data where its Cholesky factor declines);
+  a constant metric scores exactly 1, and (numerically) perfect linear
+  dependence ``math.inf``, which orders above every finite score.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, DimensionMismatch, LengthMismatch, TooFewValues
 
-#: Auxiliary-regression R2 at or above this is treated as perfect dependence.
+#: Auxiliary-regression R2 at or above this (a VIF of about 1e10) is perfect dependence.
 PERFECT_FIT_R2 = 1.0 - 1e-10
 
 #: Distinguished VIF value for perfect linear dependence.
 UNBOUNDED = math.inf
 
-#: The closed-form VIF hands a subset to the regression path when any score
-#: reaches this; it sits far below 1/(1 - PERFECT_FIT_R2) = 1e10, so only
-#: the regressions ever decide ``UNBOUNDED``.
+#: The closed-form VIF declines a subset when any score reaches this; it sits far
+#: below 1/(1 - PERFECT_FIT_R2) = 1e10, so only the SVD ever decides ``UNBOUNDED``.
 CLOSED_FORM_VIF_LIMIT = 1e8
 
 
@@ -167,7 +167,8 @@ def ols_r_squared(target, predictors) -> float:
     """R2 of a least-squares fit with intercept, clamped to [0, 1].
 
     Uses an SVD-based solve, so rank-deficient predictor blocks are fit in
-    their identified column space. A constant target yields 0.
+    their identified column space. A constant target yields 0, tested on its
+    values: 0.1 less the mean of 0.1s need not be 0.
     """
     y = np.asarray(target, dtype=np.float64)
     x = np.asarray(predictors, dtype=np.float64)
@@ -175,10 +176,10 @@ def ols_r_squared(target, predictors) -> float:
         x = x[:, None]
     if x.shape[0] != y.shape[0]:
         raise LengthMismatch(f"{x.shape[0]} predictor rows vs {y.shape[0]} targets")
+    if np.all(y == y[:1]):
+        return 0.0
     centered = y - y.mean()
     sst = float(centered @ centered)
-    if sst == 0.0:
-        return 0.0
     design = np.column_stack([np.ones(y.shape[0]), x])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
@@ -186,38 +187,12 @@ def ols_r_squared(target, predictors) -> float:
     return max(0.0, min(1.0, 1.0 - ssr / sst))
 
 
-def _vif_lstsq(d: Dataset, subset) -> VifReport:
-    """VIF from one least-squares auxiliary regression per metric.
-
-    The reference path: :func:`vif_scores` falls back to it whenever the
-    closed form cannot be trusted, so it alone decides ``UNBOUNDED``.
-    """
-    subset = list(subset)
-    cols = d.columns(subset)
-    scores: dict[str, float] = {}
-    for i, name in enumerate(subset):
-        if len(subset) == 1:
-            scores[name] = 1.0
-            continue
-        others = np.delete(cols, i, axis=1)
-        r2 = ols_r_squared(cols[:, i], others)
-        if r2 >= PERFECT_FIT_R2:
-            scores[name] = UNBOUNDED
-        else:
-            scores[name] = max(1.0, 1.0 / (1.0 - r2))
-    return VifReport(scores)
-
-
-def correlation_of(cols: np.ndarray) -> np.ndarray | None:
-    """Pearson correlation matrix R = z^T z of the columns, z centred and scaled.
-
-    Returns None when a column is constant, where R is undefined.
-    """
-    if np.any(np.all(cols == cols[0], axis=0)):
-        return None
+def standardized(cols: np.ndarray) -> np.ndarray:
+    """The columns centred and scaled to unit norm, so that z^T z is their
+    Pearson correlation matrix R. No column may be constant."""
     z = cols - cols.mean(axis=0)
     z /= np.sqrt(np.einsum("ij,ij->j", z, z))
-    return z.T @ z
+    return z
 
 
 def inverse_factor(corr: np.ndarray) -> np.ndarray | None:
@@ -233,8 +208,9 @@ def inverse_factor(corr: np.ndarray) -> np.ndarray | None:
 def vif_from_inverse_factor(inv_chol: np.ndarray) -> np.ndarray | None:
     """VIF scores max(1, diag(R^-1)) from the inverse Cholesky factor of R.
 
-    Returns None when the regression path must decide instead: an inflation
-    that is not finite or is at or above ``CLOSED_FORM_VIF_LIMIT``.
+    Returns None when the closed form declines and :func:`_vif_svd` must
+    decide instead: an inflation that is not finite or is at or above
+    ``CLOSED_FORM_VIF_LIMIT``.
     """
     # R^-1 = L^-T L^-1, so its diagonal is the column sums of squares of L^-1
     diag = np.einsum("ij,ij->j", inv_chol, inv_chol)
@@ -243,11 +219,24 @@ def vif_from_inverse_factor(inv_chol: np.ndarray) -> np.ndarray | None:
     return np.maximum(diag, 1.0)
 
 
-def _vif_closed_form(cols: np.ndarray) -> np.ndarray | None:
-    """VIF scores of the columns from their correlation matrix, or None."""
-    corr = correlation_of(cols)
-    inv_chol = None if corr is None else inverse_factor(corr)
-    return None if inv_chol is None else vif_from_inverse_factor(inv_chol)
+def _vif_svd(z: np.ndarray) -> np.ndarray:
+    """VIF scores of the standardized columns z from one SVD, z = U S V^T.
+
+    R = z^T z = V S^2 V^T. Metric j is ``UNBOUNDED`` when its column of the
+    null rows of V^T (past the numerical rank) has a sum of squares above
+    1e-18: an exact linear combination of the others. Otherwise its VIF
+    is e_j^T R^+ e_j = sum_k v_kj^2 / s_k^2 over the kept singular values.
+    The null weight is summed, not taken as 1 less the kept weight, which
+    would cancel it.
+    """
+    n, p = z.shape
+    _, s, vt = np.linalg.svd(z, full_matrices=n < p)  # V^T is p x p either way
+    rank = int(np.count_nonzero(s > s[0] * max(n, p) * np.finfo(np.float64).eps))
+    kept = vt[:rank] / s[:rank, None]
+    null = vt[rank:]
+    vif = np.maximum(np.einsum("ij,ij->j", kept, kept), 1.0)
+    vif[(np.einsum("ij,ij->j", null, null) > 1e-18) | (vif >= 1.0 / (1.0 - PERFECT_FIT_R2))] = UNBOUNDED
+    return vif
 
 
 def vif_scores(d: Dataset, subset) -> VifReport:
@@ -255,19 +244,23 @@ def vif_scores(d: Dataset, subset) -> VifReport:
 
     R2 comes from regressing the metric on the other subset metrics, and
     1/(1-R2) is the metric's diagonal entry of the inverse correlation
-    matrix of the subset (Belsley, Kuh & Welsch 1980), which is how it is
-    computed. A single-metric subset scores exactly 1. Near or at perfect
-    dependence the per-metric regressions of :func:`_vif_lstsq` score the
-    whole subset, and perfect dependence maps to ``UNBOUNDED`` (math.inf).
+    matrix R of the subset's varying metrics (Belsley, Kuh & Welsch 1980),
+    computed from one Cholesky factorisation. A constant metric, like a
+    lone metric, scores exactly 1 and is left out of R. Where the closed
+    form declines, one SVD of the data scores every varying metric
+    (:func:`_vif_svd`), and perfect dependence maps to ``UNBOUNDED``.
     """
     subset = list(subset)
     if not subset:
         raise TooFewValues("vif_scores needs a nonempty subset")
-    if len(subset) == 1:
-        return VifReport({subset[0]: 1.0})
-    scores = _vif_closed_form(d.columns(subset))
-    if scores is None:
-        return _vif_lstsq(d, subset)
+    cols = d.columns(subset)
+    varying = ~np.all(cols == cols[0], axis=0)
+    scores = np.ones(len(subset))
+    if np.count_nonzero(varying) > 1:
+        z = standardized(cols[:, varying])
+        inv_chol = inverse_factor(z.T @ z)
+        closed = None if inv_chol is None else vif_from_inverse_factor(inv_chol)
+        scores[varying] = _vif_svd(z) if closed is None else closed
     return VifReport(dict(zip(subset, scores.tolist())))
 
 

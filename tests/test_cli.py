@@ -137,6 +137,18 @@ def test_diagnose_metric_subset_singleton(clone_csv, capsys):
     assert out.count("no") >= 2
 
 
+def test_diagnose_constant_metric_scores_one(tmp_path, capsys):
+    x = np.random.default_rng(85).standard_normal((91, 3))
+    x[:, 0] = 0.1
+    rows = ["a,b,c,bug"] + [f"{a!r},{b!r},{c!r},{i % 2}" for i, (a, b, c) in enumerate(x.tolist())]
+    path = tmp_path / "constant.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["diagnose", str(path), "--outcome", "bug", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["vif"]["a"] == 1.0
+    assert doc["has_multicollinearity"] is False
+
+
 def test_synth_writes_clone_csv(tmp_path, capsys):
     out = tmp_path / "synth.csv"
     code = main(

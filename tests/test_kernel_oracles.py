@@ -1,7 +1,9 @@
 """Property tests of the vectorised kernels against their oracles.
 
-``vif_scores`` reads VIFs off diag(R^-1) and is checked against
-``_vif_lstsq``, the one-regression-per-metric path it falls back to.
+``vif_scores`` reads VIFs off diag(R^-1), or off one SVD of the data where
+its Cholesky closed form declines, and is checked against ``_vif_lstsq``,
+the one-regression-per-metric path that the SVD replaced, kept here as the
+oracle.
 ``spearman_matrix`` and ``spearman`` share one kernel, the exact integer Gram
 of doubled centred ranks. It is checked against the normalised z^T z
 construction it replaced, kept as the oracle: equal on every exact +/-1 and 0,
@@ -65,12 +67,13 @@ from corrsel.classifiers import (
 from corrsel.data import Dataset, bootstrap_sample, load_csv, sigmoid
 from corrsel.errors import CorrselError, DimensionMismatch
 from corrsel.stats import (
-    _vif_closed_form,
-    _vif_lstsq,
+    PERFECT_FIT_R2,
+    UNBOUNDED,
     chi_squared,
     discretize_equal_frequency,
     inconsistency_rate,
     information_gain,
+    ols_r_squared,
     rank_with_ties,
     spearman,
     spearman_matrix,
@@ -85,17 +88,31 @@ def _dataset(x: np.ndarray) -> Dataset:
     return Dataset(names, x, np.arange(x.shape[0]) % 2 == 0)
 
 
-# -- VIF: closed form vs per-metric regressions ------------------------------------------
+# -- VIF: closed form and SVD vs per-metric regressions ----------------------------------
+
+def _vif_lstsq(d: Dataset, subset) -> dict[str, float]:
+    """VIF from one least-squares auxiliary regression per metric."""
+    subset = list(subset)
+    cols = d.columns(subset)
+    scores = {}
+    for i, name in enumerate(subset):
+        if len(subset) == 1:
+            scores[name] = 1.0
+            continue
+        r2 = ols_r_squared(cols[:, i], np.delete(cols, i, axis=1))
+        scores[name] = UNBOUNDED if r2 >= PERFECT_FIT_R2 else max(1.0, 1.0 / (1.0 - r2))
+    return scores
+
 
 @st.composite
 def designs(draw):
-    kind = draw(
-        st.sampled_from(["independent", "near_collinear", "dependent", "constant", "p_near_n"])
-    )
+    kind = draw(st.sampled_from(
+        ["independent", "near_collinear", "dependent", "weak_dependent", "constant", "p_near_n"]
+    ))
     n = draw(st.integers(4, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "p_near_n":
-        p = draw(st.integers(max(2, n - 2), n + 1))
+        p = draw(st.integers(max(2, n - 2), n + 5))
     else:
         p = draw(st.integers(2, min(10, n - 2)))
     x = rng.standard_normal((n, p)) @ (rng.standard_normal((p, p)) + 2 * np.eye(p))
@@ -104,6 +121,10 @@ def designs(draw):
         x[:, -1] = x[:, :-1] @ rng.standard_normal(p - 1) + sd * rng.standard_normal(n)
     elif kind == "dependent":
         x[:, -1] = x[:, :-1] @ rng.integers(-3, 4, p - 1)
+    elif kind == "weak_dependent":
+        # an exact dependence in which one member has a tiny weight
+        weight = draw(st.sampled_from([1e-6, 1e-5, 1e-4, 1e-3]))
+        x[:, -1] = x[:, :-2] @ rng.integers(-3, 4, p - 2) + weight * x[:, -2]
     elif kind == "constant":
         x[:, draw(st.integers(0, p - 1))] = draw(st.sampled_from([0.0, 0.1, 7.0]))
     return x
@@ -115,44 +136,52 @@ def test_vif_closed_form_matches_regressions(x):
     d = _dataset(x)
     names = list(d.metric_names)
     fast = vif_scores(d, names).scores
-    slow = _vif_lstsq(d, names).scores
+    slow = _vif_lstsq(d, names)
     assert {m for m in names if math.isinf(fast[m])} == {m for m in names if math.isinf(slow[m])}
+    for m, constant in zip(names, np.all(x == x[0], axis=0)):
+        if constant:
+            assert fast[m] == 1.0
     for m in names:
         if math.isfinite(slow[m]):
             assert fast[m] >= 1.0
             assert fast[m] == pytest.approx(slow[m], rel=1e-6)
 
 
+def _forbid_svd(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed form declined and an SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+
+
 def test_vif_well_conditioned_design_needs_no_regression(monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((300, 40)) @ (rng.standard_normal((40, 40)) + 3 * np.eye(40))
     d = _dataset(x)
-    oracle = _vif_lstsq(d, list(d.metric_names)).scores
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("closed-form VIF ran a regression")
-
-    monkeypatch.setattr(stats, "ols_r_squared", forbidden)
-    assert _vif_closed_form(x) is not None
+    oracle = _vif_lstsq(d, list(d.metric_names))
+    _forbid_svd(monkeypatch)
     fast = vif_scores(d, list(d.metric_names)).scores
     for m, v in oracle.items():
         assert fast[m] == pytest.approx(v, rel=1e-9)
 
 
-def test_vif_regression_path_decides_dependence():
+def test_vif_svd_decides_dependence(monkeypatch):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((50, 4))
     x[:, 3] = x[:, 0] - 2 * x[:, 1]
-    assert _vif_closed_form(x) is None
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(a.shape) or svd(a, **kw))
     report = vif_scores(_dataset(x), ["m0", "m1", "m2", "m3"])
+    assert svds == [(50, 4)]
     assert [m for m, v in report.scores.items() if math.isinf(v)] == ["m0", "m1", "m3"]
 
 
-def test_vif_constant_column_scores_one():
+def test_vif_constant_column_scores_one(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((40, 3))
     x[:, 1] = 2.5
-    assert _vif_closed_form(x) is None
+    _forbid_svd(monkeypatch)  # the constant leaves R, and the closed form decides
     assert vif_scores(_dataset(x), ["m0", "m1", "m2"]).scores["m1"] == 1.0
 
 
@@ -293,10 +322,11 @@ def test_vif_phase_declined_passes_go_to_vif_scores(monkeypatch):
 
     calls.clear()
     x = x.copy()
-    x[:, 1] = 2.0  # a constant column: no correlation matrix, every pass recomputes
+    x[:, 1] = 2.0  # a constant column is set aside, and R of the rest factors
     d = _dataset(x)
     kept, trace = vif_phase(d, list(d.metric_names), 5.0)
-    assert len(calls) == len(trace.steps) + 1
+    assert calls == []
+    assert trace.steps and "m1" in kept
     assert kept == _vif_phase_per_pass(d, d.metric_names, 5.0)[0]
 
 

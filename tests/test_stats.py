@@ -179,6 +179,13 @@ def test_r_squared_constant_predictor():
     assert ols_r_squared(y, np.ones((30, 1))) == 0.0
 
 
+def test_r_squared_constant_target_is_zero():
+    # 0.1 less the mean of 91 copies of 0.1 is not exactly 0: a test on the
+    # centred sum of squares let that rounding through as R2 = 0.85
+    x = np.random.default_rng(85).standard_normal((91, 3))[:, 1:]
+    assert ols_r_squared(np.full(91, 0.1), x) == 0.0
+
+
 def test_r_squared_normal_equations_oracle():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((200, 3))
