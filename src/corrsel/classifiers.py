@@ -85,10 +85,13 @@ class ForestModel:
     metric_names: tuple[str, ...]
 
 
-def _log_likelihoods(design: np.ndarray, y: np.ndarray, beta: np.ndarray):
-    """Log-likelihood and linear predictor of stacked models (design m x n x k)."""
-    eta = (design @ beta[:, :, None])[:, :, 0]
-    return np.sum(y * eta - np.logaddexp(0.0, eta), axis=1), eta
+def _log_likelihoods(design: np.ndarray, y: np.ndarray, c: np.ndarray):
+    """Log-likelihoods (m, h) and linear predictors (m, h, n) of h candidate
+    coefficient vectors per model (c: m x h x k) on stacked designs (m x n x
+    k). Each candidate's product is the one matrix-vector product a lone
+    candidate gets, so its bytes do not depend on h."""
+    eta = (design[:, None] @ c[..., None])[..., 0]
+    return np.sum(y[:, None] * eta - np.logaddexp(0.0, eta), axis=-1), eta
 
 
 def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -113,16 +116,24 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, beta: np.ndarray, warm: np
     """IRLS on stacked designs (m, n, k) with outcomes y (m, n), from the
     coefficients ``beta`` (m, k), which it updates in place.
 
-    Each model halves its own Newton step until the log-likelihood does not
-    fall and stops on its own; stopped models leave the stack, and so does a
+    Each model takes the first of its Newton step and that step's halvings,
+    down to 2**-30 of it, at which the log-likelihood does not fall, and
+    stops on its own; stopped models leave the stack, and so does a
     ``warm`` model as soon as it is capped (it will be refit cold). A
     ``warm`` model that stops on a step below ``TOL`` which its line search
     cut down from a Newton step of at least ``TOL`` (a stall) reports itself
     not converged, so it is refit cold too; a cold model reports that stop
     as converged.
+
+    The models whose full step is refused try their halvings in blocks, each
+    as many as all tried before it (1, 2, 4, 8, then the last 15), one
+    evaluation per block: a near-clone fit capped at COEF_CAP refuses all
+    30 in five evaluations, not 30. Each candidate's arithmetic is the one
+    it gets tried alone, so no model depends on the block it was tried in.
     """
     m = design.shape[0]
-    ll, eta = _log_likelihoods(design, y, beta)
+    ll, eta = _log_likelihoods(design, y, beta[:, None])
+    ll, eta = ll[:, 0], eta[:, 0]
     traces = [[v] for v in ll.tolist()]
     iterations = np.zeros(m, np.int64)
     converged = np.zeros(m, bool)
@@ -139,21 +150,25 @@ def _irls(design: np.ndarray, y: np.ndarray, subsets, beta: np.ndarray, warm: np
         delta = _newton_steps(design_t @ (design * w[:, :, None]), grad)
 
         start, start_ll = beta[live], ll[live]
-        step = np.ones(live.size)
+        accepted = np.zeros(live.size, bool)
         todo = np.arange(live.size)
-        while todo.size:
+        first, count = 0, 1  # the halvings 2**-first .. 2**-(first + count - 1) go next
+        while todo.size and first <= 30:
             whole = todo.size == live.size
-            c = np.clip(start[todo] + step[todo, None] * delta[todo], -COEF_CAP, COEF_CAP)
+            steps = np.ldexp(1.0, -np.arange(first, min(first + count, 31)))
+            c = np.clip(start[todo, None] + steps[:, None] * delta[todo, None], -COEF_CAP, COEF_CAP)
             c_ll, c_eta = _log_likelihoods(
                 design if whole else design[todo], y if whole else y[todo], c
             )
-            ok = c_ll >= start_ll[todo]
-            moved = live[todo[ok]]
-            beta[moved], ll[moved], eta[moved] = c[ok], c_ll[ok], c_eta[ok]
-            todo = todo[~ok]
-            step[todo] /= 2.0
-            todo = todo[step[todo] >= 2.0**-30]
-        accepted = step >= 2.0**-30
+            ok = c_ll >= start_ll[todo, None]
+            found = ok.any(axis=1)
+            h = ok[found].argmax(axis=1)  # each model's first accepted halving
+            moved = live[todo[found]]
+            beta[moved], ll[moved], eta[moved] = c[found, h], c_ll[found, h], c_eta[found, h]
+            accepted[todo[found]] = True
+            todo = todo[~found]
+            first += count
+            count = first
 
         moved = live[accepted]
         capped[moved[np.any(np.abs(beta[moved]) >= COEF_CAP, axis=1)]] = True

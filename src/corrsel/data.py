@@ -72,6 +72,7 @@ class Dataset:
         if not np.all(np.isfinite(rows)):
             raise EmptyDataset("metric values must be finite")
         object.__setattr__(self, "metric_names", names)
+        object.__setattr__(self, "_position", {name: j for j, name in enumerate(names)})
         object.__setattr__(self, "rows", _frozen(rows))
         object.__setattr__(self, "outcome", _frozen(outcome))
 
@@ -94,19 +95,18 @@ class Dataset:
         return self.rows.shape[1]
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            j = self.metric_names.index(name)
-        except ValueError:
-            raise MissingColumn(name) from None
-        return self.rows[:, j]
+        return self.rows[:, self._positions((name,))[0]]
 
     def columns(self, names) -> np.ndarray:
         """The rows' values of the metrics in the sequence ``names``, in order."""
+        return self.rows[:, self._positions(names)]
+
+    def _positions(self, names) -> list[int]:
+        """The column of each name; MissingColumn names the first unknown one."""
         try:
-            idx = [self.metric_names.index(n) for n in names]
-        except ValueError:
-            raise MissingColumn(next(n for n in names if n not in self.metric_names)) from None
-        return self.rows[:, idx]
+            return [self._position[n] for n in names]
+        except KeyError as exc:
+            raise MissingColumn(exc.args[0]) from None
 
     def project(self, names) -> "Dataset":
         """Dataset restricted to the given metrics (given order kept)."""

@@ -12,11 +12,14 @@ selector index) and each performance forest from (base_seed, sample index,
 its subset's names), so a report re-runs bit-for-bit from its echoed
 configuration.
 
-An experiment draws its splits, then runs on one pool of forked workers:
-each sample's grid and each distinct forest cell is a task, submitted as
-soon as its inputs exist, while this process fits the logistic cells and
-computes the flags. Results are kept by task, so no output depends on the
-worker count or on the order in which tasks finish.
+An experiment draws its splits, then runs on one pool of forked workers,
+while this process fits the logistic cells and computes the flags. Each
+distinct forest cell is a task, submitted as soon as its subset is known.
+Without forests each sample's selectors are one task; with them, a
+sample's logistic wrappers (which share a fit memo) are one task and every
+other selector is one, so that forests start as each selector returns.
+Results are kept by task, so no output depends on the worker count or on
+the order in which tasks finish.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ _CLASSIFIERS = ("logistic", "forest")
 
 # SelectorConfig fields that a config's JSON form sets at its top level only
 _TOP_LEVEL = ("bins", "base_seed", "sp_t", "vif_t")
+
+# the selectors whose fits overlap, so they share a sample's logistic fit
+# memo: Step-BOTH refits Step-FWD's additions, Step-BWD RFE-LR's first fits
+_MEMO_GROUP = (SelectorId.STEP_FWD, SelectorId.STEP_BWD, SelectorId.STEP_BOTH, SelectorId.RFE_LR)
 
 
 @dataclass(frozen=True)
@@ -156,10 +163,11 @@ def _start_worker(job) -> None:
 
 
 def _task(grid: SubsetCollection, config: SelectorConfig | None, key):
-    """The task ``key`` of an experiment: sample j's grid cells for the key
-    j, a cell's measures for the key (sample, classifier, ordered subset)."""
-    if isinstance(key, int):
-        return _sample_cells(grid, config, key)
+    """The task ``key`` of an experiment: for the key (j, positions), sample
+    j's grid cells of the selectors at those positions; for the key (sample,
+    classifier, ordered subset), a cell's measures."""
+    if len(key) == 2:
+        return _sample_cells(grid, config, *key)
     return _cell_measures(grid, key)
 
 
@@ -239,16 +247,18 @@ def _pool(grid: SubsetCollection, config: SelectorConfig | None, most: int):
     yield _Tasks(grid, config)
 
 
-def _sample_cells(grid: SubsetCollection, config: SelectorConfig, j: int) -> list[tuple[MetricSubset | None, str | None]]:
-    """Each selector's subset of sample j, or why it failed, in selector
-    order. The selectors share one logistic fit memo, dropped when the
-    sample is done; a memo hit is the fit a fresh call would make, so no
-    cell depends on the cells run before it."""
+def _sample_cells(
+    grid: SubsetCollection, config: SelectorConfig, j: int, positions: tuple[int, ...]
+) -> list[tuple[MetricSubset | None, str | None]]:
+    """The subset of sample j of each selector at ``positions``, or why it
+    failed, in that order. The selectors share one logistic fit memo,
+    dropped when they are done; a memo hit is the fit a fresh call would
+    make, so no cell depends on the cells run before it."""
     memo: dict = {}
     cells = []
-    for i, sel in enumerate(grid.selectors):
+    for i in positions:
         try:
-            subset = select(sel, grid.splits[j].train, config, derive_seed(grid.base_seed, j, i), memo)
+            subset = select(grid.selectors[i], grid.splits[j].train, config, derive_seed(grid.base_seed, j, i), memo)
             cells.append((subset, None))
         except CorrselError as exc:
             cells.append((None, f"{type(exc).__name__}: {exc}"))
@@ -273,9 +283,9 @@ def run_selection_grid(
     """Apply every selector to each of B bootstrap training samples.
 
     Sample j's split seed is derived from (``config.base_seed``, j) and its
-    cell of selector i from (``config.base_seed``, j, i). Each sample is one
-    task of :func:`_run_cells`. Per-cell failures are recorded, never fatal;
-    the grid stays complete.
+    cell of selector i from (``config.base_seed``, j, i). Each sample's
+    selectors are one task of :func:`_run_cells`. Per-cell failures are
+    recorded, never fatal; the grid stays complete.
     """
     return _run_cells(_plan(d, selectors, B, config), (), config)[0]
 
@@ -353,19 +363,37 @@ def _cell_measures(grid: SubsetCollection, cell: tuple[int, str, tuple[str, ...]
     return _measures(scores, test.outcome)
 
 
+def _grid_tasks(selectors, split: bool) -> list[tuple[int, ...]]:
+    """The selector positions of each of a sample's grid tasks: all of them
+    in one task, or, when ``split``, the ``_MEMO_GROUP`` selectors in one
+    and every other selector alone, the group first."""
+    every = tuple(range(len(selectors)))
+    if not split:
+        return [every]
+    group = tuple(i for i in every if selectors[i] in _MEMO_GROUP)
+    return ([group] if group else []) + [(i,) for i in every if i not in group]
+
+
 def _run_cells(grid: SubsetCollection, classifiers, config: SelectorConfig | None = None, flag: bool = False):
     """Run an experiment's cells on one :func:`_pool`: ``(grid, measured,
     flags)``.
 
-    With ``config``, ``grid`` is a plan (:func:`_plan`): each sample's
-    selectors run as one task, and the grid comes back with their subsets.
-    Without it, ``grid``'s subsets are given. Each distinct (sample,
-    classifier, ordered subset) cell is measured once, as soon as its
-    subset is known: an all-metrics cell at once, a selector's when its
-    sample's task returns. A forest cell is a task; a logistic cell is one
-    IRLS fit of a few milliseconds, less than sending it costs, so it runs
-    here while the workers grow forests, as do the correlation flags of
-    each selected subset at ``config``'s thresholds when ``flag`` is set.
+    With ``config``, ``grid`` is a plan (:func:`_plan`) and comes back with
+    its subsets. Without forests each sample's selectors run as one task,
+    so a one-sample experiment starts no worker. With forests, a sample's
+    selectors run as :func:`_grid_tasks`, so that its selectors' forests
+    need not wait for its slowest selector. Without ``config``, ``grid``'s
+    subsets are given.
+
+    Each distinct (sample, classifier, ordered subset) cell is measured
+    once, as soon as its subset is known: an all-metrics cell at once, a
+    selector's when its grid task returns. A forest cell is a task; a
+    logistic cell is one IRLS fit of a few milliseconds, less than sending
+    it costs, so it runs here while the workers grow forests, as do the
+    correlation flags of each selected subset at ``config``'s thresholds
+    when ``flag`` is set. Longest work is submitted first, so that no
+    worker idles at the end: every grid task, then the all-metrics forests,
+    and a grid task's forests before this process fits its logistic cells.
 
     ``measured`` maps each cell to its measures, or the ComputationError its
     fit raised. Every result is kept by its key, so nothing built from them
@@ -373,14 +401,16 @@ def _run_cells(grid: SubsetCollection, classifiers, config: SelectorConfig | Non
     """
     B = len(grid.splits)
     forests = B * (1 + len(grid.selectors)) if "forest" in classifiers else 0
-    chosen: dict[int, list] = {}  # sample -> its grid cells
+    groups = [] if config is None else _grid_tasks(grid.selectors, forests > 0)
+    chosen: dict[tuple[SelectorId, int], tuple] = {}  # (selector, sample) -> its grid cell
     measured: dict = {}
     flags: dict[tuple[SelectorId, int], CorrelationFlags] = {}
-    with _pool(grid, config, (0 if config is None else B) + forests) as tasks:
+    with _pool(grid, config, B * len(groups) + forests) as tasks:
         seen = set()
 
         def measure(j: int, subsets) -> None:
-            for clf in classifiers:
+            # forests first: the workers start on them while this process fits
+            for clf in sorted(classifiers, key=lambda clf: clf != "forest"):
                 for subset in [grid.splits[j].train.metric_names, *subsets]:
                     cell = (j, clf, subset)
                     if cell in seen:
@@ -396,22 +426,25 @@ def _run_cells(grid: SubsetCollection, classifiers, config: SelectorConfig | Non
                 measure(j, [tuple(s) for s in grid.for_sample(j)])
         else:
             for j in range(B):
-                tasks.submit(j)
+                for positions in groups:
+                    tasks.submit((j, positions))
             for j in range(B):
                 measure(j, [])
         for key, result in tasks.finished():
-            if not isinstance(key, int):
+            if len(key) == 3:
                 measured[key] = result
                 continue
-            chosen[key] = result
-            picked = [(sel, subset) for sel, (subset, _) in zip(grid.selectors, result) if subset is not None]
-            measure(key, [tuple(subset) for _, subset in picked])
+            j, positions = key
+            sels = [grid.selectors[i] for i in positions]
+            chosen.update(((sel, j), cell) for sel, cell in zip(sels, result))
+            picked = [(sel, subset) for sel, (subset, _) in zip(sels, result) if subset is not None]
+            measure(j, [tuple(subset) for _, subset in picked])
             if flag:
-                train = grid.splits[key].train
+                train = grid.splits[j].train
                 for sel, subset in picked:
-                    flags[(sel, key)] = correlation_flags(subset, train, config.sp_t, config.vif_t)
+                    flags[(sel, j)] = correlation_flags(subset, train, config.sp_t, config.vif_t)
     if config is not None:
-        cells = [((sel, j), cell) for j in range(B) for sel, cell in zip(grid.selectors, chosen[j])]
+        cells = [((sel, j), chosen[(sel, j)]) for j in range(B) for sel in grid.selectors]
         grid = replace(
             grid,
             subsets={key: subset for key, (subset, _) in cells},

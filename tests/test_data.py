@@ -173,6 +173,20 @@ def test_project_keeps_order_and_values():
     assert sub.rows[:, 0].tolist() == d.column("c").tolist()
 
 
+def test_columns_keep_order_and_repeats_and_name_the_first_missing():
+    d = Dataset(("a", "b", "c"), np.arange(12.0).reshape(4, 3), np.array([1, 0, 1, 0], bool))
+    assert d.columns(["c", "a", "c"]).tolist() == d.rows[:, [2, 0, 2]].tolist()
+    assert d.columns(iter(["b"])).tolist() == d.rows[:, [1]].tolist()
+    assert d.columns([]).shape == (4, 0)
+    assert d.column("b").tolist() == d.rows[:, 1].tolist()
+    with pytest.raises(MissingColumn) as missing:
+        d.columns(["a", "x", "b", "y"])
+    assert missing.value.column == "x"
+    with pytest.raises(MissingColumn) as missing:
+        d.column("z")
+    assert missing.value.column == "z"
+
+
 def test_bootstrap_split_structure():
     rng = np.random.default_rng(4)
     d = Dataset(("a",), rng.standard_normal((50, 1)), rng.random(50) < 0.5)

@@ -614,10 +614,15 @@ def _rare_positive_config(tmp_path):
 
 
 @FORK
-@pytest.mark.parametrize("B", [1, 3])
-def test_report_and_cells_do_not_depend_on_the_worker_count(B, tmp_path, monkeypatch):
+@pytest.mark.parametrize("B, selectors", [
+    pytest.param(1, ["AutoSpearman", "IG"], id="1"),
+    pytest.param(3, ["AutoSpearman", "IG"], id="3"),
+    # the logistic wrappers are one task, the other selectors one each
+    pytest.param(1, ["AutoSpearman", "IG", "Step-FWD", "RFE-LR"], id="1-wrappers"),
+])
+def test_report_and_cells_do_not_depend_on_the_worker_count(B, selectors, tmp_path, monkeypatch):
     obj = _smoke_config(
-        tmp_path, bootstrap_count=B, classifiers=["logistic", "forest"], output=None,
+        tmp_path, bootstrap_count=B, selectors=selectors, classifiers=["logistic", "forest"], output=None,
         output_csv=str(tmp_path / "cells.csv"),
     )
     assert _run_on(1, obj, monkeypatch) == _run_on(2, obj, monkeypatch)
@@ -640,7 +645,7 @@ def test_failing_cells_report_the_same_from_workers(tmp_path, monkeypatch):
 
 @FORK
 def test_report_and_cells_do_not_depend_on_the_order_tasks_finish(tmp_path, monkeypatch):
-    # sample 0's grid task sleeps on a worker, so later samples' forests finish first
+    # sample 0's AutoSpearman task sleeps on a worker, so later samples' forests finish first
     import corrsel.harness as harness
 
     obj = _smoke_config(
@@ -651,10 +656,10 @@ def test_report_and_cells_do_not_depend_on_the_order_tasks_finish(tmp_path, monk
     caller, real_cells, real_finished = os.getpid(), harness._sample_cells, harness._Tasks.finished
     order = []
 
-    def slow_first_sample(grid, config, j):
-        if j == 0 and os.getpid() != caller:
+    def slow_first_sample(grid, config, j, positions):
+        if (j, positions) == (0, (0,)) and os.getpid() != caller:
             time.sleep(1.0)
-        return real_cells(grid, config, j)
+        return real_cells(grid, config, j, positions)
 
     def recorded(tasks):
         for key, result in real_finished(tasks):
@@ -664,8 +669,60 @@ def test_report_and_cells_do_not_depend_on_the_order_tasks_finish(tmp_path, monk
     monkeypatch.setattr(harness, "_sample_cells", slow_first_sample)
     monkeypatch.setattr(harness._Tasks, "finished", recorded)
     assert _run_on(2, obj, monkeypatch) == serial
-    # a later sample's forest cell finished before sample 0's grid task
-    assert any(not isinstance(key, int) and key[0] > 0 for key in order[:order.index(0)])
+    # a later sample's forest cell finished before sample 0's AutoSpearman task
+    assert any(len(key) == 3 and key[0] > 0 for key in order[:order.index((0, (0,)))])
+
+
+@pytest.mark.usefixtures("one_worker")
+def test_a_forest_experiment_runs_a_samples_logistic_wrappers_on_one_memo(tmp_path, monkeypatch):
+    import corrsel.harness as harness
+    from corrsel.selectors import select
+
+    memos = []
+
+    def spy(sel, train, config, seed, memo):
+        memos.append((sel, memo))
+        return select(sel, train, config, seed, memo)
+
+    monkeypatch.setattr(harness, "select", spy)
+    wrappers = ["Step-FWD", "Step-BWD", "Step-BOTH", "RFE-LR"]
+    obj = _smoke_config(
+        tmp_path, bootstrap_count=2, selectors=["AutoSpearman", *wrappers], classifiers=["logistic", "forest"],
+        output=None,
+    )
+    run_experiment(load_config(obj))
+    # per sample: the four wrappers' task first, then AutoSpearman's own
+    assert [sel.value for sel, _ in memos] == 2 * (wrappers + ["AutoSpearman"])
+    for sample in (memos[:5], memos[5:]):
+        shared = sample[0][1]
+        assert shared and all(memo is shared for _, memo in sample[:4])
+        assert sample[4][1] is not shared
+    assert memos[0][1] is not memos[5][1]
+
+
+@FORK
+@pytest.mark.parametrize("classifiers, pools", [(["logistic"], 0), (["logistic", "forest"], 1)])
+def test_a_one_sample_experiment_starts_workers_only_for_forests(classifiers, pools, tmp_path, monkeypatch):
+    # without forests the sample's selectors are its only task, which runs here
+    import concurrent.futures.process
+
+    import corrsel.harness as harness
+
+    started = []
+
+    class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
+    obj = _smoke_config(
+        tmp_path, bootstrap_count=1, selectors=["AutoSpearman", "IG", "Step-FWD", "RFE-LR"],
+        classifiers=classifiers, output=None,
+    )
+    run_experiment(load_config(obj))
+    assert len(started) == pools
 
 
 @FORK

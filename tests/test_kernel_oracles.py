@@ -1391,6 +1391,144 @@ def test_logistic_memo_returns_the_fit_a_fresh_call_makes():
     assert all(entry[0] is d or entry[0] is twin for entry in memo.values())
 
 
+# -- logistic regression: blocked line search vs the one-halving-at-a-time loop -----------
+
+def _sequential_log_likelihoods(design, y, beta):
+    eta = (design @ beta[:, :, None])[:, :, 0]
+    return np.sum(y * eta - np.logaddexp(0.0, eta), axis=1), eta
+
+
+def _sequential_irls(design, y, subsets, beta, warm):
+    """The stacked IRLS whose line search tried one halving per evaluation."""
+    m = design.shape[0]
+    ll, eta = _sequential_log_likelihoods(design, y, beta)
+    traces = [[v] for v in ll.tolist()]
+    iterations = np.zeros(m, np.int64)
+    converged = np.zeros(m, bool)
+    capped = np.zeros(m, bool)
+    live = np.arange(m)
+    for _ in range(classifiers.MAX_ITER):
+        if not live.size:
+            break
+        iterations[live] += 1
+        mu = sigmoid(eta[live])
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        design_t = design.transpose(0, 2, 1)
+        grad = (design_t @ (y - mu)[:, :, None])[:, :, 0]
+        delta = classifiers._newton_steps(design_t @ (design * w[:, :, None]), grad)
+
+        start, start_ll = beta[live], ll[live]
+        step = np.ones(live.size)
+        todo = np.arange(live.size)
+        while todo.size:
+            whole = todo.size == live.size
+            c = np.clip(start[todo] + step[todo, None] * delta[todo], -COEF_CAP, COEF_CAP)
+            c_ll, c_eta = _sequential_log_likelihoods(design if whole else design[todo], y if whole else y[todo], c)
+            ok = c_ll >= start_ll[todo]
+            moved = live[todo[ok]]
+            beta[moved], ll[moved], eta[moved] = c[ok], c_ll[ok], c_eta[ok]
+            todo = todo[~ok]
+            step[todo] /= 2.0
+            todo = todo[step[todo] >= 2.0**-30]
+        accepted = step >= 2.0**-30
+
+        moved = live[accepted]
+        capped[moved[np.any(np.abs(beta[moved]) >= COEF_CAP, axis=1)]] = True
+        small = accepted & (np.max(np.abs(beta[live] - start), axis=1) < classifiers.TOL)
+        stalled = warm[live] & (np.max(np.abs(delta), axis=1) >= classifiers.TOL)
+        converged[live[small & ~stalled]] = True
+        for i in moved.tolist():
+            traces[i].append(float(ll[i]))
+        keep = accepted & ~small & ~(warm[live] & capped[live])
+        if not keep.all():
+            live, design, y = live[keep], design[keep], y[keep]
+    models = []
+    for i, subset in enumerate(subsets):
+        coef = beta[i, 1:].copy()
+        models.append(classifiers.LogisticModel(
+            subset, float(beta[i, 0]), coef, float(ll[i]),
+            bool(converged[i] and not capped[i]), int(iterations[i]), tuple(traces[i]),
+        ))
+    return models
+
+
+def _parent_start(parent, subset) -> np.ndarray:
+    """The start a wrapper takes from a larger fit, taken here whether or not
+    the parent converged: its intercept and its coefficient of each metric."""
+    coef = dict(zip(parent.metric_names, parent.coefficients.tolist()))
+    return np.array([parent.intercept] + [coef.get(name, 0.0) for name in subset])
+
+
+@st.composite
+def line_search_stacks(draw):
+    """1-12 fits of one width on data with near-clone pairs or a separating
+    metric, each cold or warm from a converged or a capped larger fit."""
+    n = draw(st.integers(20, 120))
+    pairs = draw(st.integers(1, 3))
+    sd = draw(st.sampled_from([1e-2, 1e-3, 1e-4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((n, pairs + 1))
+    clones = base[:, :pairs] + sd * rng.standard_normal((n, pairs))
+    x = np.column_stack([base, clones])
+    if draw(st.booleans()):
+        y = x[:, 0] > 0.1
+    else:
+        y = rng.random(n) < sigmoid(1.5 * x[:, 0] + 1.5 * x[:, pairs])
+    y[:2] = (True, False)
+    d = Dataset(tuple(f"m{i}" for i in range(x.shape[1])), x, y)
+    width = draw(st.integers(1, x.shape[1] - 1))
+    fits, starts = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        order = draw(st.permutations(d.metric_names))
+        subset = tuple(order[:width])
+        kind = draw(st.sampled_from(["cold", "converged", "capped"]))
+        start = None
+        if kind != "cold":
+            parents = [fit_logistic(d, order[:width + 1]), fit_logistic(d, (*subset, "m0") if "m0" not in subset else subset)]
+            pick = [p for p in parents if p.converged == (kind == "converged")]
+            if pick:
+                start = _parent_start(pick[0], subset)
+        fits.append((d, subset))
+        starts.append(start)
+    return fits, starts
+
+
+@PROPERTY
+@given(line_search_stacks())
+def test_blocked_line_search_matches_the_sequential_one(case):
+    fits, starts = case
+    models = classifiers._fit_stacked(fits, starts)
+    with mock.patch.object(classifiers, "_irls", _sequential_irls):
+        expected = classifiers._fit_stacked(fits, starts)
+    for m, e in zip(models, expected):
+        assert m.metric_names == e.metric_names
+        assert m.coefficients.tobytes() == e.coefficients.tobytes()
+        assert (m.intercept, m.log_likelihood, m.ll_trace) == (e.intercept, e.log_likelihood, e.ll_trace)
+        assert (m.iterations_used, m.converged) == (e.iterations_used, e.converged)
+
+
+def test_a_refused_line_search_tries_its_30_halvings_in_five_evaluations(monkeypatch):
+    # a near-clone pair: the fit runs into COEF_CAP, where every step is refused
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((60, 2))
+    x = np.column_stack([x, x[:, 0] + 1e-4 * rng.standard_normal(60)])
+    d = Dataset(("a", "b", "a2"), x, rng.random(60) < sigmoid(1.5 * x[:, 0] + x[:, 1]))
+    real, blocks = classifiers._log_likelihoods, []
+
+    def spy(design, y, c):
+        blocks.append(c.shape[1])
+        return real(design, y, c)
+
+    monkeypatch.setattr(classifiers, "_log_likelihoods", spy)
+    m = fit_logistic(d, d.metric_names)
+    assert np.max(np.abs(m.coefficients)) == COEF_CAP and not m.converged
+    assert m.iterations_used == len(m.ll_trace)  # its last iteration was refused
+    assert blocks[-6:] == [1, 1, 2, 4, 8, 15]
+    monkeypatch.undo()
+    with mock.patch.object(classifiers, "_irls", _sequential_irls):
+        assert _fields(fit_logistic(d, d.metric_names)) == _fields(m)
+
+
 def test_sigmoid_matches_two_branch_form():
     rng = np.random.default_rng(2)
     eta = np.concatenate([
