@@ -31,13 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, EmptyDataset
 from .stats import (
-    inverse_factor,
+    _vif_and_factor,
     spearman_matrix,
     standardized,
-    vif_from_inverse_factor,
-    vif_scores,
+    vif_scores,  # unused here; bench/tracer.py binds corrsel.autospearman.vif_scores
 )
 
 #: Selector outputs are plain ordered lists of metric names.
@@ -144,16 +143,19 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
     Cholesky factor of their principal submatrix of R, each pass reads its
     scores off diag(P), and removing metric k downdates P in O(p^2) (the
     sweep identity, Goodnight 1979): P <- P[-k, -k] - P[-k, k] P[k, -k] / P[k, k].
-    A factored pass scores exactly as the closed form of :func:`vif_scores`
-    does on that submatrix. The survivors are factored again at the next
-    pass after a removal whose pivot P[k, k] reaches ``REFACTOR_PIVOT``, at
-    once when a downdated pass is a close call (:func:`_close_call`), and at
-    the next pass after one whose closed form declines and goes to
-    :func:`vif_scores`; so every decision is the one a fresh factorisation
-    per pass makes.
+    A factored pass scores the survivors' standardized columns and their
+    submatrix of R with the scorer of :func:`vif_scores`, whose SVD scores
+    the pass when the closed form declines. The survivors are factored
+    again at the next pass after a removal whose pivot P[k, k] reaches
+    ``REFACTOR_PIVOT``, at once when a downdated pass is a close call
+    (:func:`_close_call`), and at the next pass after a declined one; so
+    every decision is the one a fresh factorisation per pass makes.
+    A name given twice in ``start`` raises ``EmptyDataset``.
     """
     AutoSpearmanParams(vif_t=vif_t)
     cols = d.columns(start)
+    if len(set(start)) < len(start):
+        raise EmptyDataset("duplicate metric names")
     constant = np.all(cols == cols[0], axis=0)
     current = [m for m, c in zip(start, constant) if not c]
     position = {m: i for i, m in enumerate(d.metric_names)}
@@ -172,12 +174,7 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
                 scores = inv = None
         if scores is None:
             idx = [at[m] for m in current]
-            factor = inverse_factor(corr[np.ix_(idx, idx)])
-            scores = None if factor is None else vif_from_inverse_factor(factor)
-        if scores is None:  # the closed form declined
-            factor = None
-            report = vif_scores(d, current).scores
-            scores = np.array([report[m] for m in current])
+            scores, factor = _vif_and_factor(z[:, idx], corr[np.ix_(idx, idx)])
         offenders = np.flatnonzero(scores >= vif_t).tolist()
         if not offenders:
             break

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionMismatch, LengthMismatch, TooFewValues
+from .errors import DataError, DimensionMismatch, EmptyDataset, LengthMismatch, TooFewValues
 
 #: Auxiliary-regression R2 at or above this (a VIF of about 1e10) is perfect dependence.
 PERFECT_FIT_R2 = 1.0 - 1e-10
@@ -195,28 +195,26 @@ def standardized(cols: np.ndarray) -> np.ndarray:
     return z
 
 
-def inverse_factor(corr: np.ndarray) -> np.ndarray | None:
-    """L^-1 for the Cholesky factor of R = L L^T, or None when R is not
-    numerically positive definite."""
+def _vif_and_factor(z: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """VIF scores of the standardized columns z, whose correlation matrix
+    is ``corr`` = z^T z, and L^-1 for the Cholesky factor of R = L L^T when
+    the closed form scored them, or None when the SVD did.
+
+    The closed form reads max(1, diag(R^-1)) off L^-1. It declines, and
+    :func:`_vif_svd` scores instead, when R is not numerically positive
+    definite or an inflation is not finite or is at or above
+    ``CLOSED_FORM_VIF_LIMIT``.
+    """
     try:
         chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
-        return None
-    return np.linalg.solve(chol, np.eye(corr.shape[0]))
-
-
-def vif_from_inverse_factor(inv_chol: np.ndarray) -> np.ndarray | None:
-    """VIF scores max(1, diag(R^-1)) from the inverse Cholesky factor of R.
-
-    Returns None when the closed form declines and :func:`_vif_svd` must
-    decide instead: an inflation that is not finite or is at or above
-    ``CLOSED_FORM_VIF_LIMIT``.
-    """
+        return _vif_svd(z), None
+    inv_chol = np.linalg.solve(chol, np.eye(corr.shape[0]))
     # R^-1 = L^-T L^-1, so its diagonal is the column sums of squares of L^-1
     diag = np.einsum("ij,ij->j", inv_chol, inv_chol)
-    if not np.all(np.isfinite(diag)) or diag.max() >= CLOSED_FORM_VIF_LIMIT:
-        return None
-    return np.maximum(diag, 1.0)
+    if np.all(np.isfinite(diag)) and diag.max() < CLOSED_FORM_VIF_LIMIT:
+        return np.maximum(diag, 1.0), inv_chol
+    return _vif_svd(z), None
 
 
 def _vif_svd(z: np.ndarray) -> np.ndarray:
@@ -248,19 +246,20 @@ def vif_scores(d: Dataset, subset) -> VifReport:
     computed from one Cholesky factorisation. A constant metric, like a
     lone metric, scores exactly 1 and is left out of R. Where the closed
     form declines, one SVD of the data scores every varying metric
-    (:func:`_vif_svd`), and perfect dependence maps to ``UNBOUNDED``.
+    (:func:`_vif_and_factor`), and perfect dependence maps to ``UNBOUNDED``.
+    A name given twice raises ``EmptyDataset``, as ``Dataset.project`` does.
     """
     subset = list(subset)
     if not subset:
         raise TooFewValues("vif_scores needs a nonempty subset")
     cols = d.columns(subset)
+    if len(set(subset)) < len(subset):
+        raise EmptyDataset("duplicate metric names")
     varying = ~np.all(cols == cols[0], axis=0)
     scores = np.ones(len(subset))
     if np.count_nonzero(varying) > 1:
         z = standardized(cols[:, varying])
-        inv_chol = inverse_factor(z.T @ z)
-        closed = None if inv_chol is None else vif_from_inverse_factor(inv_chol)
-        scores[varying] = _vif_svd(z) if closed is None else closed
+        scores[varying] = _vif_and_factor(z, z.T @ z)[0]
     return VifReport(dict(zip(subset, scores.tolist())))
 
 

@@ -14,7 +14,7 @@ from corrsel.autospearman import (
 )
 from corrsel.cli import main
 from corrsel.data import Dataset, SyntheticSpec, generate_synthetic, write_csv
-from corrsel.errors import ConfigError
+from corrsel.errors import ConfigError, EmptyDataset
 from corrsel.stats import spearman_matrix, vif_scores
 
 
@@ -155,6 +155,14 @@ def test_vif_phase_one_removal_per_pass():
     subset, trace = vif_phase(d, ["a", "b", "s1", "s2"], 5.0)
     assert len(subset) == 2
     _assert_contract(d, subset, sp_t=1.1)
+
+
+def test_vif_phase_refuses_a_repeated_name():
+    # a repeat would be kept twice, or kept once after its trace removed it
+    rng = np.random.default_rng(9)
+    d = _dataset({"a": rng.standard_normal(40), "b": rng.standard_normal(40)})
+    with pytest.raises(EmptyDataset, match="duplicate metric names"):
+        vif_phase(d, ["a", "a", "b"], 5.0)
 
 
 # -- full algorithm ---------------------------------------------------------------------

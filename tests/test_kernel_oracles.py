@@ -26,7 +26,10 @@ grouping it replaced, and ``information_gain``'s and ``chi_squared``'s
 one-table count bit for bit against their per-bin loops.
 ``vif_phase``, which factors the correlation matrix once and downdates its
 inverse per removal, is checked against the phase that called
-``vif_scores`` on every pass; ``spearman_phase``,
+``vif_scores`` on every pass: same decisions, and statistics within a
+relative 1e-12. A pass whose closed form declines is scored by the SVD of
+``vif_scores``, from one factorisation and one SVD, and its statistics
+equal ``vif_scores`` on the same survivors bit for bit. ``spearman_phase``,
 which sorts its pairs once and walks them, against the loop that took the
 strongest pair from a list it filtered after every removal; and
 ``load_csv``'s one-call parse against the per-cell loop that remains its
@@ -233,11 +236,11 @@ def _latent_design(rng, n: int, p: int, factors: int) -> np.ndarray:
 
 
 @st.composite
-def vif_phase_cases(draw):
-    kind = draw(st.sampled_from([
-        "correlated", "constant", "dependent", "near_limit", "large_vif", "two_dependent",
-        "symmetric_tie", "latent",
-    ]))
+def vif_phase_cases(draw, kinds=(
+    "correlated", "constant", "dependent", "near_limit", "large_vif", "two_dependent",
+    "symmetric_tie", "latent",
+)):
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "symmetric_tie":
         # a tie at the top of a downdated pass: a close call
@@ -287,47 +290,67 @@ def test_vif_phase_matches_per_pass_vif_scores(case):
             assert step.statistic == pytest.approx(want, rel=1e-12)
 
 
-def test_vif_phase_well_conditioned_needs_no_vif_scores(monkeypatch):
+@PROPERTY
+@given(vif_phase_cases(kinds=("dependent", "two_dependent")))
+def test_vif_phase_declined_passes_equal_vif_scores_bit_for_bit(case):
+    d, start, vif_t = case
+    vif_svd = stats._vif_svd
+    declined = []  # the scores of each declined pass
+    with mock.patch.object(stats, "_vif_svd", lambda z: declined.append(vif_svd(z)) or declined[-1]):
+        _, trace = vif_phase(d, start, vif_t)
+    survivors = [m for m in start if not np.all(d.column(m) == d.column(m)[0])]
+    removed = [s.removed for s in trace.steps]
+    for scores in declined:
+        i = len(survivors) - len(scores)  # one metric leaves per pass, so this is its index
+        want = vif_scores(d, [m for m in survivors if m not in removed[:i]]).scores
+        assert scores.tobytes() == np.array(list(want.values())).tobytes()
+        if i < len(trace.steps):
+            assert trace.steps[i].statistic.hex() == want[removed[i]].hex()
+
+
+def _spy_factorisations(monkeypatch) -> list[tuple[str, int]]:
+    """Logs ("cholesky", k) for each Cholesky factorisation of a k x k matrix
+    and ("svd", k) for each SVD of k columns."""
+    log = []
+    cholesky, svd = np.linalg.cholesky, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: log.append(("cholesky", a.shape[1])) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: log.append(("svd", a.shape[1])) or svd(a, **kw))
+    return log
+
+
+def test_vif_phase_well_conditioned_needs_no_svd(monkeypatch):
     rng = np.random.default_rng(8)
     x = rng.standard_normal((400, 30)) @ (rng.standard_normal((30, 30)) + 0.5 * np.eye(30))
     d = _dataset(x)
     want = _vif_phase_per_pass(d, d.metric_names, 5.0)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the VIF phase recomputed a pass from the data")
-
-    monkeypatch.setattr(autospearman, "vif_scores", forbidden)
+    _forbid_svd(monkeypatch)
     kept, trace = vif_phase(d, list(d.metric_names), 5.0)
     assert len(trace.steps) > 3
     assert (kept, [s.removed for s in trace.steps]) == (want[0], [m for m, _ in want[1]])
 
 
-def test_vif_phase_declined_passes_go_to_vif_scores(monkeypatch):
+def test_vif_phase_declined_passes_take_one_factorisation_and_one_svd(monkeypatch):
     rng = np.random.default_rng(9)
     x = rng.standard_normal((60, 5))
     x[:, 4] = x[:, 0] + x[:, 1]  # exactly dependent: the first pass is unbounded
     x[:, 3] = x[:, 2] + 0.3 * rng.standard_normal(60)
     d = _dataset(x)
-    calls = []
-
-    def counted(data, subset):
-        calls.append(list(subset))
-        return vif_scores(data, subset)
-
-    monkeypatch.setattr(autospearman, "vif_scores", counted)
+    want = _vif_phase_per_pass(d, d.metric_names, 5.0)
+    log = _spy_factorisations(monkeypatch)
     kept, trace = vif_phase(d, list(d.metric_names), 5.0)
-    assert calls == [list(d.metric_names)]
+    assert log == [("cholesky", 5), ("svd", 5), ("cholesky", 4)]
     assert trace.steps[0].removed == "m4" and math.isinf(trace.steps[0].statistic)
-    assert kept == _vif_phase_per_pass(d, d.metric_names, 5.0)[0]
+    assert kept == want[0]
 
-    calls.clear()
     x = x.copy()
     x[:, 1] = 2.0  # a constant column is set aside, and R of the rest factors
     d = _dataset(x)
+    want = _vif_phase_per_pass(d, d.metric_names, 5.0)
+    log.clear()
     kept, trace = vif_phase(d, list(d.metric_names), 5.0)
-    assert calls == []
+    assert log == [("cholesky", 4)]
     assert trace.steps and "m1" in kept
-    assert kept == _vif_phase_per_pass(d, d.metric_names, 5.0)[0]
+    assert kept == want[0]
 
 
 def test_vif_phase_factors_once_when_well_conditioned(monkeypatch):
@@ -346,17 +369,13 @@ def test_vif_phase_factors_once_when_well_conditioned(monkeypatch):
 
 
 def test_vif_phase_factors_again_after_a_large_pivot_a_close_call_or_a_declined_pass(monkeypatch):
-    passes = []
-    monkeypatch.setattr(autospearman, "inverse_factor",
-                        lambda corr: passes.append(("factor", len(corr))) or stats.inverse_factor(corr))
-    monkeypatch.setattr(autospearman, "vif_scores",
-                        lambda data, subset: passes.append(("vif_scores", len(subset))) or vif_scores(data, subset))
+    log = _spy_factorisations(monkeypatch)
 
     def run(x, vif_t):
-        passes.clear()
         d = _dataset(x)
-        kept, trace = vif_phase(d, list(d.metric_names), vif_t)
         want = _vif_phase_per_pass(d, d.metric_names, vif_t)
+        log.clear()
+        kept, trace = vif_phase(d, list(d.metric_names), vif_t)
         assert (kept, [s.removed for s in trace.steps]) == (want[0], [m for m, _ in want[1]])
         return [s.statistic for s in trace.steps]
 
@@ -367,21 +386,22 @@ def test_vif_phase_factors_again_after_a_large_pivot_a_close_call_or_a_declined_
     statistics = run(x, 5.0)
     assert statistics[0] >= autospearman.REFACTOR_PIVOT > statistics[1] >= 5.0
     # the large pivot is not downdated: the second pass factors again, the third downdates
-    assert passes == [("factor", 6), ("factor", 5)]
+    assert log == [("cholesky", 6), ("cholesky", 5)]
 
     # the tied pair tops the second pass, downdated from the first: a close call
     statistics = run(_symmetric_tie_design(np.random.default_rng(0), 4, 1), 2.0)
     assert len(statistics) == 2
-    assert passes[:2] == [("factor", 6), ("factor", 5)]
+    assert log[:2] == [("cholesky", 6), ("cholesky", 5)]
 
-    # two unbounded groups: two declined passes, then one factorisation
+    # two unbounded groups: two declined passes of one factorisation and one SVD each,
+    # then one factorisation
     x = rng.standard_normal((60, 7))
     x[:, 6] = x[:, 0] - x[:, 1]
     x[:, 5] = x[:, 2] + 2 * x[:, 3]
     x[:, 4] = x[:, 3] + 0.3 * rng.standard_normal(60)
     statistics = run(x, 5.0)
     assert math.isinf(statistics[0]) and math.isinf(statistics[1]) and len(statistics) == 3
-    assert passes == [("factor", 7), ("vif_scores", 7), ("factor", 6), ("vif_scores", 6), ("factor", 5)]
+    assert log == [("cholesky", 7), ("svd", 7), ("cholesky", 6), ("svd", 6), ("cholesky", 5)]
 
 
 # -- Spearman: the exact rank Gram vs the normalised construction -----------------------

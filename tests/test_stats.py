@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corrsel.data import Dataset
-from corrsel.errors import DataError, DimensionMismatch, LengthMismatch, TooFewValues
+from corrsel.errors import DataError, DimensionMismatch, EmptyDataset, LengthMismatch, TooFewValues
 from corrsel.stats import (
     UNBOUNDED,
     aic,
@@ -250,6 +250,14 @@ def test_vif_scores_all_at_least_one():
     rng = np.random.default_rng(14)
     d = _dataset({f"m{i}": rng.standard_normal(60) for i in range(4)})
     assert all(v >= 1 - 1e-9 for v in vif_scores(d, list(d.metric_names)).scores.values())
+
+
+def test_vif_scores_refuses_a_repeated_name():
+    # one score per distinct name would leave a name without its own VIF
+    rng = np.random.default_rng(15)
+    d = _dataset({"a": rng.standard_normal(30), "b": rng.standard_normal(30)})
+    with pytest.raises(EmptyDataset, match="duplicate metric names"):
+        vif_scores(d, ["a", "a", "b"])
 
 
 # -- discretization -----------------------------------------------------------
