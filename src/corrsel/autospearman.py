@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, EmptyDataset
+from .errors import ConfigError
 from .stats import (
     _vif_and_factor,
     spearman_matrix,
@@ -150,12 +150,11 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
     ``REFACTOR_PIVOT``, at once when a downdated pass is a close call
     (:func:`_close_call`), and at the next pass after a declined one; so
     every decision is the one a fresh factorisation per pass makes.
-    A name given twice in ``start`` raises ``EmptyDataset``.
+    A name given twice in ``start`` raises ``EmptyDataset``, as
+    ``Dataset.columns`` does.
     """
     AutoSpearmanParams(vif_t=vif_t)
     cols = d.columns(start)
-    if len(set(start)) < len(start):
-        raise EmptyDataset("duplicate metric names")
     constant = np.all(cols == cols[0], axis=0)
     current = [m for m, c in zip(start, constant) if not c]
     position = {m: i for i, m in enumerate(d.metric_names)}

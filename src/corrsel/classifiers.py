@@ -50,11 +50,12 @@ _IRLS_CELLS = 50_000
 #: Working-set budget of forest growth and scoring, in (bag row, metric)
 #: cells, each about 8 bytes while a batch of trees grows: trees are grown
 #: max(1, _BATCH_CELLS // (n * p)) at a time. A cut search holds about
-#: _CUT_COST cells' bytes per (node row, candidate metric) and scoring about
-#: _VOTE_COST per (tree, row) pair, so each runs in chunks of the budget
-#: divided by its cost. No result depends on the budget.
+#: _CUT_COST cells' bytes per (node row, candidate metric), its sort key and
+#: argsort included (17-19 by tracemalloc at n = 500-1,000, p = 10-60), and
+#: scoring about _VOTE_COST per (tree, row) pair, so each runs in chunks of
+#: the budget divided by its cost. No result depends on the budget.
 _BATCH_CELLS = 120_000
-_CUT_COST = 15
+_CUT_COST = 18
 _VOTE_COST = 5
 
 #: Low half of a packed (bag count << 32) + defective count. One cumulative
@@ -293,26 +294,29 @@ def fit_logistic(d: Dataset, subset, start=None, memo: dict | None = None) -> Lo
     return fit_logistic_batch([(d, subset)], [start], memo)[0]
 
 
-def _best_cuts(seq, x, row, packed, starts, widths, size, pos, feats):
+def _best_cuts(ids, x, rank, row, packed, starts, widths, size, pos, feats):
     """Lowest weighted-Gini cut of each node over its candidate metrics.
 
-    Node k owns positions ``starts[k]:starts[k] + widths[k]`` of every row
-    of ``seq`` (distinct bag rows sorted by metric f within each node, in
-    row f; bag row b is row ``row[b]`` of ``x``), holds ``size[k]`` bag
-    rows counted with their bag counts, ``pos[k]`` of them defective, and
-    tries the metrics ``feats[k]`` in order. ``packed[r]`` is row r's bag
-    count << 32 plus its defective count, so one cumulative sum gives both
-    of a cut's left counts. Ties go to the earlier candidate, then to the
-    earlier cut. Returns, per node: the weighted child Gini (inf when no
-    candidate has a cut), the metric, the midpoint threshold, and the left
-    child's distinct rows, size and defects.
+    Node k owns positions ``starts[k]:starts[k] + widths[k]`` of ``ids``,
+    its distinct bag rows in any order (bag row b is row ``row[b]`` of
+    ``x``), holds ``size[k]`` bag rows counted with their bag counts,
+    ``pos[k]`` of them defective, and tries the metrics ``feats[k]`` in
+    order. For each candidate one argsort of the key node * n + ``rank``
+    (row f of it: each row's place in the stable sort of metric f) orders
+    every node's rows by that metric; within a node no two keys are equal,
+    so rows of equal value keep their order in ``x``. ``packed[b]`` is bag
+    row b's bag count << 32 plus its defective count, so one cumulative sum
+    gives both of a cut's left counts. Ties go to the earlier candidate,
+    then to the earlier cut. Returns, per node: the weighted child Gini
+    (inf when no candidate has a cut), the metric, the midpoint threshold,
+    and the left child's distinct rows, size and defects.
     """
     k_count = feats.shape[0]
     node = np.repeat(np.arange(k_count), widths)
     first = np.cumsum(widths) - widths
-    at = np.arange(node.size) + np.repeat(starts - first, widths)
+    held = ids[np.arange(node.size) + np.repeat(starts - first, widths)]
     f = feats.T[:, node]
-    rows = seq[f, at]
+    rows = held[(node * x.shape[0] + rank[f, row[held]]).argsort(axis=1)]
     v = x[row[rows], f]
     cum = np.cumsum(packed[rows], axis=1)
     before = cum[:, first] - packed[rows[:, first]]
@@ -351,15 +355,15 @@ def _best_cuts(seq, x, row, packed, starts, widths, size, pos, feats):
     return score, feature, threshold, w_left, n_left, pos_left
 
 
-def _chunked_cuts(seq, x, row, packed, starts, widths, size, pos, feats):
+def _chunked_cuts(ids, x, rank, row, packed, starts, widths, size, pos, feats):
     """:func:`_best_cuts` over runs of consecutive nodes, each run holding
     about _BATCH_CELLS // _CUT_COST (node row, candidate metric) cells."""
     run = (np.cumsum(widths) - widths) * feats.shape[1] // max(1, _BATCH_CELLS // _CUT_COST)
     edges = np.flatnonzero(run[1:] != run[:-1]) + 1
     if not edges.size:
-        return _best_cuts(seq, x, row, packed, starts, widths, size, pos, feats)
+        return _best_cuts(ids, x, rank, row, packed, starts, widths, size, pos, feats)
     parts = zip(*(np.split(a, edges) for a in (starts, widths, size, pos, feats)))
-    cuts = [_best_cuts(seq, x, row, packed, *part) for part in parts]
+    cuts = [_best_cuts(ids, x, rank, row, packed, *part) for part in parts]
     return tuple(np.concatenate(c) for c in zip(*cuts))
 
 
@@ -369,13 +373,13 @@ def _is_open(pos, size):
     return (pos > 0) & (pos < size)
 
 
-def _distinct_bag_rows(y: np.ndarray, presort: np.ndarray, rngs):
+def _distinct_bag_rows(y: np.ndarray, rngs):
     """Each generator's bag, the first draw from it, kept as the distinct
-    rows it drew: returns the row of x behind each distinct bag row, its
-    packed bag and defective counts, ``seq`` (row f: each tree's distinct
-    bag rows in presorted order of metric f), and each tree's distinct row
-    and defective counts. A tree whose bag holds one class keeps no rows."""
-    p, n = presort.shape
+    rows it drew, tree by tree: returns the row of x behind each distinct
+    bag row, its packed bag and defective counts, and each tree's distinct
+    row and defective counts. A tree whose bag holds one class keeps no
+    rows."""
+    n = y.size
     t_count = len(rngs)
     # a cumulative sum of packed counts runs over every bag row of the batch
     assert t_count * n < 1 << 31, "a batch's bag rows must fit in one half of _LOW"
@@ -387,45 +391,29 @@ def _distinct_bag_rows(y: np.ndarray, presort: np.ndarray, rngs):
     cell = np.flatnonzero(drawn)
     row = cell % n
     packed = (count[cell] << 32) + count[cell] * y[row]
-    ids_of = (np.cumsum(drawn) - 1).astype(np.int32).reshape(t_count, n)
-    seq = np.empty((p, cell.size), np.int32)
-    for f in range(p):
-        seq[f] = ids_of[:, presort[f]][drawn[:, presort[f]]]
-    return row, packed, seq, np.count_nonzero(drawn, axis=1), pos
+    return row, packed, np.count_nonzero(drawn, axis=1), pos
 
 
-def _partition(seq, status, feat, starts, width, left_w, to_left, to_right):
-    """``seq`` holding the rows of each open child: the rows each node sends
-    left where ``to_left``, then those it sends right where ``to_right``,
-    all left children first; every other row drops out. The partition is
-    stable, so every node's rows stay sorted."""
-    node = np.repeat(np.arange(width.size), width)
-    chosen = seq[np.maximum(feat, 0)[node], np.arange(node.size)]
-    goes_left = np.arange(node.size) - starts[node] < left_w[node]
-    status[chosen] = np.where(goes_left, to_left[node], 2 * to_right[node])
-    st = status[seq]
-    p = seq.shape[0]
-    return np.concatenate([seq[st == 1].reshape(p, -1), seq[st == 2].reshape(p, -1)], axis=1)
-
-
-def _grow_batch(x: np.ndarray, y: np.ndarray, presort: np.ndarray, rngs, mtry: int, base: int):
+def _grow_batch(x: np.ndarray, y: np.ndarray, rank: np.ndarray, rngs, mtry: int, base: int):
     """Grow one tree per generator to purity, every node of a depth at once.
 
     Each tree's bag is the first draw from its generator; the tree keeps the
-    distinct rows it drew, each with its bag count, and takes each metric's
-    row order from ``presort`` (row f of it: the rows stably sorted by metric
-    f). At each depth the tree draws, in one call, a random metric order for
-    each of its open nodes; a node tries the first ``mtry`` metrics and, when
-    none of them has a cut, the rest in index order. Returns the batch's
-    roots and node arrays (feature, threshold, left, right, vote, decrease),
-    numbered from ``base`` tree by tree, each tree's nodes depth by depth:
-    the arrays of a forest grown one tree per batch, however many trees
-    share this one.
+    distinct rows it drew, each with its bag count, and each open node holds
+    one list of them, in no order. At each depth the tree draws, in one
+    call, a random metric order for each of its open nodes; a node tries the
+    first ``mtry`` metrics and, when none of them has a cut, the rest in
+    index order, sorting its rows by each candidate's ``rank`` (row f: each
+    row's place in the stable sort of metric f; see :func:`_best_cuts`). A
+    row goes left when its value is below the threshold, the rule scoring
+    uses, and only open children keep rows. Returns the batch's roots and
+    node arrays (feature, threshold, left, right, vote, decrease), numbered
+    from ``base`` tree by tree, each tree's nodes depth by depth: the arrays
+    of a forest grown one tree per batch, however many trees share this one.
     """
     p = x.shape[1]
     t_count = len(rngs)
-    row, packed, seq, width, pos = _distinct_bag_rows(y, presort, rngs)
-    status = np.zeros(row.size, np.int8)
+    row, packed, width, pos = _distinct_bag_rows(y, rngs)
+    ids = np.arange(row.size)
 
     levels = []  # per depth: the tree and node arrays of its nodes
     tree = np.arange(t_count)
@@ -441,7 +429,7 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, presort: np.ndarray, rngs, mtry: i
         levels.append((tree, feature, threshold, left, right, pos * 2 > size, decrease))
         at = np.flatnonzero(_is_open(pos, size))  # each open node's place in this depth
         if at.size < k_count:
-            # seq holds the open nodes' rows alone
+            # ids holds the open nodes' rows alone
             tree, width, size, pos = tree[at], width[at], size[at], pos[at]
             if not at.size:
                 break
@@ -453,11 +441,11 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, presort: np.ndarray, rngs, mtry: i
             [rngs[t].random((c, p)) for t, c in enumerate(counts) if c]
         )
         order = u.argsort(axis=1)
-        cuts = _chunked_cuts(seq, x, row, packed, starts, width, size, pos, order[:, :mtry])
+        cuts = _chunked_cuts(ids, x, rank, row, packed, starts, width, size, pos, order[:, :mtry])
         miss = np.flatnonzero(cuts[0] == np.inf)
         if miss.size and mtry < p:
             rest = np.sort(order[miss, mtry:], axis=1)
-            alts = _chunked_cuts(seq, x, row, packed, starts[miss], width[miss], size[miss], pos[miss], rest)
+            alts = _chunked_cuts(ids, x, rank, row, packed, starts[miss], width[miss], size[miss], pos[miss], rest)
             for out, alt in zip(cuts, alts):
                 out[miss] = alt
         score, feat, thr, left_w, left_n, left_pos = cuts
@@ -474,9 +462,11 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, presort: np.ndarray, rngs, mtry: i
         right[sid] = next_id + j_count + np.arange(j_count)
         next_id += 2 * j_count
 
-        to_left = cut & _is_open(left_pos, left_n)
-        to_right = cut & _is_open(pos - left_pos, size - left_n)
-        seq = _partition(seq, status, feat, starts, width, left_w, to_left, to_right)
+        node = np.repeat(np.arange(width.size), width)
+        goes_left = x[row[ids], np.maximum(feat, 0)[node]] < thr[node]
+        to_left = (cut & _is_open(left_pos, left_n))[node]
+        to_right = (cut & _is_open(pos - left_pos, size - left_n))[node]
+        ids = np.concatenate([ids[goes_left & to_left], ids[~goes_left & to_right]])
         tree = np.concatenate([tree[split], tree[split]])
         width = np.concatenate([left_w[split], width[split] - left_w[split]])
         size = np.concatenate([left_n[split], size[split] - left_n[split]])
@@ -499,8 +489,9 @@ def fit_random_forest(
 ) -> ForestModel:
     """Bagged Gini trees grown to purity; mtry = floor(sqrt(p)).
 
-    Each metric of the training rows is stably sorted once, and every tree
-    takes its rows' order from that one presort.
+    Each metric of the training rows is stably sorted once, and every node
+    orders its rows by a candidate metric from each row's place in that one
+    presort.
     """
     subset = tuple(subset)
     if ntree < 1:
@@ -513,13 +504,14 @@ def fit_random_forest(
     y = d.outcome.astype(np.int8)
     n, p = x.shape
     mtry = max(1, int(math.isqrt(p)))
-    presort = np.argsort(x, axis=0, kind="stable").T
+    rank = np.empty((p, n), np.int32)
+    np.put_along_axis(rank, np.argsort(x, axis=0, kind="stable").T, np.arange(n), axis=1)
     streams = np.random.SeedSequence(seed).spawn(ntree)
     per_batch = max(1, _BATCH_CELLS // (n * p))
     batches, base = [], 0
     for lo in range(0, ntree, per_batch):
         rngs = [np.random.default_rng(s) for s in streams[lo:lo + per_batch]]
-        batches.append(_grow_batch(x, y, presort, rngs, mtry, base))
+        batches.append(_grow_batch(x, y, rank, rngs, mtry, base))
         base += batches[-1][1].size
     arrays = [np.concatenate(column) for column in zip(*batches)]
     return ForestModel(*arrays, ntree, seed, subset)

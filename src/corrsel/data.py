@@ -102,11 +102,15 @@ class Dataset:
         return self.rows[:, self._positions(names)]
 
     def _positions(self, names) -> list[int]:
-        """The column of each name; MissingColumn names the first unknown one."""
+        """The column of each name; MissingColumn names the first unknown
+        one, and a name given twice raises EmptyDataset."""
         try:
-            return [self._position[n] for n in names]
+            at = [self._position[n] for n in names]
         except KeyError as exc:
             raise MissingColumn(exc.args[0]) from None
+        if len(set(at)) < len(at):
+            raise EmptyDataset("duplicate metric names")
+        return at
 
     def project(self, names) -> "Dataset":
         """Dataset restricted to the given metrics (given order kept)."""

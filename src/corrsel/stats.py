@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionMismatch, EmptyDataset, LengthMismatch, TooFewValues
+from .errors import DataError, DimensionMismatch, LengthMismatch, TooFewValues
 
 #: Auxiliary-regression R2 at or above this (a VIF of about 1e10) is perfect dependence.
 PERFECT_FIT_R2 = 1.0 - 1e-10
@@ -247,14 +247,12 @@ def vif_scores(d: Dataset, subset) -> VifReport:
     lone metric, scores exactly 1 and is left out of R. Where the closed
     form declines, one SVD of the data scores every varying metric
     (:func:`_vif_and_factor`), and perfect dependence maps to ``UNBOUNDED``.
-    A name given twice raises ``EmptyDataset``, as ``Dataset.project`` does.
+    A name given twice raises ``EmptyDataset``, as ``Dataset.columns`` does.
     """
     subset = list(subset)
     if not subset:
         raise TooFewValues("vif_scores needs a nonempty subset")
     cols = d.columns(subset)
-    if len(set(subset)) < len(subset):
-        raise EmptyDataset("duplicate metric names")
     varying = ~np.all(cols == cols[0], axis=0)
     scores = np.ones(len(subset))
     if np.count_nonzero(varying) > 1:

@@ -13,7 +13,7 @@ from corrsel.classifiers import (
     score_rows,
 )
 from corrsel.data import Dataset
-from corrsel.errors import ConfigError, DegenerateOutcome, MissingColumn
+from corrsel.errors import ConfigError, DegenerateOutcome, EmptyDataset, MissingColumn
 from corrsel.evaluation import auc
 
 
@@ -205,6 +205,21 @@ def test_unknown_metric_raises_missing_column():
             call()
         assert info.value.column in {"nope", "m0"}
 
+
+def test_forest_refuses_a_repeated_name():
+    # a repeat's share of the importance would be dropped from the name map
+    d = _logistic_fixture(12, n=40)
+    with pytest.raises(EmptyDataset, match="duplicate metric names"):
+        fit_random_forest(d, ["m0", "m0", "m1"], ntree=5, seed=0)
+
+
+def test_logistic_refuses_a_repeated_name():
+    # two equal columns have no unique coefficients to report as converged
+    d = _logistic_fixture(12, n=40)
+    with pytest.raises(EmptyDataset, match="duplicate metric names"):
+        fit_logistic(d, ["m0", "m0"])
+
+
 def test_forest_batch_of_two_to_the_31_bag_rows_is_refused():
     # one cumulative sum of packed counts runs over a batch's bag rows, so
     # they must fit in one half of the packed integer; the largest batch the
@@ -213,7 +228,7 @@ def test_forest_batch_of_two_to_the_31_bag_rows_is_refused():
 
     n = 2**20
     with pytest.raises(AssertionError, match="one half of _LOW"):
-        classifiers._distinct_bag_rows(np.zeros(n, np.int8), np.zeros((1, n), np.intp), [None] * 2**11)
+        classifiers._distinct_bag_rows(np.zeros(n, np.int8), [None] * 2**11)
     assert classifiers._BATCH_CELLS < 2**31
 
 

@@ -173,9 +173,13 @@ def test_project_keeps_order_and_values():
     assert sub.rows[:, 0].tolist() == d.column("c").tolist()
 
 
-def test_columns_keep_order_and_repeats_and_name_the_first_missing():
+def test_columns_keep_order_refuse_repeats_and_name_the_first_missing():
     d = Dataset(("a", "b", "c"), np.arange(12.0).reshape(4, 3), np.array([1, 0, 1, 0], bool))
-    assert d.columns(["c", "a", "c"]).tolist() == d.rows[:, [2, 0, 2]].tolist()
+    assert d.columns(["c", "a"]).tolist() == d.rows[:, [2, 0]].tolist()
+    with pytest.raises(EmptyDataset, match="duplicate metric names"):
+        d.columns(["c", "a", "c"])
+    with pytest.raises(EmptyDataset, match="duplicate metric names"):
+        d.columns(iter(["b", "b"]))
     assert d.columns(iter(["b"])).tolist() == d.rows[:, [1]].tolist()
     assert d.columns([]).shape == (4, 0)
     assert d.column("b").tolist() == d.rows[:, 1].tolist()

@@ -14,9 +14,10 @@ pair. The column rank kernel, which ``rank_with_ties`` runs on one column, is
 checked bit for bit against the one-column ranker it replaced, and against
 its own stable-sort version, which its unstable sort replaced.
 The level-wise random forest is checked against the depth-first grower it
-replaced, kept here as the reference, and its distinct-row growth from one
-presort node array for node array against the bag-position grower (one row
-per bag draw, argsorted per batch) that preceded it. The batched IRLS behind
+replaced, kept here as the reference, and its distinct-row growth, which
+sorts a node's rows per candidate metric by their places in one presort,
+node array for node array against the bag-position grower (one row per bag
+draw, argsorted per batch) that preceded it. The batched IRLS behind
 ``fit_logistic`` is checked bit for bit against the one-model IRLS loop it
 replaced; a warm-started fit is checked against that loop bit for bit when it
 does not converge (it is refit cold) and within a stated tolerance when it
@@ -1105,15 +1106,18 @@ def test_forest_bytes_do_not_depend_on_the_batch_budget(case):
 
 def test_forest_distinct_row_growth_on_tie_heavy_wide_data():
     # many metrics, few levels: most bag rows are duplicates of a handful of
-    # distinct value patterns, and several trees share each batch
-    rng = np.random.default_rng(4)
-    x = rng.integers(0, 3, (120, 9)) / 2.0
-    y = rng.random(120) < 0.4
-    d = Dataset(tuple(f"m{i}" for i in range(9)), x, y)
-    got = fit_random_forest(d, d.metric_names, ntree=25, seed=77)
-    want = _bag_forest_arrays(d, 25, 77)
-    for name, w in zip(_NODE_ARRAYS, want):
-        assert getattr(got, name).tobytes() == w.tobytes(), name
+    # distinct value patterns, and several trees share each batch. At p = 30
+    # a node sorts its rows by only its candidates, and on 3 levels many
+    # nodes fall back to the other p - mtry metrics
+    for n, p, levels in ((120, 9, 3), (200, 30, 3), (150, 30, 1000)):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, levels, (n, p)) / 2.0
+        y = rng.random(n) < 0.4
+        d = Dataset(tuple(f"m{i}" for i in range(p)), x, y)
+        got = fit_random_forest(d, d.metric_names, ntree=25, seed=77)
+        want = _bag_forest_arrays(d, 25, 77)
+        for name, w in zip(_NODE_ARRAYS, want):
+            assert getattr(got, name).tobytes() == w.tobytes(), (n, p, levels, name)
 
 
 # -- logistic regression: batched IRLS vs the one-model loop ------------------------------
