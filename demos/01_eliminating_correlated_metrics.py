@@ -37,12 +37,12 @@ print(f"metrics: {', '.join(data.metric_names)}\n")
 
 # The correlation structure before elimination. Each clone sits at
 # |rho| ~ 0.9999 next to its source; everything else is near zero.
-corr = spearman_matrix(data)
+corr = spearman_matrix(data).values
+names = data.metric_names
 strong = [
-    (a, b, corr.get(a, b))
-    for i, a in enumerate(data.metric_names)
-    for b in data.metric_names[i + 1 :]
-    if abs(corr.get(a, b)) >= 0.7
+    (names[i], names[j], float(corr[i, j]))
+    for i, j in zip(*np.triu_indices(len(names), k=1))
+    if abs(corr[i, j]) >= 0.7
 ]
 print("strongly correlated pairs (|rho| >= 0.7):")
 for a, b, rho in strong:

@@ -281,7 +281,7 @@ def warm_start(model: LogisticModel, subset) -> np.ndarray | None:
     return np.array([model.intercept] + [coef.get(name, 0.0) for name in subset])
 
 
-def fit_logistic(d: Dataset, subset, start=None, memo: dict | None = None) -> LogisticModel:
+def fit_logistic(d: Dataset, subset, start=None) -> LogisticModel:
     """Binomial maximum likelihood by IRLS with an intercept.
 
     The accepted log-likelihood sequence is non-decreasing (step halving on
@@ -289,9 +289,9 @@ def fit_logistic(d: Dataset, subset, start=None, memo: dict | None = None) -> Lo
     Separation is handled by freezing runaway coefficients at +/-COEF_CAP
     and reporting converged=False, which keeps the log-likelihood finite
     for AIC-based search. An empty subset fits the intercept alone.
-    ``start`` and ``memo`` are as in :func:`fit_logistic_batch`.
+    ``start`` is as in :func:`fit_logistic_batch`.
     """
-    return fit_logistic_batch([(d, subset)], [start], memo)[0]
+    return fit_logistic_batch([(d, subset)], [start])[0]
 
 
 def _best_cuts(ids, x, rank, row, packed, starts, widths, size, pos, feats):

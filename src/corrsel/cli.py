@@ -20,7 +20,7 @@ import sys
 from .autospearman import AutoSpearmanParams, auto_spearman
 from .data import SyntheticSpec, generate_synthetic, load_csv, write_csv
 from .errors import ComputationError, ConfigError, DataError, UnsupportedSelector
-from .harness import correlation_flags, load_config, run_experiment
+from .harness import _strict_flags, load_config, run_experiment
 from .seeding import DEFAULT_SEED
 from .selectors import SelectorConfig, SelectorId, parse_selector, select
 from .stats import spearman_matrix, vif_scores
@@ -107,7 +107,7 @@ def _cmd_select(args) -> int:
         subset, trace = auto_spearman(d, AutoSpearmanParams(args.sp_t, args.vif_t))
     else:
         config = SelectorConfig(bins=args.bins, base_seed=args.seed, sp_t=args.sp_t, vif_t=args.vif_t)
-        subset = select(selector, d, config, args.seed)
+        subset = select(selector, d, config)
     if args.as_json:
         doc = {"selected": subset}
         if trace is not None:
@@ -127,17 +127,16 @@ def _cmd_diagnose(args) -> int:
     names = list(d.metric_names)
     if args.metrics:
         names = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    sub = d.project(names)
-    corr = spearman_matrix(sub)
-    vifs = vif_scores(d, names)
-    flags = correlation_flags(names, d, args.sp_t, args.vif_t)
+    corr = spearman_matrix(d.project(names)).values
+    vifs = vif_scores(d, names).scores
+    flags = _strict_flags(corr, vifs.values(), args.sp_t, args.vif_t)
     if args.as_json:
         print(
             json.dumps(
                 {
                     "metrics": names,
-                    "spearman": [[round(float(v), 12) for v in row] for row in corr.values],
-                    "vif": {k: _json_stat(v) for k, v in vifs.scores.items()},
+                    "spearman": [[round(float(v), 12) for v in row] for row in corr],
+                    "vif": {k: _json_stat(v) for k, v in vifs.items()},
                     "has_collinearity": flags.has_collinearity,
                     "has_multicollinearity": flags.has_multicollinearity,
                 },
@@ -150,11 +149,11 @@ def _cmd_diagnose(args) -> int:
     header = " ".join(f"{n:>{max(7, len(n))}}" for n in names)
     print(f"{'':{width}} {header}")
     for i, n in enumerate(names):
-        row = " ".join(f"{corr.values[i, j]:>{max(7, len(names[j]))}.3f}" for j in range(len(names)))
+        row = " ".join(f"{corr[i, j]:>{max(7, len(names[j]))}.3f}" for j in range(len(names)))
         print(f"{n:{width}} {row}")
     print("\nVariance inflation factors:")
     for n in names:
-        print(f"{n:{width}} {_fmt_stat(vifs.scores[n])}")
+        print(f"{n:{width}} {_fmt_stat(vifs[n])}")
     print(f"\nhas_collinearity (|rho| > {args.sp_t}): {'yes' if flags.has_collinearity else 'no'}")
     print(f"has_multicollinearity (VIF > {args.vif_t}): {'yes' if flags.has_multicollinearity else 'no'}")
     return EXIT_OK

@@ -16,8 +16,9 @@ An experiment draws its splits, then runs on one pool of forked workers,
 while this process fits the logistic cells and computes the flags. Each
 distinct forest cell is a task, submitted as soon as its subset is known.
 Without forests each sample's selectors are one task; with them, a
-sample's logistic wrappers (which share a fit memo) are one task and every
-other selector is one, so that forests start as each selector returns.
+sample's Step-FWD and Step-BOTH (which share a fit memo) are one task and
+every other selector is one, so that forests start as each selector
+returns.
 Results are kept by task, so no output depends on the worker count or on
 the order in which tasks finish.
 """
@@ -60,8 +61,8 @@ _CLASSIFIERS = ("logistic", "forest")
 _TOP_LEVEL = ("bins", "base_seed", "sp_t", "vif_t")
 
 # the selectors whose fits overlap, so they share a sample's logistic fit
-# memo: Step-BOTH refits Step-FWD's additions, Step-BWD RFE-LR's first fits
-_MEMO_GROUP = (SelectorId.STEP_FWD, SelectorId.STEP_BWD, SelectorId.STEP_BOTH, SelectorId.RFE_LR)
+# memo: Step-BOTH refits Step-FWD's additions
+_MEMO_GROUP = (SelectorId.STEP_FWD, SelectorId.STEP_BOTH)
 
 
 @dataclass(frozen=True)
@@ -251,14 +252,17 @@ def _sample_cells(
     grid: SubsetCollection, config: SelectorConfig, j: int, positions: tuple[int, ...]
 ) -> list[tuple[MetricSubset | None, str | None]]:
     """The subset of sample j of each selector at ``positions``, or why it
-    failed, in that order. The selectors share one logistic fit memo,
-    dropped when they are done; a memo hit is the fit a fresh call would
-    make, so no cell depends on the cells run before it."""
+    failed, in that order. Selector i runs at the base seed derived from
+    (``grid.base_seed``, j, i). The ``_MEMO_GROUP`` selectors share one
+    logistic fit memo, dropped when they are done; a memo hit is the fit a
+    fresh call would make, so no cell depends on the cells run before it."""
     memo: dict = {}
     cells = []
     for i in positions:
+        sel = grid.selectors[i]
+        cell_config = replace(config, base_seed=derive_seed(grid.base_seed, j, i))
         try:
-            subset = select(grid.selectors[i], grid.splits[j].train, config, derive_seed(grid.base_seed, j, i), memo)
+            subset = select(sel, grid.splits[j].train, cell_config, memo if sel in _MEMO_GROUP else None)
             cells.append((subset, None))
         except CorrselError as exc:
             cells.append((None, f"{type(exc).__name__}: {exc}"))
@@ -317,11 +321,14 @@ def correlation_flags(
     if len(subset) < 2:
         return CorrelationFlags(False, False)
     corr = spearman_matrix(train.project(subset)).values
-    off = np.abs(corr[np.triu_indices(len(subset), k=1)])
-    has_coll = bool(np.any(off > sp_t))
-    scores = vif_scores(train, subset).scores
-    has_multi = any(v > vif_t for v in scores.values())
-    return CorrelationFlags(has_coll, has_multi)
+    return _strict_flags(corr, vif_scores(train, subset).scores.values(), sp_t, vif_t)
+
+
+def _strict_flags(corr: np.ndarray, vifs, sp_t: float, vif_t: float) -> CorrelationFlags:
+    """The flags of a subset from its Spearman matrix and its VIF scores:
+    some off-diagonal |rho| > ``sp_t``, some VIF > ``vif_t``."""
+    off = np.abs(corr[np.triu_indices(len(corr), k=1)])
+    return CorrelationFlags(bool(np.any(off > sp_t)), any(v > vif_t for v in vifs))
 
 
 def _measures(scores: np.ndarray, outcome: np.ndarray) -> dict[str, float]:

@@ -5,8 +5,8 @@ consistency-based), five wrapper-based ones (RFE with logistic or forest
 backends, stepwise regression in three directions), plus the correlation
 based eliminator, all taking a training sample and returning an ordered
 list of metric names. Every selector is deterministic given
-(train, config, seed), and the supervised ones read only the training
-sample handed to them.
+(train, config), its one seed being ``config.base_seed``, and the
+supervised ones read only the training sample handed to them.
 """
 
 from __future__ import annotations
@@ -237,26 +237,27 @@ def select_rfe(
     train: Dataset,
     backend: str = "LR",
     config: SelectorConfig = SelectorConfig(),
-    seed: int | None = None,
-    memo: dict | None = None,
 ) -> MetricSubset:
     """Recursive elimination of the least important metric.
 
     The elimination path is computed on the full training sample; each
     candidate size is scored by mean out-of-sample bootstrap AUC of the
-    training sample only, and the best size wins (smaller on ties).
+    training sample only, and the best size wins (smaller on ties). The
+    forests and resamples are seeded from ``config.base_seed``.
 
     With the LR backend each path fit starts from the previous path model,
     and sizes are scored largest first, each resample's fit starting from
-    its fit at the last larger size. ``memo`` is :func:`fit_logistic_batch`'s
-    fit memo for the path fits on ``train``.
+    its fit at the last larger size.
     """
     if backend not in ("LR", "RF"):
         raise UnsupportedSelector(f"RFE backend must be LR or RF, got {backend!r}")
     _require_supervised(train)
-    seed = config.base_seed if seed is None else seed
+    seed = config.base_seed
     p = train.n_metrics
     names = list(train.metric_names)
+    sizes = [s for s in config.rfe_sizes or range(1, p + 1) if s <= p]
+    if not sizes:
+        raise ConfigError("rfe_sizes contains no size in 1..p")
 
     path: dict[int, list[str]] = {p: names.copy()}
     current = names.copy()
@@ -264,7 +265,7 @@ def select_rfe(
     while len(current) > 1:
         if backend == "LR":
             start = None if model is None else warm_start(model, current)
-            model = fit_logistic(train, current, start=start, memo=memo)
+            model = fit_logistic(train, current, start=start)
         else:
             model = fit_random_forest(
                 train, current, ntree=config.rfe_ntree, seed=derive_seed(seed, 1, len(current))
@@ -275,11 +276,6 @@ def select_rfe(
         drop = min(reversed(current), key=scores.__getitem__)
         current.remove(drop)
         path[len(current)] = current.copy()
-
-    sizes = list(config.rfe_sizes) if config.rfe_sizes else list(range(1, p + 1))
-    sizes = [s for s in sizes if s in path]
-    if not sizes:
-        raise ConfigError("rfe_sizes contains no size in 1..p")
 
     splits = []  # (resample index, split) of the resamples whose training side has both classes
     for r in range(config.rfe_resamples):
@@ -292,8 +288,6 @@ def select_rfe(
     for size in sorted(set(sizes), reverse=True):
         subset = path[size]
         if backend == "LR":
-            # the resamples' training sets are this call's own, so no memo
-            # could hold their fits
             starts = None if models is None else [warm_start(m, subset) for m in models]
             models = fit_logistic_batch([(split.train, subset) for _, split in splits], starts=starts)
         else:
@@ -374,13 +368,13 @@ def select(
     id: SelectorId,
     train: Dataset,
     config: SelectorConfig = SelectorConfig(),
-    seed: int | None = None,
     memo: dict | None = None,
 ) -> MetricSubset:
-    """Run one selection technique on a training sample.
+    """Run one selection technique on a training sample, seeded from
+    ``config.base_seed``.
 
     ``memo`` is a logistic fit memo (see :func:`fit_logistic_batch`) that
-    the logistic wrappers share; it saves work and never changes a result.
+    the stepwise selectors share; it saves work and never changes a result.
     """
     if id is SelectorId.AUTOSPEARMAN:
         subset, _ = auto_spearman(train, AutoSpearmanParams(config.sp_t, config.vif_t))
@@ -394,9 +388,9 @@ def select(
     if id is SelectorId.CON:
         return select_consistency(train, config)
     if id is SelectorId.RFE_LR:
-        return select_rfe(train, "LR", config, seed, memo)
+        return select_rfe(train, "LR", config)
     if id is SelectorId.RFE_RF:
-        return select_rfe(train, "RF", config, seed)
+        return select_rfe(train, "RF", config)
     if id is SelectorId.STEP_FWD:
         return select_stepwise(train, "FWD", config, memo)
     if id is SelectorId.STEP_BWD:

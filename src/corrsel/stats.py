@@ -44,11 +44,6 @@ class CorrelationMatrix:
     metric_names: tuple[str, ...]
     values: np.ndarray  # symmetric, unit diagonal, entries in [-1, 1]
 
-    def get(self, a: str, b: str) -> float:
-        i = self.metric_names.index(a)
-        j = self.metric_names.index(b)
-        return float(self.values[i, j])
-
 
 @dataclass(frozen=True)
 class VifReport:

@@ -129,6 +129,29 @@ def test_diagnose_json_flags_match(clone_csv, capsys):
     assert doc["has_multicollinearity"] == flags.has_multicollinearity
 
 
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_diagnose_computes_spearman_and_vif_once(as_json, clone_csv, capsys, monkeypatch):
+    import corrsel.stats as stats
+
+    calls = []
+    for name in ("spearman_of", "_vif_and_factor"):
+        real = getattr(stats, name)
+        monkeypatch.setattr(stats, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert main(["diagnose", str(clone_csv), "--outcome", "bug", *as_json]) == 0
+    assert calls == ["spearman_of", "_vif_and_factor"]
+    assert ("yes" in capsys.readouterr().out) != bool(as_json)
+
+
+def test_select_seed_is_the_configs_base_seed(clone_csv, capsys):
+    from corrsel.selectors import SelectorConfig, SelectorId, select
+
+    d = load_csv(clone_csv, "bug")
+    for seed in (3, 11):
+        assert main(["select", str(clone_csv), "--outcome", "bug", "--selector", "RFE-LR", "--seed", str(seed)]) == 0
+        expected = select(SelectorId.RFE_LR, d, SelectorConfig(base_seed=seed))
+        assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_diagnose_metric_subset_singleton(clone_csv, capsys):
     code = main(["diagnose", str(clone_csv), "--outcome", "bug", "--metrics", "c"])
     assert code == 0

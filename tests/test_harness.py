@@ -190,8 +190,9 @@ def test_grid_rejects_bad_b():
 
 @pytest.mark.usefixtures("one_worker")
 def test_grid_logistic_wrappers_select_as_they_do_alone(monkeypatch):
-    # the selectors of one sample share a logistic fit memo; each still picks
-    # what it picks alone, and no memo outlives the grid
+    # one sample's Step-FWD and Step-BOTH share a logistic fit memo, and
+    # Step-BWD and RFE-LR get none; each still picks what it picks alone, at
+    # its cell's base seed, and no memo outlives the grid
     import corrsel.harness as harness
     from corrsel.selectors import select
 
@@ -205,9 +206,9 @@ def test_grid_logistic_wrappers_select_as_they_do_alone(monkeypatch):
     sels = [SelectorId.STEP_FWD, SelectorId.STEP_BWD, SelectorId.STEP_BOTH, SelectorId.RFE_LR]
     memos = []
 
-    def spy(sel, train, config, seed, memo):
+    def spy(sel, train, config, memo):
         memos.append(memo)
-        return select(sel, train, config, seed, memo)
+        return select(sel, train, config, memo)
 
     monkeypatch.setattr(harness, "select", spy)
     grid = run_selection_grid(d, sels, B=2, config=SelectorConfig(base_seed=19))
@@ -215,11 +216,11 @@ def test_grid_logistic_wrappers_select_as_they_do_alone(monkeypatch):
     assert not grid.failures
     for j, split in enumerate(grid.splits):
         for i, sel in enumerate(sels):
-            assert select(sel, split.train, seed=derive_seed(19, j, i)) == grid.subsets[(sel, j)]
-    # one memo per sample, shared by its four selectors
+            assert select(sel, split.train, SelectorConfig(base_seed=derive_seed(19, j, i))) == grid.subsets[(sel, j)]
+    # one memo per sample, shared by its Step-FWD and Step-BOTH
     assert len(memos) == 8 and memos[0] is not memos[4]
-    assert all(m is memos[0] for m in memos[:4]) and all(m is memos[4] for m in memos[4:])
     for k in (0, 4):
+        assert memos[k + 2] is memos[k] and memos[k + 1] is None and memos[k + 3] is None
         assert memos[k]
         assert gc.get_referrers(memos[k]) == [memos]
 
@@ -674,30 +675,36 @@ def test_report_and_cells_do_not_depend_on_the_order_tasks_finish(tmp_path, monk
 
 
 @pytest.mark.usefixtures("one_worker")
-def test_a_forest_experiment_runs_a_samples_logistic_wrappers_on_one_memo(tmp_path, monkeypatch):
+def test_a_forest_experiment_shares_a_memo_only_between_step_fwd_and_step_both(tmp_path, monkeypatch):
     import corrsel.harness as harness
     from corrsel.selectors import select
 
-    memos = []
+    calls = []
+    tasks = []
+    sample_cells = harness._sample_cells
 
-    def spy(sel, train, config, seed, memo):
-        memos.append((sel, memo))
-        return select(sel, train, config, seed, memo)
+    def spy(sel, train, config, memo):
+        calls.append((sel.value, memo))
+        return select(sel, train, config, memo)
+
+    def task_spy(grid, config, j, positions):
+        tasks.append([grid.selectors[i].value for i in positions])
+        return sample_cells(grid, config, j, positions)
 
     monkeypatch.setattr(harness, "select", spy)
-    wrappers = ["Step-FWD", "Step-BWD", "Step-BOTH", "RFE-LR"]
+    monkeypatch.setattr(harness, "_sample_cells", task_spy)
     obj = _smoke_config(
-        tmp_path, bootstrap_count=2, selectors=["AutoSpearman", *wrappers], classifiers=["logistic", "forest"],
-        output=None,
+        tmp_path, bootstrap_count=2, selectors=["AutoSpearman", "Step-FWD", "Step-BWD", "Step-BOTH", "RFE-LR"],
+        classifiers=["logistic", "forest"], output=None,
     )
     run_experiment(load_config(obj))
-    # per sample: the four wrappers' task first, then AutoSpearman's own
-    assert [sel.value for sel, _ in memos] == 2 * (wrappers + ["AutoSpearman"])
-    for sample in (memos[:5], memos[5:]):
-        shared = sample[0][1]
-        assert shared and all(memo is shared for _, memo in sample[:4])
-        assert sample[4][1] is not shared
-    assert memos[0][1] is not memos[5][1]
+    # per sample: the memo group's task first, then every other selector alone
+    assert tasks == 2 * [["Step-FWD", "Step-BOTH"], ["AutoSpearman"], ["Step-BWD"], ["RFE-LR"]]
+    for sample in (calls[:5], calls[5:]):
+        memos = dict(sample)
+        assert memos["Step-FWD"] and memos["Step-BOTH"] is memos["Step-FWD"]
+        assert memos["AutoSpearman"] is memos["Step-BWD"] is memos["RFE-LR"] is None
+    assert calls[0][1] is not calls[5][1]
 
 
 @FORK

@@ -1407,10 +1407,10 @@ def test_logistic_memo_returns_the_fit_a_fresh_call_makes():
     # the same inputs hit; another start, subset order or dataset object misses
     hits = fit_logistic_batch([(d, ["a", "c"]), (d, ["a", "b"])], memo=memo)
     assert hits[0] is cold[1] and hits[1] is cold[0]
-    assert fit_logistic(d, ["a", "b"], start=start, memo=memo) is warm
-    fit_logistic(d, ["a", "b"], start=start + 1e-9, memo=memo)
-    fit_logistic(d, ["b", "a"], memo=memo)
-    fit_logistic(twin, ["a", "b"], memo=memo)
+    assert fit_logistic_batch([(d, ["a", "b"])], starts=[start], memo=memo)[0] is warm
+    fit_logistic_batch([(d, ["a", "b"])], starts=[start + 1e-9], memo=memo)
+    fit_logistic_batch([(d, ["b", "a"])], memo=memo)
+    fit_logistic_batch([(twin, ["a", "b"])], memo=memo)
     assert len(memo) == 6
     assert all(entry[0] is d or entry[0] is twin for entry in memo.values())
 

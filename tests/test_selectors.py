@@ -187,29 +187,42 @@ def test_consistency_never_adds_duplicate():
 
 def test_rfe_lr_keeps_informative_metric():
     d = _signal_fixture(13, n=300, noise_metrics=5)
-    subset = select_rfe(d, "LR", SelectorConfig(), seed=1)
+    subset = select_rfe(d, "LR", SelectorConfig(base_seed=1))
     assert "signal" in subset
     assert len(subset) <= 4
 
 
 def test_rfe_rf_keeps_informative_metric():
     d = _signal_fixture(14, n=150, noise_metrics=3)
-    config = SelectorConfig(rfe_resamples=4, rfe_ntree=30)
-    subset = select_rfe(d, "RF", config, seed=2)
+    config = SelectorConfig(rfe_resamples=4, rfe_ntree=30, base_seed=2)
+    subset = select_rfe(d, "RF", config)
     assert "signal" in subset
 
 
 def test_rfe_deterministic():
     d = _signal_fixture(15, n=200, noise_metrics=3)
-    a = select_rfe(d, "LR", SelectorConfig(), seed=7)
-    b = select_rfe(d, "LR", SelectorConfig(), seed=7)
+    a = select_rfe(d, "LR", SelectorConfig(base_seed=7))
+    b = select_rfe(d, "LR", SelectorConfig(base_seed=7))
     assert a == b
 
 
 def test_rfe_bad_backend():
     d = _signal_fixture(16)
     with pytest.raises(UnsupportedSelector):
-        select_rfe(d, "GBM", SelectorConfig(), seed=0)
+        select_rfe(d, "GBM", SelectorConfig(base_seed=0))
+
+
+@pytest.mark.parametrize("backend", ["LR", "RF"])
+def test_rfe_refuses_sizes_out_of_range_before_any_fit(backend, monkeypatch):
+    import corrsel.selectors as selectors
+
+    fits = []
+    monkeypatch.setattr(selectors, "fit_logistic", lambda *a, **k: fits.append(a))
+    monkeypatch.setattr(selectors, "fit_random_forest", lambda *a, **k: fits.append(a))
+    d = _signal_fixture(16, noise_metrics=3)
+    with pytest.raises(ConfigError, match=r"rfe_sizes contains no size in 1\.\.p"):
+        select_rfe(d, backend, SelectorConfig(rfe_sizes=(100, 5)))
+    assert fits == []
 
 
 # -- stepwise ----------------------------------------------------------------------------
@@ -292,17 +305,17 @@ def test_every_selector_on_single_informative_metric():
     x = rng.standard_normal(120)
     y = x > 0
     d = _dataset({"only": x}, y)
-    config = SelectorConfig(rfe_resamples=3)
+    config = SelectorConfig(rfe_resamples=3, base_seed=1)
     for sel in SelectorId:
-        subset = select(sel, d, config, seed=1)
+        subset = select(sel, d, config)
         assert subset == ["only"], sel
 
 
 def test_selector_outputs_are_valid_subsets():
     d = _signal_fixture(24, n=150, noise_metrics=3)
-    config = SelectorConfig(rfe_resamples=3, rfe_ntree=20)
+    config = SelectorConfig(rfe_resamples=3, rfe_ntree=20, base_seed=9)
     for sel in SelectorId:
-        subset = select(sel, d, config, seed=9)
+        subset = select(sel, d, config)
         assert len(set(subset)) == len(subset)
         assert set(subset) <= set(d.metric_names)
 
@@ -318,19 +331,19 @@ def test_subset_selectors_return_names_in_column_order(seed):
     x[:, p - 1] = x[:, 0] + 0.1 * rng.standard_normal(n)
     y = rng.random(n) < 1 / (1 + np.exp(-x @ rng.normal(0, 1.5, p)))
     d = Dataset(tuple(f"m{i}" for i in rng.permutation(p)), x, y)
-    config = SelectorConfig(rfe_resamples=2, rfe_ntree=10, bins=4)
+    config = SelectorConfig(rfe_resamples=2, rfe_ntree=10, bins=4, base_seed=seed)
     for sel in SelectorId:
         if sel in (SelectorId.IG, SelectorId.CHISQ):
             continue
-        subset = select(sel, d, config, seed=seed)
+        subset = select(sel, d, config)
         assert subset == [m for m in d.metric_names if m in subset], sel
 
 
 def test_selectors_deterministic():
     d = _signal_fixture(25, n=150, noise_metrics=3)
-    config = SelectorConfig(rfe_resamples=3, rfe_ntree=20)
+    config = SelectorConfig(rfe_resamples=3, rfe_ntree=20, base_seed=4)
     for sel in SelectorId:
-        assert select(sel, d, config, seed=4) == select(sel, d, config, seed=4), sel
+        assert select(sel, d, config) == select(sel, d, config), sel
 
 
 def test_supervised_selectors_reject_single_class():
@@ -341,7 +354,7 @@ def test_supervised_selectors_reject_single_class():
             select(sel, d)  # unsupervised: fine
         else:
             with pytest.raises(DegenerateOutcome):
-                select(sel, d, SelectorConfig(rfe_resamples=2), seed=0)
+                select(sel, d, SelectorConfig(rfe_resamples=2, base_seed=0))
 
 
 def test_selectors_disagree_on_correlated_fixture():
@@ -349,9 +362,9 @@ def test_selectors_disagree_on_correlated_fixture():
         5, 300, (1.5, 1.0, 0, 0, 0), ((0, 1, 0.05), (1, 1, 0.05)), seed=27
     )
     d = generate_synthetic(spec)
-    config = SelectorConfig(rfe_resamples=3)
+    config = SelectorConfig(rfe_resamples=3, base_seed=5)
     outputs = {
-        sel: tuple(select(sel, d, config, seed=5))
+        sel: tuple(select(sel, d, config))
         for sel in (SelectorId.AUTOSPEARMAN, SelectorId.IG, SelectorId.STEP_FWD)
     }
     assert len(set(outputs.values())) > 1
