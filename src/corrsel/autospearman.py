@@ -35,7 +35,7 @@ from .errors import ConfigError
 from .stats import (
     _vif_and_factor,
     spearman_matrix,
-    standardized,
+    standardized_varying,
     vif_scores,  # unused here; bench/tracer.py binds corrsel.autospearman.vif_scores
 )
 
@@ -154,12 +154,10 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
     ``Dataset.columns`` does.
     """
     AutoSpearmanParams(vif_t=vif_t)
-    cols = d.columns(start)
-    constant = np.all(cols == cols[0], axis=0)
-    current = [m for m, c in zip(start, constant) if not c]
+    varying, z = standardized_varying(d.columns(start))
+    current = [m for m, v in zip(start, varying) if v]
     position = {m: i for i, m in enumerate(d.metric_names)}
     at = {m: k for k, m in enumerate(current)}
-    z = standardized(cols[:, ~constant])
     corr = z.T @ z
     # while downdating, P holds the survivors' R^-1 at rows and columns ``rows``
     # (in ``current`` order); a removed metric's row and column stay, at about 0
@@ -188,7 +186,7 @@ def vif_phase(d: Dataset, start: MetricSubset, vif_t: float = AutoSpearmanParams
         inv -= np.outer(inv[r], inv[r] / inv[r, r])
         rows = np.delete(rows, k)
     kept = set(current)
-    return [m for m, c in zip(start, constant) if c or m in kept], EliminationTrace(tuple(steps))
+    return [m for m, v in zip(start, varying) if not v or m in kept], EliminationTrace(tuple(steps))
 
 
 def auto_spearman(d: Dataset, params: AutoSpearmanParams = AutoSpearmanParams()):

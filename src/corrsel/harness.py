@@ -142,6 +142,9 @@ class ExperimentConfig:
         if self.bootstrap_count < 1:
             raise ConfigError("bootstrap_count must be >= 1")
         _check_classifiers(self.classifiers)
+        for name in ("output", "output_csv"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must be a file path or null, got ''")
 
 
 def _usable_cpus() -> int:

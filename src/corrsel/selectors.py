@@ -240,42 +240,26 @@ def select_rfe(
 ) -> MetricSubset:
     """Recursive elimination of the least important metric.
 
-    The elimination path is computed on the full training sample; each
-    candidate size is scored by mean out-of-sample bootstrap AUC of the
-    training sample only, and the best size wins (smaller on ties). The
-    forests and resamples are seeded from ``config.base_seed``.
+    One pass walks the sizes from p down to the smallest size in range. At
+    each size asked for, the current subset is scored by mean out-of-sample
+    bootstrap AUC of the training sample only, and the best size wins
+    (smaller on ties); above the smallest size, a model on the full training
+    sample drops its least important metric, so the elimination stops at the
+    smallest size in range. The forests and resamples are seeded from
+    ``config.base_seed``.
 
     With the LR backend each path fit starts from the previous path model,
-    and sizes are scored largest first, each resample's fit starting from
-    its fit at the last larger size.
+    and each resample's fit starts from its fit at the last larger size
+    scored.
     """
     if backend not in ("LR", "RF"):
         raise UnsupportedSelector(f"RFE backend must be LR or RF, got {backend!r}")
     _require_supervised(train)
     seed = config.base_seed
     p = train.n_metrics
-    names = list(train.metric_names)
-    sizes = [s for s in config.rfe_sizes or range(1, p + 1) if s <= p]
+    sizes = {s for s in config.rfe_sizes or range(1, p + 1) if s <= p}
     if not sizes:
         raise ConfigError("rfe_sizes contains no size in 1..p")
-
-    path: dict[int, list[str]] = {p: names.copy()}
-    current = names.copy()
-    model = None
-    while len(current) > 1:
-        if backend == "LR":
-            start = None if model is None else warm_start(model, current)
-            model = fit_logistic(train, current, start=start)
-        else:
-            model = fit_random_forest(
-                train, current, ntree=config.rfe_ntree, seed=derive_seed(seed, 1, len(current))
-            )
-        scores = importance(model, train)
-        # lowest importance leaves; ``current`` keeps column order, so
-        # scanning it reversed drops the later column on ties
-        drop = min(reversed(current), key=scores.__getitem__)
-        current.remove(drop)
-        path[len(current)] = current.copy()
 
     splits = []  # (resample index, split) of the resamples whose training side has both classes
     for r in range(config.rfe_resamples):
@@ -283,28 +267,39 @@ def select_rfe(
         if split.train.has_both_classes():
             splits.append((r, split))
 
-    mean_auc: dict[int, float] = {}
-    models = None  # each resample's model at the last size scored
-    for size in sorted(set(sizes), reverse=True):
-        subset = path[size]
-        if backend == "LR":
-            starts = None if models is None else [warm_start(m, subset) for m in models]
-            models = fit_logistic_batch([(split.train, subset) for _, split in splits], starts=starts)
-        else:
-            models = [
-                fit_random_forest(split.train, subset, ntree=config.rfe_ntree, seed=derive_seed(seed, 3, size, r))
-                for r, split in splits
-            ]
-        vals = []
-        for model, (_, split) in zip(models, splits):
-            try:
-                vals.append(auc(score_rows(model, split.test), split.test.outcome))
-            except SingleClass:
-                continue
-        mean_auc[size] = float(np.mean(vals)) if vals else 0.5
-
-    best_size = max(sizes, key=lambda s: (mean_auc[s], -s))
-    return path[best_size]
+    current = list(train.metric_names)
+    best = None  # ((mean AUC, -size), subset) of the best size scored so far
+    path_model = models = None  # models: each resample's model at the last size scored
+    for size in range(p, min(sizes) - 1, -1):
+        if size in sizes:
+            if backend == "LR":
+                starts = None if models is None else [warm_start(m, current) for m in models]
+                models = fit_logistic_batch([(split.train, current) for _, split in splits], starts=starts)
+            else:
+                models = [
+                    fit_random_forest(split.train, current, ntree=config.rfe_ntree, seed=derive_seed(seed, 3, size, r))
+                    for r, split in splits
+                ]
+            vals = []
+            for model, (_, split) in zip(models, splits):
+                try:
+                    vals.append(auc(score_rows(model, split.test), split.test.outcome))
+                except SingleClass:
+                    continue
+            key = (float(np.mean(vals)) if vals else 0.5, -size)
+            if best is None or key > best[0]:
+                best = (key, current.copy())
+        if size > min(sizes):
+            if backend == "LR":
+                start = None if path_model is None else warm_start(path_model, current)
+                path_model = fit_logistic(train, current, start=start)
+            else:
+                path_model = fit_random_forest(train, current, ntree=config.rfe_ntree, seed=derive_seed(seed, 1, size))
+            scores = importance(path_model, train)
+            # lowest importance leaves; ``current`` keeps column order, so
+            # scanning it reversed drops the later column on ties
+            current.remove(min(reversed(current), key=scores.__getitem__))
+    return best[1]
 
 
 # -- stepwise regression ------------------------------------------------------

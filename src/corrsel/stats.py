@@ -182,12 +182,14 @@ def ols_r_squared(target, predictors) -> float:
     return max(0.0, min(1.0, 1.0 - ssr / sst))
 
 
-def standardized(cols: np.ndarray) -> np.ndarray:
-    """The columns centred and scaled to unit norm, so that z^T z is their
-    Pearson correlation matrix R. No column may be constant."""
-    z = cols - cols.mean(axis=0)
+def standardized_varying(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the columns that vary, and those columns centred and
+    scaled to unit norm, so that z^T z is their Pearson correlation matrix R."""
+    varying = ~np.all(cols == cols[0], axis=0)
+    z = cols[:, varying]
+    z = z - z.mean(axis=0)
     z /= np.sqrt(np.einsum("ij,ij->j", z, z))
-    return z
+    return varying, z
 
 
 def _vif_and_factor(z: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -247,11 +249,9 @@ def vif_scores(d: Dataset, subset) -> VifReport:
     subset = list(subset)
     if not subset:
         raise TooFewValues("vif_scores needs a nonempty subset")
-    cols = d.columns(subset)
-    varying = ~np.all(cols == cols[0], axis=0)
+    varying, z = standardized_varying(d.columns(subset))
     scores = np.ones(len(subset))
-    if np.count_nonzero(varying) > 1:
-        z = standardized(cols[:, varying])
+    if z.shape[1] > 1:
         scores[varying] = _vif_and_factor(z, z.T @ z)[0]
     return VifReport(dict(zip(subset, scores.tolist())))
 

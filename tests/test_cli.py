@@ -522,6 +522,8 @@ def test_synth_negative_seed_exit_3(tmp_path, capsys):
         ("vif_t", math.inf),  # JSON Infinity, which a report could not echo
         ("selectors", []),
         ("classifiers", ["logistic", "logistic"]),
+        ("output", ""),
+        ("output_csv", ""),
     ],
 )
 def test_experiment_malformed_config_exit_3_before_any_work(tmp_path, capsys, monkeypatch, field, value):

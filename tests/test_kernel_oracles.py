@@ -34,12 +34,17 @@ equal ``vif_scores`` on the same survivors bit for bit. ``spearman_phase``,
 which sorts its pairs once and walks them, against the loop that took the
 strongest pair from a list it filtered after every removal; and
 ``load_csv``'s one-call parse against the per-cell loop that remains its
-error path.
+error path. ``select_rfe``, one pass down the sizes that scores a size as
+the elimination reaches it, against the two loops it replaced (the whole
+path first, then the scoring): the same subset, and the same fits apart
+from the path fits below the smallest size scored, which it no longer
+makes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -50,6 +55,7 @@ from hypothesis import strategies as st
 import corrsel.autospearman as autospearman
 import corrsel.classifiers as classifiers
 import corrsel.data as data
+import corrsel.selectors as selectors
 import corrsel.stats as stats
 from corrsel.autospearman import (
     AutoSpearmanParams,
@@ -69,7 +75,10 @@ from corrsel.classifiers import (
     warm_start,
 )
 from corrsel.data import Dataset, bootstrap_sample, load_csv, sigmoid
-from corrsel.errors import CorrselError, DimensionMismatch
+from corrsel.errors import ConfigError, CorrselError, DimensionMismatch, SingleClass, UnsupportedSelector
+from corrsel.evaluation import auc
+from corrsel.seeding import derive_seed
+from corrsel.selectors import SelectorConfig, select_rfe
 from corrsel.stats import (
     PERFECT_FIT_R2,
     UNBOUNDED,
@@ -1561,6 +1570,152 @@ def test_sigmoid_matches_two_branch_form():
     ])
     assert sigmoid(eta).tobytes() == _sigmoid_two_branch(eta).tobytes()
     assert sigmoid(eta.reshape(51, 10)).tobytes() == _sigmoid_two_branch(eta).tobytes()
+
+
+# -- RFE: one descending pass vs the path-then-scoring loops -----------------------------
+
+def _two_loop_select_rfe(train: Dataset, backend: str, config: SelectorConfig) -> list[str]:
+    """RFE as two loops: grow the elimination path down to size 1, then
+    score the sizes asked for, largest first."""
+    if backend not in ("LR", "RF"):
+        raise UnsupportedSelector(f"RFE backend must be LR or RF, got {backend!r}")
+    selectors._require_supervised(train)
+    seed = config.base_seed
+    p = train.n_metrics
+    names = list(train.metric_names)
+    sizes = [s for s in config.rfe_sizes or range(1, p + 1) if s <= p]
+    if not sizes:
+        raise ConfigError("rfe_sizes contains no size in 1..p")
+
+    path: dict[int, list[str]] = {p: names.copy()}
+    current = names.copy()
+    model = None
+    while len(current) > 1:
+        if backend == "LR":
+            start = None if model is None else warm_start(model, current)
+            model = selectors.fit_logistic(train, current, start=start)
+        else:
+            model = selectors.fit_random_forest(
+                train, current, ntree=config.rfe_ntree, seed=derive_seed(seed, 1, len(current))
+            )
+        scores = importance(model, train)
+        drop = min(reversed(current), key=scores.__getitem__)
+        current.remove(drop)
+        path[len(current)] = current.copy()
+
+    splits = []
+    for r in range(config.rfe_resamples):
+        split = bootstrap_sample(train, derive_seed(seed, 2, r))
+        if split.train.has_both_classes():
+            splits.append((r, split))
+
+    mean_auc: dict[int, float] = {}
+    models = None
+    for size in sorted(set(sizes), reverse=True):
+        subset = path[size]
+        if backend == "LR":
+            starts = None if models is None else [warm_start(m, subset) for m in models]
+            models = selectors.fit_logistic_batch([(split.train, subset) for _, split in splits], starts=starts)
+        else:
+            models = [
+                selectors.fit_random_forest(
+                    split.train, subset, ntree=config.rfe_ntree, seed=derive_seed(seed, 3, size, r)
+                )
+                for r, split in splits
+            ]
+        vals = []
+        for model, (_, split) in zip(models, splits):
+            try:
+                vals.append(auc(score_rows(model, split.test), split.test.outcome))
+            except SingleClass:
+                continue
+        mean_auc[size] = float(np.mean(vals)) if vals else 0.5
+
+    best_size = max(sizes, key=lambda s: (mean_auc[s], -s))
+    return path[best_size]
+
+
+def _spy_rfe_fits(monkeypatch) -> list[tuple]:
+    """Patch the fits ``corrsel.selectors`` makes to record each one: its
+    data, its subset, and its start bytes (logistic) or its seed (forest)."""
+    fits = []
+
+    def key(d: Dataset, subset) -> tuple:
+        return d.rows.tobytes(), d.outcome.tobytes(), tuple(subset)
+
+    def fit_logistic_spy(d, subset, start=None):
+        fits.append(("logistic", *key(d, subset), None if start is None else start.tobytes()))
+        return fit_logistic(d, subset, start=start)
+
+    def fit_logistic_batch_spy(pairs, starts=None):
+        for (d, subset), start in zip(pairs, starts or [None] * len(pairs)):
+            fits.append(("logistic", *key(d, subset), None if start is None else start.tobytes()))
+        return fit_logistic_batch(pairs, starts=starts)
+
+    def fit_random_forest_spy(d, subset, ntree, seed):
+        fits.append(("forest", *key(d, subset), ntree, seed))
+        return fit_random_forest(d, subset, ntree=ntree, seed=seed)
+
+    monkeypatch.setattr(selectors, "fit_logistic", fit_logistic_spy)
+    monkeypatch.setattr(selectors, "fit_logistic_batch", fit_logistic_batch_spy)
+    monkeypatch.setattr(selectors, "fit_random_forest", fit_random_forest_spy)
+    return fits
+
+
+@st.composite
+def rfe_cases(draw):
+    n = draw(st.integers(30, 90))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p))
+    if p > 1 and draw(st.booleans()):
+        x[:, -1] = x[:, 0] + draw(st.sampled_from([0.01, 0.3])) * rng.standard_normal(n)
+    y = rng.random(n) < sigmoid(x @ rng.normal(0.0, 1.5, p))
+    y[:2] = [True, False]
+    sizes = draw(st.none() | st.lists(st.integers(1, p + 2), max_size=4))
+    config = SelectorConfig(
+        base_seed=draw(st.integers(0, 2**31)),
+        rfe_resamples=draw(st.integers(1, 4)),
+        rfe_sizes=None if sizes is None else tuple(sizes),
+        rfe_ntree=draw(st.integers(1, 6)),
+    )
+    return Dataset(tuple(f"m{i}" for i in range(p)), x, y), config
+
+
+@pytest.mark.parametrize("backend", ["LR", "RF"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=rfe_cases())
+def test_rfe_one_pass_selects_as_the_two_loops_with_the_same_fits(backend, case):
+    d, config = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fits = _spy_rfe_fits(monkeypatch)
+        try:
+            want = _two_loop_select_rfe(d, backend, config)
+        except ConfigError:
+            want = ConfigError
+        want_fits, fits[:] = fits[:], []
+        try:
+            got = select_rfe(d, backend, config)
+        except ConfigError:
+            got = ConfigError
+    assert got == want
+    # the two loops grow the path on down to size 1; the one pass stops at
+    # the smallest size in range, m, and makes every other fit they make
+    m = min([s for s in config.rfe_sizes or [1] if s <= d.n_metrics], default=1)
+    below = [f for f in want_fits if f[1:3] == (d.rows.tobytes(), d.outcome.tobytes()) and len(f[3]) <= m]
+    assert Counter(fits) == Counter(want_fits) - Counter(below)
+    assert len(below) == m - 1 if got is not ConfigError else not want_fits
+
+
+@pytest.mark.parametrize("backend", ["LR", "RF"])
+def test_rfe_path_stops_at_the_smallest_size_scored(backend, monkeypatch):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((120, 6))
+    d = Dataset(tuple(f"m{i}" for i in range(6)), x, rng.random(120) < sigmoid(2 * x[:, 0]))
+    fits = _spy_rfe_fits(monkeypatch)
+    select_rfe(d, backend, SelectorConfig(rfe_sizes=(5, 3, 9), rfe_resamples=2, rfe_ntree=5))
+    path = [f for f in fits if f[1] == d.rows.tobytes() and f[2] == d.outcome.tobytes()]
+    assert [len(f[3]) for f in path] == [6, 5, 4]  # p - m = 6 - 3 fits, one per size above 3
 
 
 # -- inconsistency rate: folded integer keys vs np.unique(axis=0) ------------------------
